@@ -19,8 +19,6 @@ from .dataset import FRAME_LEN, FrameSet
 from .errors import ParameterError, ShapeError
 from .tensor_nn import (
     LAYER_KINDS,
-    Conv2D,
-    Dense,
     Dropout,
     LayerSpec,
     Network,
@@ -80,7 +78,6 @@ class TrainConfig:
     dropout_rate: float = 0.5
     seed: int = 0
     patience: int = 5  # 0 disables early stopping
-    weight_dropout: bool = False  # DropConnect variant instead of activation dropout
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -204,15 +201,6 @@ def _eval_metrics(model: Model, x: np.ndarray, onehot: np.ndarray, labels: np.nd
     return total_loss / n, correct / n
 
 
-def _weight_dropout_targets(net: Network) -> list:
-    """Conv weights plus the first dense layer's weights (DropConnect variant)."""
-    targets = [layer for layer in net.layers if isinstance(layer, Conv2D)]
-    dense = [layer for layer in net.layers if isinstance(layer, Dense)]
-    if dense:
-        targets.append(dense[0])
-    return targets
-
-
 def train(model: Model, train_set: FrameSet, val_set: FrameSet,
           cfg: TrainConfig) -> tuple[Model, TrainHistory]:
     """Minibatch Adam on softmax cross-entropy with seeded shuffling.
@@ -230,10 +218,9 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
     y_val = np.eye(2, dtype=dtype)[val_set.schemes]
     val_labels = val_set.schemes.astype(np.int64)
 
-    dropout_layers = [layer for layer in model.net.layers if isinstance(layer, Dropout)]
-    for layer in dropout_layers:
-        layer.rate = 0.0 if cfg.weight_dropout else cfg.dropout_rate
-    wd_targets = _weight_dropout_targets(model.net) if cfg.weight_dropout else []
+    for layer in model.net.layers:
+        if isinstance(layer, Dropout):
+            layer.rate = cfg.dropout_rate
 
     params = model.net.parameters()
     state = adam_init(params, lr=cfg.learning_rate)
@@ -250,22 +237,9 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
         running = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            if wd_targets:
-                saved = [t.w.copy() for t in wd_targets]
-                masks = [
-                    (dropout_rng.random(t.w.shape) >= cfg.dropout_rate).astype(dtype)
-                    / dtype.type(1.0 - cfg.dropout_rate)
-                    for t in wd_targets
-                ]
-                for t, m in zip(wd_targets, masks):
-                    t.w *= m
             loss, grads = model.net.loss_and_grads(
                 x_train[idx], y_train[idx], train=True, rng=dropout_rng
             )
-            if wd_targets:
-                for t, m, s in zip(wd_targets, masks, saved):
-                    t.gw *= m
-                    t.w[...] = s
             adam_step(params, grads, state)
             running += loss * idx.size
         train_loss = running / n

@@ -168,10 +168,9 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_split(args, side: str) -> dataset.FrameSet:
+def _load_split(args) -> tuple[dataset.FrameSet, dataset.FrameSet]:
+    """Load the dataset once and split it at burst granularity: (train, val)."""
     frames = dataset.deserialize_frames(args.dataset)
-    if side == "all":
-        return frames
     manifest_path = args.dataset + ".manifest"
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(
@@ -184,8 +183,7 @@ def _load_split(args, side: str) -> dataset.FrameSet:
             f"manifest says {count} frames, dataset has {len(frames)}"
         )
     frames = dataset.assign_burst_ids(frames, cfg)
-    train_side, val_side = dataset.split_train_val(frames, args.val_fraction, args.seed)
-    return train_side if side == "train" else val_side
+    return dataset.split_train_val(frames, args.val_fraction, args.seed)
 
 
 def cmd_train(args) -> int:
@@ -195,8 +193,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
     if not 0.0 < args.val_fraction < 1.0:
         raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
-    train_set = _load_split(args, "train")
-    val_set = _load_split(args, "val")
+    train_set, val_set = _load_split(args)
     os.makedirs(args.out_dir, exist_ok=True)
     model = classifier.initialize(classifier.build_cnn2(), seed=args.seed)
     cfg = classifier.TrainConfig(
@@ -268,7 +265,11 @@ def _cnn_classifier(args, frames: dataset.FrameSet):
 def cmd_eval(args) -> int:
     if args.baseline is None and not args.checkpoint:
         raise UsageError("--checkpoint is required unless --baseline corr is given")
-    frames = _load_split(args, args.split)
+    if args.split == "all":
+        frames = dataset.deserialize_frames(args.dataset)
+    else:
+        train_side, val_side = _load_split(args)
+        frames = val_side if args.split == "val" else train_side
     os.makedirs(args.out_dir, exist_ok=True)
     classify_frames = (
         _baseline_classifier(args, frames) if args.baseline else _cnn_classifier(args, frames)

@@ -37,6 +37,18 @@ _HEADER = struct.Struct("<4sHIQ")
 
 _MASK64 = (1 << 64) - 1
 
+_SNR_CENTI_MAX = 32767  # the wire format stores SNR as int16 centi-dB: +-327.67 dB
+
+
+def _snr_centi_db(snrs_db) -> np.ndarray:
+    """SNRs as the wire format's int16 centi-dB; non-finite or out-of-range values raise."""
+    snrs_db = np.asarray(snrs_db, dtype=np.float64)
+    centi = np.round(snrs_db * 100.0)
+    bad = ~(np.abs(centi) <= _SNR_CENTI_MAX)  # NaN compares False
+    if bad.any():
+        raise ParameterError(f"SNR must be finite and within +-327.67 dB, got {snrs_db[bad][0]}")
+    return centi.astype(np.int16)
+
 
 class DatasetFormatError(Exception):
     """The file does not conform to the binary dataset format."""
@@ -78,6 +90,7 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if not self.snr_grid:
             raise ParameterError("snr_grid must be non-empty")
+        _snr_centi_db(self.snr_grid)
         if self.bursts_per_cell < 1:
             raise ParameterError("bursts_per_cell must be >= 1")
         if self.window <= 0:
@@ -273,7 +286,7 @@ def serialize_frames(frames: FrameSet, path) -> None:
     window = frames.frames.shape[2]
     rec = np.empty(len(frames), dtype=_record_dtype(window))
     rec["scheme"] = frames.schemes
-    rec["snr"] = np.round(frames.snrs_db * 100.0).astype(np.int16)
+    rec["snr"] = _snr_centi_db(frames.snrs_db)
     rec["iq"] = frames.frames.reshape(len(frames), 2 * window)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, window, len(frames)))

@@ -1,9 +1,14 @@
 """Minimal conv/dense network engine: exact backprop, Adam, finite-difference checks.
 
-Layers operate on batched arrays (leading batch axis); the single-sample
-functional forms used throughout the docs and tests are thin wrappers. The
-engine is deliberately small: stride-1 valid convolutions, column-only zero
-padding, inverted dropout, softmax + cross-entropy fused in the backward pass.
+Layers operate on batched arrays (leading batch axis). A ``Network`` takes
+channel-first ``[B, C, H, W]`` input, transposes it once and stores every
+activation width-major, ``[B, W, H, C]``; ``Flatten`` emits channel-first
+order, so shapes, parameter layouts and checkpoints stay channel-first. The
+engine is deliberately small: stride-1 valid convolutions along the width
+only (kernel height 1 or the full input height), column-only zero padding,
+inverted dropout, softmax + cross-entropy fused in the backward pass. The
+single-sample functional forms (``conv2d_forward``, ``relu``, ...) are
+channel-first float64 references that the tests compare the layers with.
 """
 
 from __future__ import annotations
@@ -80,12 +85,14 @@ def flatten_spec() -> LayerSpec:
 class Layer:
     """Forward/backward node. backward() consumes state cached by forward()."""
 
-    spec: LayerSpec
+    def __init__(self, spec: LayerSpec):
+        self.spec = spec
 
     def forward(self, x: np.ndarray, train: bool = False, rng=None, sign_trace=None) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        """Input gradient; layers with parameters also fill their grads()."""
         raise NotImplementedError
 
     def params(self) -> list[np.ndarray]:
@@ -95,70 +102,17 @@ class Layer:
         return []
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """[B, C, H, W] -> [B*OH*OW, C*kh*kw] patch matrix (one copy)."""
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    b, c, oh, ow = view.shape[:4]
-    return view.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kh * kw)
+class _Weighted(Layer):
+    """A layer with weights w (filters or units first) and bias b, He- or Glorot-uniform."""
 
-
-class Conv2D(Layer):
-    """Stride-1 valid cross-correlation over channel-first [B, C, H, W] input.
-
-    One im2col plus one GEMM per pass; the patch matrix is cached between
-    forward and backward.
-    """
-
-    def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator,
-                 dtype=np.float32, init: str = "he"):
-        self.spec = spec
-        kh, kw = spec.kernel
-        fan_in = in_channels * kh * kw
-        if init == "he":
-            limit = np.sqrt(6.0 / fan_in)
-        else:
-            limit = np.sqrt(6.0 / (fan_in + spec.filters))
-        self.w = rng.uniform(-limit, limit, size=(spec.filters, in_channels, kh, kw)).astype(dtype)
-        self.b = np.zeros(spec.filters, dtype=dtype)
+    def __init__(self, spec: LayerSpec, shape: tuple[int, ...], fan_in: int,
+                 rng: np.random.Generator, dtype, init: str):
+        super().__init__(spec)
+        limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
+        self.w = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        self.b = np.zeros(shape[0], dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._cols = None
-        self._x_shape = None
-
-    def forward(self, x, train=False, rng=None, sign_trace=None):
-        f, c, kh, kw = self.w.shape
-        if x.ndim != 4 or x.shape[1] != c:
-            raise ShapeError(f"conv2d expects [B, {c}, H, W], got {x.shape}")
-        b, _, h, w = x.shape
-        if kh > h or kw > w:
-            raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-        oh, ow = h - kh + 1, w - kw + 1
-        cols = _im2col(x, kh, kw)
-        out = cols @ self.w.reshape(f, -1).T + self.b
-        self._cols = cols
-        self._x_shape = x.shape
-        return np.ascontiguousarray(out.reshape(b, oh, ow, f).transpose(0, 3, 1, 2))
-
-    def backward(self, grad):
-        f, c, kh, kw = self.w.shape
-        b, _, oh, ow = grad.shape
-        _, _, h, w = self._x_shape
-        dy = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(-1, f)
-        self.gb[...] = dy.sum(axis=0)
-        self.gw[...] = (dy.T @ self._cols).reshape(self.w.shape)
-        if h * w * f < oh * ow * c:
-            # full correlation of padded grad with the flipped kernel: one GEMM,
-            # cheaper than col2im scatter when dx has many channels
-            pad = np.pad(grad, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-            wf = self.w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            out = _im2col(pad, kh, kw) @ wf.T
-            return np.ascontiguousarray(out.reshape(b, h, w, c).transpose(0, 3, 1, 2))
-        dcols = (dy @ self.w.reshape(f, -1)).reshape(b, oh, ow, c, kh, kw)
-        dx = np.zeros(self._x_shape, dtype=grad.dtype)
-        for i in range(kh):
-            for j in range(kw):
-                dx[:, :, i:i + oh, j:j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-        return dx
 
     def params(self):
         return [self.w, self.b]
@@ -167,18 +121,89 @@ class Conv2D(Layer):
         return [self.gw, self.gb]
 
 
-class Dense(Layer):
+def _flip(x: np.ndarray) -> np.ndarray:
+    """Reverse the non-batch axes: channel-first [B, C, H, W] <-> width-major [B, W, H, C]."""
+    return x.transpose(0, *range(x.ndim - 1, 0, -1))
+
+
+class Conv2D(_Weighted):
+    """Stride-1 valid cross-correlation along the width of width-major [B, W, H, C] input.
+
+    The kernel [F, C, kh, kw] has kh = 1 (each row on its own) or kh = H (full
+    height), so the input reads as [B, W, G, K] with G = H // kh row groups of
+    K = kh*C values, and the output is [B, W - kw + 1, G, F]. Width shift j is
+    one GEMM over the flattened [B*W*G, K] rows offset by j*G; rows that run
+    into the next batch element land on the kw - 1 output columns past
+    W - kw + 1, which forward drops and backward pads with zero gradient. When
+    a kw-wide window of K values is no larger than the F outputs it feeds, a
+    cached window patch matrix makes forward and the weight gradient one GEMM
+    each; otherwise nothing the size of a patch matrix is built.
+    """
+
+    def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator,
+                 dtype=np.float32, init: str = "he"):
+        kh, kw = spec.kernel
+        fan_in = in_channels * kh * kw
+        super().__init__(spec, (spec.filters, in_channels, kh, kw), fan_in, rng, dtype, init)
+        self._windowed = fan_in <= spec.filters
+        self._x = None  # [B, W, G, K] input, or its [B*OW*G, K*kw] patch matrix when windowed
+
+    def forward(self, x, train=False, rng=None, sign_trace=None):
+        f, c, kh, kw = self.w.shape
+        if x.ndim != 4 or x.shape[3] != c:
+            raise ShapeError(f"conv2d expects [B, W, H, {c}], got {x.shape}")
+        b, w, h, _ = x.shape
+        trace_shapes([self.spec], (c, h, w))  # kernel height 1 or h, width at most w
+        g, k, ow = h // kh, kh * c, w - kw + 1
+        x = np.ascontiguousarray(x).reshape(b, w, g, k)
+        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)  # [:, j] multiplies shift j
+        if self._windowed:
+            self._x = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1).reshape(-1, k * kw)
+            out = self._x @ wt.reshape(k * kw, f)
+            out += self.b
+            return out.reshape(b, ow, g, f)
+        self._x = x
+        # one GEMM against all kw shift weights, then the shifted row ranges summed
+        per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(-1, kw, f)
+        rows = (b * w - kw + 1) * g
+        out = np.empty((b * w * g, f), dtype=per_shift.dtype)
+        np.add(per_shift[:rows, 0], self.b, out=out[:rows])
+        for j in range(1, kw):
+            out[:rows] += per_shift[j * g:j * g + rows, j]
+        return out.reshape(b, w, g, f)[:, :ow]
+
+    def backward(self, grad, input_grad=True):
+        """Fills gw and gb; returns the input gradient unless ``input_grad`` is False."""
+        f, c, kh, kw = self.w.shape
+        b, ow, g, _ = grad.shape
+        k, w = kh * c, ow + kw - 1
+        rows = (b * w - kw + 1) * g
+        self.gb[...] = grad.sum(axis=(0, 1, 2))
+        if input_grad or not self._windowed:
+            padded = np.zeros((b, w, g, f), dtype=grad.dtype)
+            padded[:, :ow] = grad
+            dy = padded.reshape(-1, f)[:rows]
+        if self._windowed:
+            gwt = self._x.T @ grad.reshape(-1, f)
+        else:
+            x = self._x.reshape(-1, k)
+            gwt = np.stack([x[j * g:j * g + rows].T @ dy for j in range(kw)], axis=1)
+        self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
+        if not input_grad:
+            return None
+        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)
+        dx = np.empty((b * w * g, k), dtype=grad.dtype)
+        dx[rows:] = 0.0
+        np.matmul(dy, wt[:, 0].T, out=dx[:rows])
+        for j in range(1, kw):
+            dx[j * g:j * g + rows] += dy @ wt[:, j].T
+        return dx.reshape(b, w, kh * g, c)
+
+
+class Dense(_Weighted):
     def __init__(self, in_features: int, spec: LayerSpec, rng: np.random.Generator,
                  dtype=np.float32, init: str = "he"):
-        self.spec = spec
-        if init == "he":
-            limit = np.sqrt(6.0 / in_features)
-        else:
-            limit = np.sqrt(6.0 / (in_features + spec.units))
-        self.w = rng.uniform(-limit, limit, size=(spec.units, in_features)).astype(dtype)
-        self.b = np.zeros(spec.units, dtype=dtype)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
+        super().__init__(spec, (spec.units, in_features), in_features, rng, dtype, init)
         self._x = None
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
@@ -187,104 +212,85 @@ class Dense(Layer):
         self._x = x
         return x @ self.w.T + self.b
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.gw[...] = grad.T @ self._x
         self.gb[...] = grad.sum(axis=0)
-        return grad @ self.w
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.gw, self.gb]
+        return grad @ self.w if input_grad else None
 
 
 class ReLU(Layer):
-    def __init__(self, spec: LayerSpec | None = None):
-        self.spec = spec or relu_spec()
-        self._mask = None
-
     def forward(self, x, train=False, rng=None, sign_trace=None):
         self._mask = x > 0
         if sign_trace is not None:
-            sign_trace.append(self._mask.copy())
-        return np.where(self._mask, x, np.zeros((), dtype=x.dtype))
+            sign_trace.append(self._mask)
+        return np.maximum(x, 0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, np.zeros((), dtype=grad.dtype))
+        return grad * self._mask
 
 
 class Softmax(Layer):
-    def __init__(self, spec: LayerSpec | None = None):
-        self.spec = spec or softmax_spec()
-        self._p = None
+    """Forward only: Network.loss_and_grads fuses its backward into the loss gradient."""
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        shifted = x - x.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        self._p = e / e.sum(axis=-1, keepdims=True)
-        return self._p
-
-    def backward(self, grad):
-        p = self._p
-        return p * (grad - (grad * p).sum(axis=-1, keepdims=True))
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
 
 class Dropout(Layer):
     """Inverted dropout: survivors scaled by 1/(1-rate); eval mode is identity."""
 
     def __init__(self, spec: LayerSpec):
-        self.spec = spec
+        super().__init__(spec)
         self.rate = spec.rate  # mutable so a training config can override it
-        self._scale_mask = None
+        self._keep = None
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
         rate = self.rate
         if not train or rate == 0.0:
-            self._scale_mask = None
+            self._keep = None
             return x
         if rng is None:
             raise ParameterError("train-mode dropout needs an rng")
-        keep = rng.random(x.shape, dtype=np.float32) >= rate
-        self._scale_mask = keep.astype(x.dtype) / x.dtype.type(1.0 - rate)
-        return x * self._scale_mask
+        # keep-bits drawn channel-first: a seed drops the same units in any layout
+        uniform = rng.random(_flip(x).shape, dtype=np.float32)
+        self._keep = np.ascontiguousarray(_flip(uniform >= rate))
+        self._scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+        return self._apply(x)
 
     def backward(self, grad):
-        if self._scale_mask is None:
-            return grad
-        return grad * self._scale_mask
+        return grad if self._keep is None else self._apply(grad)
+
+    def _apply(self, x):
+        out = x * self._keep
+        out *= self._scale
+        return out
 
 
 class ZeroPad(Layer):
-    """Pads the width axis with spec.pad zero columns on each side."""
-
-    def __init__(self, spec: LayerSpec):
-        self.spec = spec
+    """Pads the width axis of [B, W, H, C] with spec.pad zero columns on each side."""
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
         if x.ndim != 4:
-            raise ShapeError(f"zeropad expects [B, C, H, W], got {x.shape}")
-        p = self.spec.pad
-        if p == 0:
-            return x
-        return np.pad(x, ((0, 0), (0, 0), (0, 0), (p, p)))
+            raise ShapeError(f"zeropad expects [B, W, H, C], got {x.shape}")
+        p, w = self.spec.pad, x.shape[1]
+        out = np.zeros((x.shape[0], w + 2 * p) + x.shape[2:], dtype=x.dtype)
+        out[:, p:p + w] = x
+        return out
 
     def backward(self, grad):
         p = self.spec.pad
-        return grad if p == 0 else grad[:, :, :, p:-p]
+        return grad[:, p:grad.shape[1] - p]
 
 
 class Flatten(Layer):
-    def __init__(self, spec: LayerSpec | None = None):
-        self.spec = spec or flatten_spec()
-        self._shape = None
-
     def forward(self, x, train=False, rng=None, sign_trace=None):
+        x = _flip(x)  # channel-first order, which the dense weights after a conv expect
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return grad.reshape(self._shape)
+        return _flip(grad.reshape(self._shape))
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +307,9 @@ def trace_shapes(specs, input_shape) -> list[tuple[int, ...]]:
                 raise ShapeError(f"conv2d needs a [C, H, W] input, got {shape}")
             c, h, w = shape
             kh, kw = spec.kernel
-            if kh > h or kw > w:
-                raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+            if kh not in (1, h) or kw > w:
+                raise ShapeError(f"kernel {kh}x{kw} does not fit input {h}x{w}: convolutions "
+                                 f"run along the width, so its height must be 1 or {h}")
             shape = (spec.filters, h - kh + 1, w - kw + 1)
         elif spec.kind == "dense":
             if len(shape) != 1:
@@ -317,6 +324,10 @@ def trace_shapes(specs, input_shape) -> list[tuple[int, ...]]:
             shape = (int(np.prod(shape)),)
         out.append(shape)
     return out
+
+
+_LAYER_CLASSES = {"conv2d": Conv2D, "dense": Dense, "relu": ReLU, "softmax": Softmax,
+                  "dropout": Dropout, "zeropad": ZeroPad, "flatten": Flatten}
 
 
 def _init_for(following_specs) -> str:
@@ -343,28 +354,23 @@ class Network:
         self.layers: list[Layer] = []
         shape = tuple(input_shape)
         for i, spec in enumerate(specs):
-            if spec.kind == "conv2d":
-                layer = Conv2D(shape[0], spec, rng, dtype=dtype, init=_init_for(specs[i + 1:]))
-            elif spec.kind == "dense":
-                layer = Dense(shape[0], spec, rng, dtype=dtype, init=_init_for(specs[i + 1:]))
-            elif spec.kind == "relu":
-                layer = ReLU(spec)
-            elif spec.kind == "softmax":
-                layer = Softmax(spec)
-            elif spec.kind == "dropout":
-                layer = Dropout(spec)
-            elif spec.kind == "zeropad":
-                layer = ZeroPad(spec)
+            cls = _LAYER_CLASSES[spec.kind]
+            if issubclass(cls, _Weighted):
+                layer = cls(shape[0], spec, rng, dtype=dtype, init=_init_for(specs[i + 1:]))
             else:
-                layer = Flatten(spec)
+                layer = cls(spec)
             self.layers.append(layer)
             shape = trace_shapes([spec], shape)[0]
         self.output_shape = shape
+        # backprop stops at the first layer with parameters: nothing reads its input gradient
+        weighted = [i for i, layer in enumerate(self.layers) if layer.params()]
+        self._backprop_layers = self.layers[weighted[0]:-1] if weighted else []
 
     def forward(self, x, train: bool = False, rng=None, sign_trace=None) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input [B, {self.input_shape}], got {x.shape}")
+        x = _flip(x)
         for layer in self.layers:
             x = layer.forward(x, train=train, rng=rng, sign_trace=sign_trace)
         return x
@@ -391,8 +397,10 @@ class Network:
             raise ShapeError(f"one-hot shape {onehot.shape} != output shape {probs.shape}")
         loss = batch_cross_entropy(probs, onehot)
         grad = (probs - onehot) / self.dtype.type(probs.shape[0])
-        for layer in reversed(self.layers[:-1]):
+        for layer in reversed(self._backprop_layers[1:]):
             grad = layer.backward(grad)
+        if self._backprop_layers:
+            self._backprop_layers[0].backward(grad, input_grad=False)
         return loss, self.gradients()
 
 
@@ -409,14 +417,13 @@ def conv2d_forward(x, weights, bias) -> np.ndarray:
         raise ShapeError(f"incompatible conv shapes {x.shape} and {weights.shape}")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-    f, c, kh, kw = weights.shape
+    _, _, kh, kw = weights.shape
     _, h, w = x.shape
     if kh > h or kw > w:
         raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    oh, ow = h - kh + 1, w - kw + 1
-    cols = _im2col(x[None], kh, kw)
-    out = cols @ weights.reshape(f, -1).T + bias
-    return out.reshape(oh, ow, f).transpose(2, 0, 1)
+    patches = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    out = np.einsum("chwij,fcij->fhw", patches, weights, optimize=True)
+    return out + bias[:, None, None]
 
 
 def dense_forward(x, weights, bias) -> np.ndarray:
@@ -626,18 +633,9 @@ def random_micro_network(seed: int, linear_only: bool = False) -> tuple[Network,
     k1w = int(rng.integers(2, 4))
     units = int(rng.integers(4, 9))
     classes = 2
-    specs = [
-        conv_spec(f1, 1, k1w),
-    ]
-    if not linear_only:
-        specs.append(relu_spec())
-    specs += [conv_spec(f2, h, 2)]
-    if not linear_only:
-        specs.append(relu_spec())
-    specs += [flatten_spec(), dense_spec(units)]
-    if not linear_only:
-        specs.append(relu_spec())
-    specs += [dense_spec(classes), softmax_spec()]
+    act = [] if linear_only else [relu_spec()]
+    specs = [conv_spec(f1, 1, k1w), *act, conv_spec(f2, h, 2), *act,
+             flatten_spec(), dense_spec(units), *act, dense_spec(classes), softmax_spec()]
     net = Network(specs, (c, h, w), rng, dtype=np.float64)
     x = rng.standard_normal((c, h, w))
     onehot = np.zeros(classes)

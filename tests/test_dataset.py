@@ -158,6 +158,12 @@ class TestGenerateDataset:
         np.testing.assert_array_equal(seq.frames, par.frames)
         np.testing.assert_array_equal(seq.burst_ids, par.burst_ids)
 
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 400.0, -327.68])
+    def test_unstorable_snr_rejected(self, snr):
+        # the wire format holds SNR as int16 centi-dB; 400 dB would read back as -255.36
+        with pytest.raises(ParameterError):
+            small_config(snr_grid=(0.0, snr))
+
     def test_frame_labels_follow_bursts(self):
         frames = generate_dataset(small_config())
         for b in np.unique(frames.burst_ids):
@@ -224,6 +230,22 @@ class TestSerialization:
         serialize_frames(frames, p1)
         serialize_frames(deserialize_frames(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_snr_range_edges_round_trip(self, tmp_path):
+        frames = generate_dataset(small_config()).subset(slice(0, 2))
+        frames.snrs_db = np.array([327.67, -327.67])
+        path = tmp_path / "edge.stbc"
+        serialize_frames(frames, path)
+        np.testing.assert_array_equal(deserialize_frames(path).snrs_db, frames.snrs_db)
+
+    @pytest.mark.parametrize("snr", [float("nan"), -float("inf"), 400.0, 327.68])
+    def test_unstorable_snr_rejected(self, tmp_path, snr):
+        frames = generate_dataset(small_config()).subset(slice(0, 2))
+        frames.snrs_db = np.array([0.0, snr])
+        path = tmp_path / "bad.stbc"
+        with pytest.raises(ParameterError):
+            serialize_frames(frames, path)
+        assert not path.exists()
 
     def test_empty_set_round_trips(self, tmp_path):
         empty = FrameSet(

@@ -1,12 +1,25 @@
 """Tests for the network engine: forward ops, backprop vs finite differences, Adam."""
 
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stbcid.classifier import (
+    CorruptCheckpointError,
+    ModelSpec,
+    build_cnn2,
+    initialize,
+    load_checkpoint,
+    save_checkpoint,
+)
+from stbcid.dataset import FRAME_LEN
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.tensor_nn import (
+    LAYER_KINDS,
+    Dropout,
     Network,
     adam_init,
     adam_step,
@@ -25,6 +38,7 @@ from stbcid.tensor_nn import (
     relu_spec,
     softmax,
     softmax_spec,
+    trace_shapes,
     zeropad_spec,
 )
 
@@ -112,11 +126,18 @@ class TestReluSoftmaxLoss:
         np.testing.assert_allclose(softmax(x + c), softmax(x), atol=1e-9)
 
     @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
+    @example([24.0, -13.0])
     @settings(max_examples=50)
     def test_softmax_simplex(self, vals):
-        p = softmax(np.array(vals))
+        x = np.array(vals)
+        p = softmax(x)
         assert abs(p.sum() - 1.0) < 1e-12
-        assert np.all(p > 0.0) and np.all(p < 1.0)
+        assert np.all(p > 0.0) and np.all(p <= 1.0)
+        # 1 - e^-gap rounds to 1.0 in float64 once the gap between the two largest
+        # logits exceeds ~36.7, so p < 1 is only representable below that
+        top2 = np.sort(x)[-2:]
+        if top2[1] - top2[0] <= 36.0:
+            assert np.all(p < 1.0)
 
     def test_cross_entropy_examples(self):
         assert cross_entropy_loss([0.5, 0.5], [1, 0]) == pytest.approx(np.log(2.0), rel=1e-9)
@@ -293,6 +314,94 @@ class TestNetworkValidation:
             rng,
             dtype=np.float64,
         )
-        out = net.layers[0].forward(np.ones((1, 1, 2, 4)))
-        assert out.shape == (1, 1, 2, 8)
-        assert np.all(out[:, :, :, :2] == 0.0) and np.all(out[:, :, :, -2:] == 0.0)
+        # layers hold activations width-major: [B, W, H, C]
+        out = net.layers[0].forward(np.ones((1, 4, 2, 1)))
+        assert out.shape == (1, 8, 2, 1)
+        assert np.all(out[:, :2] == 0.0) and np.all(out[:, -2:] == 0.0)
+        assert np.all(out[:, 2:-2] == 1.0)
+
+
+def _channel_first_reference(net, x):
+    """One [C, H, W] sample through the channel-first functional references (eval mode)."""
+    for spec, layer in zip(net.specs, net.layers):
+        if spec.kind == "conv2d":
+            x = conv2d_forward(x, layer.w, layer.b)
+        elif spec.kind == "dense":
+            x = dense_forward(x, layer.w, layer.b)
+        elif spec.kind == "zeropad":
+            x = np.pad(x, ((0, 0), (0, 0), (spec.pad, spec.pad)))
+        elif spec.kind == "relu":
+            x = relu(x)
+        elif spec.kind == "flatten":
+            x = x.reshape(-1)
+        elif spec.kind == "softmax":
+            x = softmax(x)
+    return x
+
+
+class TestWidthMajorEngine:
+    def test_cnn2_matches_channel_first_reference(self):
+        # pins the flatten order against the stored dense1 layout
+        model = initialize(build_cnn2(), seed=3, dtype=np.float64)
+        rng = np.random.default_rng(8)
+        for p in model.net.parameters():
+            if p.ndim == 1:  # non-zero biases, so a misplaced bias shows
+                p[...] = 0.1 * rng.standard_normal(p.shape)
+        x = rng.standard_normal((3, 1, 2, FRAME_LEN))
+        probs = model.net.forward(x)
+        for i in range(x.shape[0]):
+            ref = _channel_first_reference(model.net, x[i])
+            np.testing.assert_allclose(probs[i], ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(np.log(probs[i]), np.log(ref), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("f1, k1, f2, pad, windowed", [
+        (3, 3, 3, 1, (True, False)),  # CNN2's choice: window patch, then shifted GEMMs
+        (3, 3, 3, 0, (True, False)),  # no zero columns to hide rows that cross elements
+        (2, 3, 8, 0, (False, True)),  # shifted first layer; windowed layer with input grad
+    ])
+    def test_cnn2_kernel_pattern_matches_finite_differences(self, f1, k1, f2, pad, windowed):
+        # a 1xk kernel on each row of a C=1, H=2 input, then a full-height 2xk,
+        # on a batch, so rows of one element meet the next in the shifted GEMMs
+        rng = np.random.default_rng(21)
+        specs = [
+            zeropad_spec(pad), conv_spec(f1, 1, k1), relu_spec(), dropout_spec(0.5),
+            zeropad_spec(pad), conv_spec(f2, 2, 2), relu_spec(),
+            flatten_spec(), dense_spec(5), relu_spec(), dense_spec(2), softmax_spec(),
+        ]
+        net = Network(specs, (1, 2, 7), rng, dtype=np.float64)
+        convs = [layer for layer, spec in zip(net.layers, specs) if spec.kind == "conv2d"]
+        assert tuple(layer._windowed for layer in convs) == windowed
+        x = rng.standard_normal((3, 1, 2, 7))
+        onehot = np.eye(2)[[0, 1, 1]]
+        report = grad_check(net, x, onehot, step=1e-5, tolerance=1e-4)
+        assert report.passed, f"max rel error {report.max_rel_error}"
+        assert report.n_checked + report.n_kink_skipped == sum(p.size for p in net.parameters())
+
+    def test_partial_height_kernel_rejected(self):
+        specs = [conv_spec(2, 2, 2), flatten_spec(), dense_spec(2), softmax_spec()]
+        with pytest.raises(ShapeError):
+            trace_shapes(specs, (1, 3, 8))
+        with pytest.raises(ShapeError):
+            Network(specs, (1, 3, 8), np.random.default_rng(0))
+
+    def test_partial_height_checkpoint_rejected(self, tmp_path):
+        spec = ModelSpec(
+            layers=(conv_spec(2, 3, 2), flatten_spec(), dense_spec(2), softmax_spec()),
+            input_shape=(1, 3, 8),
+        )
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(spec), path)
+        conv = LAYER_KINDS.index("conv2d")
+        full_height = struct.pack("<BIII", conv, 2, 3, 2)
+        raw = path.read_bytes()
+        assert raw.count(full_height) == 1
+        path.write_bytes(raw.replace(full_height, struct.pack("<BIII", conv, 2, 2, 2)))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    def test_dropout_draws_keep_bits_channel_first(self):
+        # a seed drops the same units as a channel-first engine would
+        x = np.ones((2, 5, 2, 3), dtype=np.float32)  # width-major [B, W, H, C]
+        out = Dropout(dropout_spec(0.5)).forward(x, train=True, rng=np.random.default_rng(4))
+        keep = np.random.default_rng(4).random((2, 3, 2, 5), dtype=np.float32) >= 0.5
+        np.testing.assert_array_equal(out, 2.0 * keep.transpose(0, 3, 2, 1))
