@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal_model import (
+    _MASK64,
     ChannelRealization,
     CodingScheme,
     NoiseSpec,
@@ -33,8 +34,6 @@ from .signal_model import (
     noise_variance_for_snr,
     receive,
 )
-
-_MASK64 = (1 << 64) - 1
 
 GENERATOR_VARIANTS = ("eq2", "paper-eq7")
 

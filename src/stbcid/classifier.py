@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset import FRAME_LEN, FrameSet
 from .errors import ParameterError, ShapeError
+from .signal_model import _MASK64
 from .tensor_nn import (
     LAYER_KINDS,
     Dropout,
@@ -34,8 +35,6 @@ from .tensor_nn import (
     trace_shapes,
     zeropad_spec,
 )
-
-_MASK64 = (1 << 64) - 1
 
 CHECKPOINT_MAGIC = b"STBCNN"
 CHECKPOINT_VERSION = 1

@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .signal_model import (
+    _MASK64,
     CodingScheme,
     ChannelRealization,
     ParameterError,
@@ -34,8 +35,6 @@ FRAME_LEN = 128
 DATASET_MAGIC = b"STBC"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")
-
-_MASK64 = (1 << 64) - 1
 
 _SNR_CENTI_MAX = 32767  # the wire format stores SNR as int16 centi-dB: +-327.67 dB
 

@@ -22,6 +22,8 @@ class CodingScheme(IntEnum):
     AL = 1
 
 
+_MASK64 = (1 << 64) - 1  # seeds enter a SeedSequence as their low 64 bits
+
 # Gray-mapped unit-energy QPSK, indexed by bit pair (2*b0 + b1):
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2
 QPSK_CONSTELLATION = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)

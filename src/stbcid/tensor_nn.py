@@ -1,18 +1,30 @@
 """Minimal conv/dense network engine: exact backprop, Adam, finite-difference checks.
 
 Layers operate on batched arrays (leading batch axis). A ``Network`` takes
-channel-first ``[B, C, H, W]`` input, transposes it once and stores every
-activation width-major, ``[B, W, H, C]``; ``Flatten`` emits channel-first
-order, so shapes, parameter layouts and checkpoints stay channel-first. The
-engine is deliberately small: stride-1 valid convolutions along the width
-only (kernel height 1 or the full input height), column-only zero padding,
-inverted dropout, softmax + cross-entropy fused in the backward pass. The
-single-sample functional forms (``conv2d_forward``, ``relu``, ...) are
-channel-first float64 references that the tests compare the layers with.
+channel-first ``[B, C, H, W]`` input, copies and transposes it once and
+stores every activation width-major, ``[B, W, H, C]``; ``Flatten`` emits
+channel-first order, so shapes, parameter layouts and checkpoints stay
+channel-first. The engine is deliberately small: stride-1 valid convolutions
+along the width only (kernel height 1 or the full input height), column-only
+zero padding, inverted dropout, softmax + cross-entropy fused in the backward
+pass. The single-sample functional forms (``conv2d_forward``, ``relu``, ...)
+are channel-first float64 references that the tests compare the layers with.
+
+Two rules keep the layers lean and a shared model safe to run in eval mode
+from several threads:
+
+- Ownership: a layer owns the array ``forward`` is given and the gradient
+  ``backward`` is given, and may overwrite either (ReLU and Dropout work in
+  place). ``Network.forward`` copies the caller's input, so nothing outside
+  the network is written.
+- Locals only: ``forward`` computes its output from its arguments and locals
+  and only *stores* what ``backward`` reads; it never reads ``self`` state
+  back within the call, and no array is kept for reuse by a later call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +95,12 @@ def flatten_spec() -> LayerSpec:
 
 
 class Layer:
-    """Forward/backward node. backward() consumes state cached by forward()."""
+    """Forward/backward node. backward() consumes state cached by forward().
+
+    Both calls may overwrite the array they are given (the caller hands it
+    over), and forward() computes from its arguments only, storing for
+    backward() without reading that state back (see the module docstring).
+    """
 
     def __init__(self, spec: LayerSpec):
         self.spec = spec
@@ -131,13 +148,20 @@ class Conv2D(_Weighted):
 
     The kernel [F, C, kh, kw] has kh = 1 (each row on its own) or kh = H (full
     height), so the input reads as [B, W, G, K] with G = H // kh row groups of
-    K = kh*C values, and the output is [B, W - kw + 1, G, F]. Width shift j is
-    one GEMM over the flattened [B*W*G, K] rows offset by j*G; rows that run
-    into the next batch element land on the kw - 1 output columns past
-    W - kw + 1, which forward drops and backward pads with zero gradient. When
-    a kw-wide window of K values is no larger than the F outputs it feeds, a
-    cached window patch matrix makes forward and the weight gradient one GEMM
-    each; otherwise nothing the size of a patch matrix is built.
+    K = kh*C values, and the output is [B, W - kw + 1, G, F]. Forward is one
+    GEMM against all kw shift weights, [B*W*G, K] @ [K, kw*F], whose row
+    ranges offset by j*G are summed; rows that run into the next batch element
+    land on the kw - 1 output columns past W - kw + 1, which are dropped.
+
+    Backward writes the output gradient once per shift into a zeroed
+    [B, W, G, kw, F] array whose slot j holds it j columns over, so the weight
+    gradient is one GEMM (input^T @ shifted gradient) and the input gradient
+    another (shifted gradient @ weights^T), both with kw*F on the shared side.
+
+    When a kw-wide window of K values is no larger than the F outputs it feeds
+    (conv1 of CNN2), forward instead builds the tiny window patch matrix with
+    a ones column, so the bias rides in the GEMM, and backward gets the weight
+    and bias gradients from one stacked GEMM per batch element.
     """
 
     def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator,
@@ -146,7 +170,7 @@ class Conv2D(_Weighted):
         fan_in = in_channels * kh * kw
         super().__init__(spec, (spec.filters, in_channels, kh, kw), fan_in, rng, dtype, init)
         self._windowed = fan_in <= spec.filters
-        self._x = None  # [B, W, G, K] input, or its [B*OW*G, K*kw] patch matrix when windowed
+        self._x = None  # [B, W, G, K] input, or its [B, OW*G, K*kw + 1] patches when windowed
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
         f, c, kh, kw = self.w.shape
@@ -158,12 +182,14 @@ class Conv2D(_Weighted):
         x = np.ascontiguousarray(x).reshape(b, w, g, k)
         wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)  # [:, j] multiplies shift j
         if self._windowed:
-            self._x = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1).reshape(-1, k * kw)
-            out = self._x @ wt.reshape(k * kw, f)
-            out += self.b
+            windows = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)
+            patches = np.empty((b, ow, g, k * kw + 1), dtype=x.dtype)
+            patches[..., :-1] = windows.reshape(b, ow, g, k * kw)
+            patches[..., -1] = 1.0
+            self._x = patches.reshape(b, ow * g, -1)
+            out = patches.reshape(-1, k * kw + 1) @ np.vstack([wt.reshape(k * kw, f), self.b])
             return out.reshape(b, ow, g, f)
         self._x = x
-        # one GEMM against all kw shift weights, then the shifted row ranges summed
         per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(-1, kw, f)
         rows = (b * w - kw + 1) * g
         out = np.empty((b * w * g, f), dtype=per_shift.dtype)
@@ -177,26 +203,22 @@ class Conv2D(_Weighted):
         f, c, kh, kw = self.w.shape
         b, ow, g, _ = grad.shape
         k, w = kh * c, ow + kw - 1
-        rows = (b * w - kw + 1) * g
-        self.gb[...] = grad.sum(axis=(0, 1, 2))
         if input_grad or not self._windowed:
-            padded = np.zeros((b, w, g, f), dtype=grad.dtype)
-            padded[:, :ow] = grad
-            dy = padded.reshape(-1, f)[:rows]
+            shifted = np.zeros((b, w, g, kw, f), dtype=grad.dtype)
+            for j in range(kw):
+                shifted[:, j:j + ow, :, j] = grad
+            shifted = shifted.reshape(-1, kw * f)
         if self._windowed:
-            gwt = self._x.T @ grad.reshape(-1, f)
+            # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
+            gwb = np.matmul(self._x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
+            gwt, self.gb[...] = gwb[:-1], gwb[-1]
         else:
-            x = self._x.reshape(-1, k)
-            gwt = np.stack([x[j * g:j * g + rows].T @ dy for j in range(kw)], axis=1)
+            gwt = self._x.reshape(-1, k).T @ shifted
+            self.gb[...] = grad.sum(axis=(0, 1, 2))
         self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
         if not input_grad:
             return None
-        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)
-        dx = np.empty((b * w * g, k), dtype=grad.dtype)
-        dx[rows:] = 0.0
-        np.matmul(dy, wt[:, 0].T, out=dx[:rows])
-        for j in range(1, kw):
-            dx[j * g:j * g + rows] += dy @ wt[:, j].T
+        dx = shifted @ self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T
         return dx.reshape(b, w, kh * g, c)
 
 
@@ -219,14 +241,18 @@ class Dense(_Weighted):
 
 
 class ReLU(Layer):
+    """In place, forward and backward; keeps the bool mask of positive inputs."""
+
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        self._mask = x > 0
+        mask = x > 0
+        self._mask = mask
         if sign_trace is not None:
-            sign_trace.append(self._mask)
-        return np.maximum(x, 0)
+            sign_trace.append(mask)
+        return np.maximum(x, 0, out=x)
 
     def backward(self, grad):
-        return grad * self._mask
+        grad *= self._mask
+        return grad
 
 
 class Softmax(Layer):
@@ -238,7 +264,18 @@ class Softmax(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: survivors scaled by 1/(1-rate); eval mode is identity."""
+    """Inverted dropout, in place: survivors scaled by 1/(1-rate); eval mode is identity.
+
+    A unit is kept iff ``rng.random(dtype=float32) >= rate`` would keep it,
+    drawn channel-first so a seed drops the same units in any layout. The
+    draw streams one batch element at a time: PCG64 ``random_raw`` words read
+    as uint32 pairs, low half first, which is where ``random(float32)`` takes
+    its 24 bits from (``u >> 8``). So ``u >> 8 >= float32(rate) * 2**24``,
+    i.e. ``u >= ceil(float32(rate) * 2**24) << 8``, keeps exactly the same
+    units. The generator's buffered half-word is used first and an unused
+    half-word is buffered at the end, so it ends in the state
+    ``random(float32)`` leaves. Other bit generators are rejected.
+    """
 
     def __init__(self, spec: LayerSpec):
         super().__init__(spec)
@@ -252,19 +289,49 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise ParameterError("train-mode dropout needs an rng")
-        # keep-bits drawn channel-first: a seed drops the same units in any layout
-        uniform = rng.random(_flip(x).shape, dtype=np.float32)
-        self._keep = np.ascontiguousarray(_flip(uniform >= rate))
-        self._scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
-        return self._apply(x)
+        keep = keep_mask(rng, x.shape, rate)
+        scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
+        self._keep, self._scale = keep, scale
+        x *= keep
+        x *= scale
+        return x
 
     def backward(self, grad):
-        return grad if self._keep is None else self._apply(grad)
+        if self._keep is not None:
+            grad *= self._keep
+            grad *= self._scale
+        return grad
 
-    def _apply(self, x):
-        out = x * self._keep
-        out *= self._scale
-        return out
+
+def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """Width-major bool keep-mask equal to ``_flip(rng.random(channel-first, float32) >= rate)``.
+
+    See ``Dropout`` for the draw; ``rng`` must run on a PCG64 bit generator.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise ParameterError(f"dropout needs a PCG64 generator, got {type(bitgen).__name__}")
+    threshold = math.ceil(float(np.float32(rate)) * 2 ** 24) << 8
+    keep = np.empty(shape, dtype=bool)
+    n = int(np.prod(shape[1:]))
+    state = bitgen.state
+    last = state["uinteger"]
+    carry = last if state["has_uint32"] else None
+    for element in keep:
+        fresh = n - (carry is not None)
+        halves = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
+        if carry is None:
+            u = halves[:n]
+        else:
+            u = np.concatenate((np.array([carry], dtype="<u4"), halves[:fresh]))
+        np.greater_equal(u.reshape(element.T.shape).T, threshold, out=element)
+        if halves.size:
+            last = int(halves[-1])
+        carry = last if fresh % 2 else None
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = int(carry is not None), last
+    bitgen.state = state
+    return keep
 
 
 class ZeroPad(Layer):
@@ -290,7 +357,7 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return _flip(grad.reshape(self._shape))
+        return np.ascontiguousarray(_flip(grad.reshape(self._shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +434,7 @@ class Network:
         self._backprop_layers = self.layers[weighted[0]:-1] if weighted else []
 
     def forward(self, x, train: bool = False, rng=None, sign_trace=None) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.array(x, dtype=self.dtype)  # the layers may overwrite it; the caller's stays
         if x.shape[1:] != self.input_shape:
             raise ShapeError(f"expected input [B, {self.input_shape}], got {x.shape}")
         x = _flip(x)
@@ -524,7 +591,12 @@ def adam_init(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999
 
 
 def adam_step(params, grads, state: OptimizerState):
-    """One bias-corrected Adam update, in place; returns (params, state)."""
+    """One bias-corrected Adam update, in place; returns (params, state).
+
+    Bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, through two scratch arrays
+    per parameter instead of a temporary per operation.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads, and optimizer state must align")
     state.t += 1
@@ -533,11 +605,19 @@ def adam_step(params, grads, state: OptimizerState):
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        step, denom = np.empty_like(p), np.empty_like(p)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(g, g, out=step)
+        v += np.multiply(step, 1.0 - state.beta2, out=step)
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
     return params, state
 
 

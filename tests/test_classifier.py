@@ -1,5 +1,8 @@
 """Tests for the CNN architecture contract, training behavior, and checkpoints."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,25 @@ class TestPredict:
         first = predict(model, frame)
         for _ in range(3):
             assert predict(model, frame) == first
+
+    def test_shared_model_thread_safe(self):
+        # eval --threads N runs one model in N worker threads
+        model = initialize(build_cnn2(), seed=1)
+        frames = np.random.default_rng(5).standard_normal((96, 2, FRAME_LEN)).astype(np.float32)
+        sequential = predict_batch(model, frames, batch_size=2)
+        assert np.unique(sequential[:, 1]).size > 48  # predictions vary across frames
+        chunks = [np.arange(start, start + 32) % 96 for start in range(0, 96 * 4, 24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, so interleavings inside a layer occur
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(
+                    lambda idx: predict_batch(model, frames[idx], batch_size=2), chunks,
+                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for idx, probs in zip(chunks, results):
+            np.testing.assert_array_equal(probs, sequential[idx])
 
     def test_tie_breaks_toward_sm(self):
         model = initialize(build_cnn2(), seed=1)

@@ -13,6 +13,7 @@ from stbcid.classifier import (
     build_cnn2,
     initialize,
     load_checkpoint,
+    predict_batch,
     save_checkpoint,
 )
 from stbcid.dataset import FRAME_LEN
@@ -33,6 +34,7 @@ from stbcid.tensor_nn import (
     dropout_spec,
     flatten_spec,
     grad_check,
+    keep_mask,
     random_micro_network,
     relu,
     relu_spec,
@@ -229,6 +231,27 @@ class TestBackprop:
 
 
 class TestAdam:
+    def test_bit_equal_to_textbook_expression(self):
+        rng = np.random.default_rng(6)
+        shapes = [(7, 3), (5,)]
+        params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        ref = [p.copy() for p in params]
+        state = adam_init(params, lr=1e-2)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for t in range(1, 6):
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            adam_step(params, grads, state)
+            for i, g in enumerate(grads):
+                m[i] = b1 * m[i] + (1.0 - b1) * g
+                v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                ref[i] = ref[i] - lr * (m[i] / (1.0 - b1 ** t)) / (np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+            for p, q, mi, vi, ms, vs in zip(params, ref, m, v, state.m, state.v):
+                np.testing.assert_array_equal(p, q)
+                np.testing.assert_array_equal(ms, mi)
+                np.testing.assert_array_equal(vs, vi)
+
     def test_zero_gradient_fixed_point(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
         before = [p.copy() for p in params]
@@ -402,6 +425,88 @@ class TestWidthMajorEngine:
     def test_dropout_draws_keep_bits_channel_first(self):
         # a seed drops the same units as a channel-first engine would
         x = np.ones((2, 5, 2, 3), dtype=np.float32)  # width-major [B, W, H, C]
-        out = Dropout(dropout_spec(0.5)).forward(x, train=True, rng=np.random.default_rng(4))
-        keep = np.random.default_rng(4).random((2, 3, 2, 5), dtype=np.float32) >= 0.5
+        layer = Dropout(dropout_spec(0.5))
+        rng = np.random.default_rng(4)
+        out = layer.forward(x, train=True, rng=rng)
+        reference = np.random.default_rng(4)
+        keep = reference.random((2, 3, 2, 5), dtype=np.float32) >= 0.5
         np.testing.assert_array_equal(out, 2.0 * keep.transpose(0, 3, 2, 1))
+        # the same units pass the gradient, and the generator ends where the float draw leaves it
+        grad = np.full((2, 5, 2, 3), 3.0, dtype=np.float32)
+        np.testing.assert_array_equal(layer.backward(grad), 6.0 * keep.transpose(0, 3, 2, 1))
+        assert rng.random() == reference.random()
+
+
+class TestKeepMask:
+    """keep_mask streams PCG64 words but must keep exactly what random(float32) >= rate keeps."""
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3])
+    @pytest.mark.parametrize("shape", [
+        (3, 5, 2, 4),  # 40 units per element: whole words
+        (3, 5, 1, 3),  # 15 per element: a half-word carried into the next element
+        (4, 7),  # a dense layer's [B, units], odd
+        (1, 1, 1, 1),  # one unit: half a word drawn, or the buffered half-word used
+    ])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_matches_float32_draw(self, rate, shape, carried):
+        rng, reference = np.random.default_rng(17), np.random.default_rng(17)
+        if carried:  # one float32 draw leaves the high half of a word buffered
+            assert rng.random(dtype=np.float32) == reference.random(dtype=np.float32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        keep = keep_mask(rng, shape, rate)
+        channel_first = (shape[0],) + shape[:0:-1]
+        expected = reference.random(channel_first, dtype=np.float32) >= rate
+        np.testing.assert_array_equal(keep, expected.transpose(0, *range(len(shape) - 1, 0, -1)))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM])
+    def test_other_bit_generators_rejected(self, bitgen):
+        with pytest.raises(ParameterError):
+            keep_mask(np.random.Generator(bitgen(0)), (2, 3), 0.5)
+        with pytest.raises(ParameterError):
+            Dropout(dropout_spec(0.5)).forward(
+                np.ones((2, 3)), train=True, rng=np.random.Generator(bitgen(0)))
+
+
+def _cnn2_batch(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 1, 2, FRAME_LEN)).astype(np.float32)
+    return x, np.eye(2, dtype=np.float32)[rng.integers(0, 2, n)]
+
+
+class TestCallContracts:
+    def test_forward_leaves_caller_input_unchanged(self):
+        model = initialize(build_cnn2(), seed=2)
+        x, onehot = _cnn2_batch(6, seed=1)
+        x[:, :, :, :3] = -1.0  # negative inputs a layer working in place would clip
+        before = x.copy()
+        # a stack whose first layers work in place on what they are given
+        in_place = Network([relu_spec(), dropout_spec(0.5), flatten_spec(), dense_spec(2),
+                            softmax_spec()], (1, 2, FRAME_LEN), np.random.default_rng(1))
+        for net in (model.net, in_place):
+            net.forward(x)
+            net.forward(x, train=True, rng=np.random.default_rng(0))
+            net.loss_and_grads(x, onehot, train=True, rng=np.random.default_rng(0))
+            np.testing.assert_array_equal(x, before)
+        frames = x[:, 0].copy()
+        predict_batch(model, frames)
+        np.testing.assert_array_equal(frames, before[:, 0])
+
+    def test_batch_sizes_do_not_leak_between_calls(self):
+        # 128 -> 118 -> 128 on one model: each call equals the same call on a fresh model
+        xa, ya = _cnn2_batch(128, seed=3)
+        xb, yb = _cnn2_batch(118, seed=4)
+
+        def run(net, x, onehot):
+            probs = net.forward(x)
+            loss, grads = net.loss_and_grads(x, onehot, train=True, rng=np.random.default_rng(9))
+            return [probs, np.float64(loss)] + [g.copy() for g in grads]
+
+        shared = initialize(build_cnn2(), seed=7).net
+        sequence = [run(shared, xa, ya), run(shared, xb, yb), run(shared, xa, ya)]
+        alone = [run(initialize(build_cnn2(), seed=7).net, x, y)
+                 for x, y in ((xa, ya), (xb, yb), (xa, ya))]
+        for got, want in zip(sequence, alone):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
