@@ -39,6 +39,8 @@ from .tensor_nn import (
 CHECKPOINT_MAGIC = b"STBCNN"
 CHECKPOINT_VERSION = 1
 
+INFER_BLOCK = 32  # frames per Network.forward call when scoring; see predict_batch
+
 
 class CheckpointError(Exception):
     """The file is not a usable checkpoint."""
@@ -159,15 +161,32 @@ def parameter_counts(model_or_spec) -> list[int]:
 def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:
     if frames.ndim != 3 or frames.shape[1:] != (2, FRAME_LEN):
         raise ShapeError(f"frames must be [N, 2, {FRAME_LEN}], got {frames.shape}")
-    return frames[:, None, :, :].astype(dtype)
+    return frames[:, None, :, :].astype(dtype, copy=False)  # Network.forward copies
 
 
-def predict_batch(model: Model, frames: np.ndarray, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode class probabilities, shape [N, 2] (columns P_SM, P_AL)."""
+def predict_batch(model: Model, frames: np.ndarray, batch_size: int = INFER_BLOCK) -> np.ndarray:
+    """Eval-mode class probabilities, shape [N, 2] (columns P_SM, P_AL).
+
+    Frames stream through the network ``batch_size`` at a time. At the default
+    32, conv1's output, the largest activation (32 x 129 x 2 x 256 float32 =
+    8.5 MB), stays below glibc's 32 MiB mmap threshold and near cache size:
+    each block's arrays come back from the heap instead of being mapped and
+    page-faulted in afresh, as the 70 MB arrays of a 256-frame block were.
+    A short last block is zero-filled to ``batch_size`` frames, so every frame
+    meets the same GEMM shapes and its probabilities do not depend on how many
+    frames came with it (BLAS picks other kernels for a few rows).
+    """
+    if batch_size < 1:
+        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     x = _as_batch(np.asarray(frames), model.net.dtype)
-    out = np.empty((x.shape[0], model.spec.n_classes), dtype=np.float64)
-    for start in range(0, x.shape[0], batch_size):
-        out[start:start + batch_size] = model.net.forward(x[start:start + batch_size])
+    n = x.shape[0]
+    out = np.empty((n, model.spec.n_classes), dtype=np.float64)
+    for start in range(0, n, batch_size):
+        block = x[start:start + batch_size]
+        if block.shape[0] < batch_size:
+            fill = np.zeros((batch_size - block.shape[0],) + block.shape[1:], dtype=block.dtype)
+            block = np.concatenate([block, fill])
+        out[start:start + batch_size] = model.net.forward(block)[:n - start]
     return out
 
 
@@ -187,17 +206,11 @@ def classify(model: Model, frame: np.ndarray) -> int:
 
 
 def _eval_metrics(model: Model, x: np.ndarray, onehot: np.ndarray, labels: np.ndarray,
-                  batch_size: int) -> tuple[float, float]:
-    total_loss = 0.0
-    correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        sl = slice(start, start + batch_size)
-        probs = model.net.forward(x[sl])
-        total_loss += batch_cross_entropy(probs, onehot[sl]) * (probs.shape[0])
-        pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)  # ties go to SM
-        correct += int((pred == labels[sl]).sum())
-    n = x.shape[0]
-    return total_loss / n, correct / n
+                  batch_size: int = INFER_BLOCK) -> tuple[float, float]:
+    """Mean loss and accuracy of network-shaped input x [N, 1, 2, L], scored by predict_batch."""
+    probs = predict_batch(model, x[:, 0], batch_size)
+    pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)  # ties go to SM
+    return batch_cross_entropy(probs, onehot), float(np.mean(pred == labels))
 
 
 def train(model: Model, train_set: FrameSet, val_set: FrameSet,
@@ -242,7 +255,7 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
             adam_step(params, grads, state)
             running += loss * idx.size
         train_loss = running / n
-        val_loss, val_acc = _eval_metrics(model, x_val, y_val, val_labels, cfg.batch_size)
+        val_loss, val_acc = _eval_metrics(model, x_val, y_val, val_labels)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)
@@ -350,7 +363,7 @@ def load_checkpoint(path, expected: ModelSpec | None = None) -> Model:
     except ParameterError as e:
         raise CorruptCheckpointError(f"{path}: invalid layer descriptor ({e})") from None
     try:
-        net = Network(specs, input_shape, np.random.default_rng(0), dtype=np.float32)
+        net = Network(specs, input_shape, None, dtype=np.float32)  # zeros, filled below
     except (ParameterError, ShapeError) as e:
         raise CorruptCheckpointError(f"{path}: descriptors do not form a network ({e})") from None
     spec = ModelSpec(layers=specs, input_shape=input_shape, n_classes=net.output_shape[0])

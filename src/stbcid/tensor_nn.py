@@ -4,11 +4,15 @@ Layers operate on batched arrays (leading batch axis). A ``Network`` takes
 channel-first ``[B, C, H, W]`` input, copies and transposes it once and
 stores every activation width-major, ``[B, W, H, C]``; ``Flatten`` emits
 channel-first order, so shapes, parameter layouts and checkpoints stay
-channel-first. The engine is deliberately small: stride-1 valid convolutions
-along the width only (kernel height 1 or the full input height), column-only
-zero padding, inverted dropout, softmax + cross-entropy fused in the backward
-pass. The single-sample functional forms (``conv2d_forward``, ``relu``, ...)
-are channel-first float64 references that the tests compare the layers with.
+channel-first. The engine is deliberately small: stride-1 convolutions along
+the width only (kernel height 1 or the full input height), column-only zero
+padding, inverted dropout, softmax + cross-entropy fused in the backward
+pass. A ``zeropad`` must come directly before a ``conv2d``, which owns that
+padding: ``Network`` hands the conv the pad width, the conv reads its unpadded
+input as if zero columns flanked it (no padded copy is made), and the ZeroPad
+layer passes activations and gradients through. The single-sample functional
+forms (``conv2d_forward``, ``relu``, ...) are channel-first float64
+references that the tests compare the layers with.
 
 Two rules keep the layers lean and a shared model safe to run in eval mode
 from several threads:
@@ -120,13 +124,20 @@ class Layer:
 
 
 class _Weighted(Layer):
-    """A layer with weights w (filters or units first) and bias b, He- or Glorot-uniform."""
+    """A layer with weights w (filters or units first) and bias b.
+
+    The weights are drawn He- or Glorot-uniform from ``rng``, or left zero when
+    ``rng`` is None (a checkpoint is about to overwrite them).
+    """
 
     def __init__(self, spec: LayerSpec, shape: tuple[int, ...], fan_in: int,
-                 rng: np.random.Generator, dtype, init: str):
+                 rng: np.random.Generator | None, dtype, init: str):
         super().__init__(spec)
-        limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
-        self.w = rng.uniform(-limit, limit, size=shape).astype(dtype)
+        if rng is None:
+            self.w = np.zeros(shape, dtype=dtype)
+        else:
+            limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
+            self.w = rng.uniform(-limit, limit, size=shape).astype(dtype)
         self.b = np.zeros(shape[0], dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
@@ -144,45 +155,65 @@ def _flip(x: np.ndarray) -> np.ndarray:
 
 
 class Conv2D(_Weighted):
-    """Stride-1 valid cross-correlation along the width of width-major [B, W, H, C] input.
+    """Stride-1 cross-correlation along the width of width-major [B, W, H, C] input.
 
     The kernel [F, C, kh, kw] has kh = 1 (each row on its own) or kh = H (full
     height), so the input reads as [B, W, G, K] with G = H // kh row groups of
-    K = kh*C values, and the output is [B, W - kw + 1, G, F]. Forward is one
-    GEMM against all kw shift weights, [B*W*G, K] @ [K, kw*F], whose row
-    ranges offset by j*G are summed; rows that run into the next batch element
-    land on the kw - 1 output columns past W - kw + 1, which are dropped.
+    K = kh*C values. The conv owns the zero padding of the ZeroPad before it
+    (``pad``, set by ``Network``): it reads the unpadded input as if ``pad``
+    zero columns flanked it, so the output is [B, OW, G, F] with
+    OW = W + 2*pad - kw + 1 and no padded copy is made.
+
+    Forward is one GEMM of the unpadded input against all kw shift weights,
+    [B*W*G, K] @ [K, kw*F]. Output column o starts from the bias and adds
+    shift j's product of input column o + j - pad, for j = 0..kw-1 in order;
+    the column ranges are clipped, so a shift that would read padding adds
+    nothing, as a zero column would have added an exact zero.
 
     Backward writes the output gradient once per shift into a zeroed
-    [B, W, G, kw, F] array whose slot j holds it j columns over, so the weight
-    gradient is one GEMM (input^T @ shifted gradient) and the input gradient
-    another (shifted gradient @ weights^T), both with kw*F on the shared side.
+    [B, W, G, kw, F] array whose slot j holds it j - pad columns over, clipped
+    the same way, so the weight gradient is one GEMM (input^T @ shifted
+    gradient) and the unpadded input gradient another (shifted gradient @
+    weights^T), both with kw*F on the shared side.
 
     When a kw-wide window of K values is no larger than the F outputs it feeds
-    (conv1 of CNN2), forward instead builds the tiny window patch matrix with
-    a ones column, so the bias rides in the GEMM, and backward gets the weight
-    and bias gradients from one stacked GEMM per batch element.
+    (conv1 of CNN2), forward instead pads the tiny input and builds its window
+    patch matrix with a ones column, so the bias rides in the GEMM, and
+    backward gets the weight and bias gradients from one stacked GEMM per
+    batch element.
     """
 
-    def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator,
+    def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator | None,
                  dtype=np.float32, init: str = "he"):
         kh, kw = spec.kernel
         fan_in = in_channels * kh * kw
         super().__init__(spec, (spec.filters, in_channels, kh, kw), fan_in, rng, dtype, init)
+        self.pad = 0  # zero columns on each side of the input
         self._windowed = fan_in <= spec.filters
         self._x = None  # [B, W, G, K] input, or its [B, OW*G, K*kw + 1] patches when windowed
+
+    def _shifts(self, w: int, ow: int):
+        """(j, lo, hi): shift j adds to output columns [lo, hi) from input columns j - pad over."""
+        p = self.pad
+        for j in range(self.w.shape[3]):
+            lo, hi = max(0, p - j), min(ow, w + p - j)
+            if lo < hi:
+                yield j, lo, hi
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
         f, c, kh, kw = self.w.shape
         if x.ndim != 4 or x.shape[3] != c:
             raise ShapeError(f"conv2d expects [B, W, H, {c}], got {x.shape}")
         b, w, h, _ = x.shape
-        trace_shapes([self.spec], (c, h, w))  # kernel height 1 or h, width at most w
-        g, k, ow = h // kh, kh * c, w - kw + 1
+        p = self.pad
+        trace_shapes([self.spec], (c, h, w + 2 * p))  # kernel height 1 or h, width at most w + 2p
+        g, k, ow = h // kh, kh * c, w + 2 * p - kw + 1
         x = np.ascontiguousarray(x).reshape(b, w, g, k)
         wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)  # [:, j] multiplies shift j
         if self._windowed:
-            windows = np.lib.stride_tricks.sliding_window_view(x, kw, axis=1)
+            padded = np.zeros((b, w + 2 * p, g, k), dtype=x.dtype)
+            padded[:, p:p + w] = x
+            windows = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=1)
             patches = np.empty((b, ow, g, k * kw + 1), dtype=x.dtype)
             patches[..., :-1] = windows.reshape(b, ow, g, k * kw)
             patches[..., -1] = 1.0
@@ -190,23 +221,23 @@ class Conv2D(_Weighted):
             out = patches.reshape(-1, k * kw + 1) @ np.vstack([wt.reshape(k * kw, f), self.b])
             return out.reshape(b, ow, g, f)
         self._x = x
-        per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(-1, kw, f)
-        rows = (b * w - kw + 1) * g
-        out = np.empty((b * w * g, f), dtype=per_shift.dtype)
-        np.add(per_shift[:rows, 0], self.b, out=out[:rows])
-        for j in range(1, kw):
-            out[:rows] += per_shift[j * g:j * g + rows, j]
-        return out.reshape(b, w, g, f)[:, :ow]
+        per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(b, w, g, kw, f)
+        out = np.empty((b, ow, g, f), dtype=per_shift.dtype)
+        out[...] = self.b
+        for j, lo, hi in self._shifts(w, ow):
+            out[:, lo:hi] += per_shift[:, lo + j - p:hi + j - p, :, j]
+        return out
 
     def backward(self, grad, input_grad=True):
-        """Fills gw and gb; returns the input gradient unless ``input_grad`` is False."""
+        """Fills gw and gb; returns the unpadded input gradient unless ``input_grad`` is False."""
         f, c, kh, kw = self.w.shape
         b, ow, g, _ = grad.shape
-        k, w = kh * c, ow + kw - 1
+        p = self.pad
+        k, w = kh * c, ow + kw - 1 - 2 * p
         if input_grad or not self._windowed:
             shifted = np.zeros((b, w, g, kw, f), dtype=grad.dtype)
-            for j in range(kw):
-                shifted[:, j:j + ow, :, j] = grad
+            for j, lo, hi in self._shifts(w, ow):
+                shifted[:, lo + j - p:hi + j - p, :, j] = grad[:, lo:hi]
             shifted = shifted.reshape(-1, kw * f)
         if self._windowed:
             # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
@@ -335,19 +366,13 @@ def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
 
 
 class ZeroPad(Layer):
-    """Pads the width axis of [B, W, H, C] with spec.pad zero columns on each side."""
+    """A pass-through: ``Network`` hands ``spec.pad`` to the Conv2D right after it, which pads."""
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        if x.ndim != 4:
-            raise ShapeError(f"zeropad expects [B, W, H, C], got {x.shape}")
-        p, w = self.spec.pad, x.shape[1]
-        out = np.zeros((x.shape[0], w + 2 * p) + x.shape[2:], dtype=x.dtype)
-        out[:, p:p + w] = x
-        return out
+        return x
 
     def backward(self, grad):
-        p = self.spec.pad
-        return grad[:, p:grad.shape[1] - p]
+        return grad
 
 
 class Flatten(Layer):
@@ -365,10 +390,16 @@ class Flatten(Layer):
 
 
 def trace_shapes(specs, input_shape) -> list[tuple[int, ...]]:
-    """Propagate the (batchless) activation shape through a spec stack."""
+    """Propagate the (batchless) activation shape through a spec stack.
+
+    A zeropad followed by anything but a conv2d raises ``ShapeError``: the
+    conv applies the padding. A zeropad that ends ``specs`` passes, so a
+    partial stack can be traced; a network ends in softmax.
+    """
+    specs = tuple(specs)
     shape = tuple(input_shape)
     out = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         if spec.kind == "conv2d":
             if len(shape) != 3:
                 raise ShapeError(f"conv2d needs a [C, H, W] input, got {shape}")
@@ -385,6 +416,9 @@ def trace_shapes(specs, input_shape) -> list[tuple[int, ...]]:
         elif spec.kind == "zeropad":
             if len(shape) != 3:
                 raise ShapeError(f"zeropad needs a [C, H, W] input, got {shape}")
+            if specs[i + 1:] and specs[i + 1].kind != "conv2d":
+                raise ShapeError(f"zeropad is followed by {specs[i + 1].kind}: only a conv2d, "
+                                 f"which applies the padding, may follow it")
             c, h, w = shape
             shape = (c, h, w + 2 * spec.pad)
         elif spec.kind == "flatten":
@@ -410,25 +444,30 @@ def _init_for(following_specs) -> str:
 class Network:
     """An ordered layer stack ending in Softmax, with fused softmax/CE backprop."""
 
-    def __init__(self, specs, input_shape, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, specs, input_shape, rng: np.random.Generator | None,
+                 dtype=np.float32):
+        """``rng`` draws the initial weights; None leaves them zero, for a checkpoint to fill.
+
+        Each zeropad's width goes to the conv2d after it (see ``Conv2D``).
+        """
         specs = tuple(specs)
         if not specs or specs[-1].kind != "softmax":
             raise ParameterError("network must end with a softmax layer")
-        trace_shapes(specs, input_shape)  # validates the stack
+        shapes = trace_shapes(specs, input_shape)  # validates the stack
         self.specs = specs
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
         self.layers: list[Layer] = []
-        shape = tuple(input_shape)
-        for i, spec in enumerate(specs):
+        for i, (spec, shape) in enumerate(zip(specs, (self.input_shape, *shapes))):
             cls = _LAYER_CLASSES[spec.kind]
             if issubclass(cls, _Weighted):
                 layer = cls(shape[0], spec, rng, dtype=dtype, init=_init_for(specs[i + 1:]))
             else:
                 layer = cls(spec)
+            if i and specs[i - 1].kind == "zeropad":  # a conv2d, checked by trace_shapes
+                layer.pad = specs[i - 1].pad
             self.layers.append(layer)
-            shape = trace_shapes([spec], shape)[0]
-        self.output_shape = shape
+        self.output_shape = shapes[-1]
         # backprop stops at the first layer with parameters: nothing reads its input gradient
         weighted = [i for i, layer in enumerate(self.layers) if layer.params()]
         self._backprop_layers = self.layers[weighted[0]:-1] if weighted else []

@@ -1,12 +1,14 @@
 """Tests for the CNN architecture contract, training behavior, and checkpoints."""
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from stbcid.classifier import (
+    INFER_BLOCK,
     CheckpointVersionError,
     CorruptCheckpointError,
     DescriptorMismatchError,
@@ -104,6 +106,30 @@ class TestPredict:
         frame = np.random.default_rng(3).standard_normal((2, FRAME_LEN)).astype(np.float32)
         assert predict(model, frame) == (0.5, 0.5)
         assert classify(model, frame) == 0
+
+
+class TestStreaming:
+    """predict_batch scores frames INFER_BLOCK at a time."""
+
+    def test_probabilities_do_not_depend_on_frame_count(self):
+        model = initialize(build_cnn2(), seed=2)
+        frames = np.random.default_rng(4).standard_normal((256, 2, FRAME_LEN)).astype(np.float32)
+        whole = model.net.forward(frames[:, None])  # one call over all 256 frames
+        assert INFER_BLOCK == 32
+        for n in (1, 31, 32, 33, 100, 256):
+            np.testing.assert_array_equal(predict_batch(model, frames[:n]), whole[:n])
+
+    def test_peak_memory(self):
+        # one 256-frame block peaked at 156 MB (conv1's output alone is 70 MB)
+        model = initialize(build_cnn2(), seed=2)
+        frames = np.random.default_rng(4).standard_normal((256, 2, FRAME_LEN)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            predict_batch(model, frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, f"predict_batch peaked at {peak / 1e6:.1f} MB"
 
 
 class TestTrain:
@@ -221,6 +247,19 @@ class TestCheckpoint:
             load_checkpoint(path, expected=build_cnn2())
         # without the expectation the checkpoint loads fine
         assert isinstance(load_checkpoint(path), Model)
+
+    def test_load_draws_no_weights(self, tmp_path, monkeypatch):
+        model = initialize(build_cnn2(), seed=4)
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random weights")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        back = load_checkpoint(path)
+        for p, q in zip(back.net.parameters(), model.net.parameters()):
+            np.testing.assert_array_equal(p, q)
 
     def test_batch_prediction_matches_single(self, tmp_path):
         model = initialize(build_cnn2(), seed=6)

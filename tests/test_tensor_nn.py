@@ -330,6 +330,9 @@ class TestNetworkValidation:
             dropout_spec(1.0)
 
     def test_zeropad_changes_width_only(self):
+        # the conv after a zeropad applies the padding: through a 1x1 conv the
+        # width grows 4 -> 8, the two columns on each side read zeros (bias only)
+        # and the middle ones read w*x + b
         rng = np.random.default_rng(0)
         net = Network(
             [zeropad_spec(2), conv_spec(1, 1, 1), flatten_spec(), dense_spec(2), softmax_spec()],
@@ -337,11 +340,39 @@ class TestNetworkValidation:
             rng,
             dtype=np.float64,
         )
+        conv = net.layers[1]
+        conv.w[...], conv.b[...] = 3.0, 0.5
+        x = rng.integers(-4, 5, size=(1, 4, 2, 1)).astype(np.float64)  # exact arithmetic
         # layers hold activations width-major: [B, W, H, C]
-        out = net.layers[0].forward(np.ones((1, 4, 2, 1)))
+        out = conv.forward(net.layers[0].forward(x))
         assert out.shape == (1, 8, 2, 1)
-        assert np.all(out[:, :2] == 0.0) and np.all(out[:, -2:] == 0.0)
-        assert np.all(out[:, 2:-2] == 1.0)
+        assert np.all(out[:, :2] == 0.5) and np.all(out[:, -2:] == 0.5)
+        np.testing.assert_array_equal(out[:, 2:-2], 3.0 * x + 0.5)
+
+    def test_zeropad_must_precede_a_conv(self, tmp_path):
+        specs = [zeropad_spec(1), relu_spec(), conv_spec(2, 1, 2), flatten_spec(),
+                 dense_spec(2), softmax_spec()]
+        with pytest.raises(ShapeError):
+            trace_shapes(specs, (1, 2, 4))
+        with pytest.raises(ShapeError):
+            Network(specs, (1, 2, 4), np.random.default_rng(0))
+        assert trace_shapes([zeropad_spec(1)], (1, 2, 4)) == [(1, 2, 6)]  # a partial stack
+        # a valid checkpoint with the relu moved between the zeropad and the conv
+        spec = ModelSpec(layers=(specs[0], specs[2], specs[1], *specs[3:]), input_shape=(1, 2, 4))
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(spec), path)
+        conv_desc = struct.pack("<BIIIf", LAYER_KINDS.index("conv2d"), 2, 1, 2, 0.0)
+        relu_desc = struct.pack("<BIIIf", LAYER_KINDS.index("relu"), 0, 0, 0, 0.0)
+        raw = path.read_bytes()
+        assert raw.count(conv_desc + relu_desc) == 1
+        path.write_bytes(raw.replace(conv_desc + relu_desc, relu_desc + conv_desc))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    def test_network_without_rng_has_zero_parameters(self):
+        spec = build_cnn2()
+        net = Network(spec.layers, spec.input_shape, None)
+        assert all(not p.any() for p in net.parameters())
 
 
 def _channel_first_reference(net, x):
@@ -379,12 +410,16 @@ class TestWidthMajorEngine:
 
     @pytest.mark.parametrize("f1, k1, f2, pad, windowed", [
         (3, 3, 3, 1, (True, False)),  # CNN2's choice: window patch, then shifted GEMMs
-        (3, 3, 3, 0, (True, False)),  # no zero columns to hide rows that cross elements
+        (3, 3, 3, 0, (True, False)),  # no padding: every shift reads real columns
         (2, 3, 8, 0, (False, True)),  # shifted first layer; windowed layer with input grad
+        # CNN2's pad=2 before a 3-wide kernel, where shift 0 reads only padding at
+        # the edges, on each path; the 2-wide second conv's edge columns read padding only
+        (3, 3, 3, 2, (True, False)),
+        (2, 3, 8, 2, (False, True)),
     ])
     def test_cnn2_kernel_pattern_matches_finite_differences(self, f1, k1, f2, pad, windowed):
         # a 1xk kernel on each row of a C=1, H=2 input, then a full-height 2xk,
-        # on a batch, so rows of one element meet the next in the shifted GEMMs
+        # on a batch, so a shift that strayed into the next element would show
         rng = np.random.default_rng(21)
         specs = [
             zeropad_spec(pad), conv_spec(f1, 1, k1), relu_spec(), dropout_spec(0.5),
@@ -399,6 +434,21 @@ class TestWidthMajorEngine:
         report = grad_check(net, x, onehot, step=1e-5, tolerance=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
         assert report.n_checked + report.n_kink_skipped == sum(p.size for p in net.parameters())
+
+    @pytest.mark.parametrize("filters", [2, 16])  # shifted, windowed
+    def test_kernel_wider_than_input(self, filters):
+        # 3 zero columns on each side of 2 input columns and a kernel 7 wide:
+        # shifts 0 and 6 read only padding for every output column
+        rng = np.random.default_rng(5)
+        specs = [conv_spec(2, 1, 1), zeropad_spec(3), conv_spec(filters, 1, 7),
+                 flatten_spec(), dense_spec(2), softmax_spec()]
+        net = Network(specs, (1, 1, 2), rng, dtype=np.float64)
+        x = rng.standard_normal((3, 1, 1, 2))
+        report = grad_check(net, x, np.eye(2)[[0, 1, 1]], step=1e-5, tolerance=1e-4)
+        assert report.passed, f"max rel error {report.max_rel_error}"
+        for i in range(x.shape[0]):
+            ref = _channel_first_reference(net, x[i])
+            np.testing.assert_allclose(net.forward(x[i:i + 1])[0], ref, rtol=0, atol=1e-12)
 
     def test_partial_height_kernel_rejected(self):
         specs = [conv_spec(2, 2, 2), flatten_spec(), dense_spec(2), softmax_spec()]
