@@ -60,19 +60,43 @@ class ThresholdRule:
     degenerate: bool = False
 
 
+def _pair_correlations(r: np.ndarray) -> np.ndarray:
+    """Row-wise mean of r(2t+d)*r(2t+1+d) over in-range t: complex [2, n] (d = 0, 1) for r [n, L]."""
+    c = np.empty((2, r.shape[0]), dtype=np.complex128)
+    for d in (0, 1):
+        k = (r.shape[1] - d) // 2
+        c[d] = np.mean(r[:, d : d + 2 * k : 2] * r[:, d + 1 : d + 2 * k : 2], axis=1)
+    return c
+
+
+def _larger_magnitude(c: np.ndarray) -> np.ndarray:
+    """max(|c0|, |c1|) per row, bit-equal to Python's ``max(abs(c0), abs(c1))``.
+
+    ``np.hypot`` rounds like Python's complex ``abs``; ``np.abs`` on complex128
+    can differ from it in the last bit. Ties and NaNs pick c0, as ``max`` does.
+    """
+    a0, a1 = np.hypot(c.real, c.imag)
+    return np.where(a1 > a0, a1, a0)
+
+
+def correlation_features(samples) -> np.ndarray:
+    """Feature of each row of a complex [n, L] array; row i equals
+    ``correlation_feature(samples[i]).feature`` bit for bit."""
+    r = np.asarray(samples, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[1] < 4:
+        raise ShapeError(f"need an [n, L] array with L >= 4, got shape {r.shape}")
+    return _larger_magnitude(_pair_correlations(r))
+
+
 def correlation_feature(samples) -> CorrelationFeature:
     """Average r(2t+d)*r(2t+1+d) over all in-range t, for d in {0, 1}."""
     r = np.asarray(samples, dtype=np.complex128)
     if r.ndim != 1 or r.size < 4:
         raise ShapeError(f"need a 1-D sequence of length >= 4, got shape {r.shape}")
-    c = []
-    for d in (0, 1):
-        tail = r[d:]
-        k = tail.size // 2
-        c.append(complex(np.mean(tail[: 2 * k : 2] * tail[1 : 2 * k : 2])))
-    feature = max(abs(c[0]), abs(c[1]))
+    c = _pair_correlations(r[np.newaxis])
     return CorrelationFeature(
-        c_delta0=c[0], c_delta1=c[1], feature=feature, n_pairs=r.size // 2
+        c_delta0=complex(c[0, 0]), c_delta1=complex(c[1, 0]),
+        feature=float(_larger_magnitude(c)[0]), n_pairs=r.size // 2,
     )
 
 
@@ -119,17 +143,29 @@ def received_sequence(
     return receive(tx, channel, noise, cfg, rng)
 
 
+def synth_with_channel(
+    scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
+) -> tuple[ChannelRealization, np.ndarray]:
+    """Draw a channel and a block offset from ``seed``, then a sequence received through them.
+
+    The one synthesis path: calibration sequences and dataset bursts both come
+    from here. Stream consumption order is fixed (channel, k1, bits, noise), so
+    a seed fully determines the bytes.
+    """
+    rng = np.random.default_rng(seed)
+    channel = draw_channel(rng)
+    k1 = int(rng.integers(0, block_slots(scheme)))
+    return channel, received_sequence(
+        scheme, length, rng, channel, noise_variance_for_snr(snr_db),
+        k1=k1, variant=variant, snr_db=snr_db,
+    )
+
+
 def synth_sequence(
     scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
 ) -> np.ndarray:
     """Random-channel sequence for calibration: channel, offset, bits, noise per seed."""
-    rng = np.random.default_rng(seed)
-    channel = draw_channel(rng)
-    k1 = int(rng.integers(0, block_slots(scheme)))
-    return received_sequence(
-        scheme, length, rng, channel, noise_variance_for_snr(snr_db),
-        k1=k1, variant=variant, snr_db=snr_db,
-    )
+    return synth_with_channel(scheme, snr_db, length, seed, variant)[1]
 
 
 def _best_threshold(feat_al: np.ndarray, feat_sm: np.ndarray) -> tuple[float, float]:
@@ -190,19 +226,18 @@ def calibrate_threshold(
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
     feats = {}
     for scheme in (CodingScheme.AL, CodingScheme.SM):
-        vals = np.empty(trials)
+        seqs = np.empty((trials, seq_len), dtype=np.complex128)
         for t in range(trials):
             ss = np.random.SeedSequence([seed & _MASK64, int(scheme), t])
-            seq = synth_sequence(
+            seqs[t] = synth_sequence(
                 scheme, snr_db, seq_len, int(ss.generate_state(1, np.uint64)[0]), variant
             )
-            if normalize:
-                power = float(np.mean(np.abs(seq) ** 2))
-                if power == 0.0:
-                    raise ParameterError("cannot normalize a zero-power sequence")
-                seq = seq / np.sqrt(power)
-            vals[t] = correlation_feature(seq).feature
-        feats[scheme] = vals
+        if normalize:
+            power = np.mean(np.abs(seqs) ** 2, axis=1)
+            if (power == 0.0).any():
+                raise ParameterError("cannot normalize a zero-power sequence")
+            seqs /= np.sqrt(power)[:, np.newaxis]
+        feats[scheme] = correlation_features(seqs)
     rule = calibrate_from_features(feats[CodingScheme.AL], feats[CodingScheme.SM],
                                    snr_db=snr_db, seq_len=seq_len)
     return ThresholdRule(

@@ -17,6 +17,12 @@ from . import baseline_corr, classifier, dataset, evaluation, tensor_nn
 from .errors import ParameterError, ShapeError
 
 
+# Frames scored per correlation_features call: bounds its complex temporaries
+# (scoring all 6300 frames of the default grid at once took peak RSS from 67
+# to 78 MB in `perfbench/run.py --workload baseline`).
+CORR_BLOCK = 256
+
+
 class UsageError(Exception):
     """Semantically invalid flags (exit code 2)."""
 
@@ -238,9 +244,10 @@ def _baseline_classifier(args, frames: dataset.FrameSet):
 
     def classify_frames(arr: np.ndarray) -> np.ndarray:
         out = np.empty(arr.shape[0], dtype=np.int64)
-        for i, frame in enumerate(arr):
-            feat = baseline_corr.correlation_feature(frame[0] + 1j * frame[1])
-            out[i] = int(baseline_corr.classify_corr(feat, rule))
+        for start in range(0, arr.shape[0], CORR_BLOCK):
+            block = arr[start : start + CORR_BLOCK]
+            feats = baseline_corr.correlation_features(block[:, 0] + 1j * block[:, 1])
+            out[start : start + CORR_BLOCK] = feats > rule.threshold  # classify_corr: ties -> SM
         return out
 
     return classify_frames

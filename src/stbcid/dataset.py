@@ -15,19 +15,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .baseline_corr import synth_with_channel
 from .signal_model import (
     _MASK64,
     CodingScheme,
     ChannelRealization,
     ParameterError,
-    ReceiveConfig,
     ShapeError,
-    block_slots,
-    draw_channel,
-    encode,
-    modulate_qpsk,
-    noise_variance_for_snr,
-    receive,
+    encode,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
+    receive,  # noqa: F401 -- likewise
 )
 
 FRAME_LEN = 128
@@ -143,24 +139,12 @@ def derive_burst_seed(master_seed: int, scheme: CodingScheme, snr_db: float, bur
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> Burst:
     """Generate one burst: one channel, one block offset, fresh random bits.
 
-    Stream consumption order is fixed (channel, k1, bits, noise) so a seed
-    fully determines the byte content.
+    The samples are ``baseline_corr.synth_sequence(scheme, snr_db, burst_len,
+    seed)``: one generator serves the dataset and the baseline's calibration.
     """
     if burst_len < FRAME_LEN:
         raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {burst_len}")
-    rng = np.random.default_rng(seed)
-    channel = draw_channel(rng)
-    slots = block_slots(scheme)
-    k1 = int(rng.integers(0, slots))
-    n_cols = burst_len + k1
-    if scheme == CodingScheme.AL:
-        n_sym = n_cols + (n_cols % 2)
-    else:
-        n_sym = 2 * n_cols
-    bits = rng.integers(0, 2, size=2 * n_sym)
-    tx = encode(scheme, modulate_qpsk(bits))
-    cfg = ReceiveConfig(k1=k1, length=burst_len, snr_db=snr_db)
-    samples = receive(tx, channel, noise_variance_for_snr(snr_db), cfg, rng)
+    channel, samples = synth_with_channel(scheme, snr_db, burst_len, seed)
     return Burst(samples=samples, scheme=scheme, snr_db=snr_db, channel=channel, seed=seed)
 
 
@@ -178,6 +162,20 @@ def window_frames(samples, window: int, shift: int) -> np.ndarray:
     return view.copy()
 
 
+def _iq_frames(windows: np.ndarray, normalize: bool) -> np.ndarray:
+    """``to_iq`` of each row: complex windows [n, FRAME_LEN] -> float64 frames [n, 2, FRAME_LEN]."""
+    frames = np.empty((windows.shape[0], 2, FRAME_LEN), dtype=np.float64)
+    frames[:, 0] = windows.real
+    frames[:, 1] = windows.imag
+    if normalize:
+        flat = frames.reshape(frames.shape[0], 2 * FRAME_LEN)
+        power = np.sum(flat * flat, axis=1) / FRAME_LEN
+        if (power == 0.0).any():
+            raise ParameterError("cannot normalize a zero-power frame")
+        frames /= np.sqrt(power)[:, np.newaxis, np.newaxis]
+    return frames
+
+
 def to_iq(window, normalize: bool = True) -> np.ndarray:
     """Convert one complex window to a 2 x 128 real frame (row 0 = I, row 1 = Q).
 
@@ -187,20 +185,14 @@ def to_iq(window, normalize: bool = True) -> np.ndarray:
     w = np.asarray(window)
     if w.shape != (FRAME_LEN,):
         raise ShapeError(f"window must have length {FRAME_LEN}, got shape {w.shape}")
-    frame = np.stack([w.real.astype(np.float64), w.imag.astype(np.float64)])
-    if normalize:
-        power = float(np.sum(frame * frame)) / FRAME_LEN
-        if power == 0.0:
-            raise ParameterError("cannot normalize a zero-power frame")
-        frame /= np.sqrt(power)
-    return frame
+    return _iq_frames(w[np.newaxis], normalize)[0]
 
 
 def _burst_frames(job: tuple[CodingScheme, float, int, int, DatasetConfig]) -> np.ndarray:
     scheme, snr_db, burst_index, seed, cfg = job
     burst = synthesize_burst(scheme, snr_db, cfg.burst_len, seed)
     windows = window_frames(burst.samples, cfg.window, cfg.shift)
-    return np.stack([to_iq(w, cfg.normalize) for w in windows]).astype(np.float32)
+    return _iq_frames(windows, cfg.normalize).astype(np.float32)
 
 
 def generate_dataset(cfg: DatasetConfig, threads: int = 1) -> FrameSet:
@@ -253,26 +245,32 @@ def split_train_val(frames: FrameSet, fraction: float = 0.5, seed: int = 0) -> t
         raise ParameterError(f"fraction must lie in (0, 1), got {fraction}")
     if frames.burst_ids is None:
         raise ParameterError("split requires burst identity (burst_ids is None)")
+    if len(frames) == 0:
+        raise ParameterError("cannot split an empty frame set")
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, 0x73706C69]))
 
-    first_index = {}
-    for i, b in enumerate(frames.burst_ids):
-        first_index.setdefault(int(b), i)
-    train_bursts: set[int] = set()
-    cells: dict[tuple[int, float], list[int]] = {}
-    for b, i in first_index.items():
-        key = (int(frames.schemes[i]), float(frames.snrs_db[i]))
-        cells.setdefault(key, []).append(b)
-    for key in sorted(cells):
-        bursts = cells[key]
-        if len(bursts) < 2:
-            raise ParameterError(f"cell {key} has {len(bursts)} burst(s); need >= 2 to split")
-        n_train = int(round(len(bursts) * fraction))
-        n_train = min(max(n_train, 1), len(bursts) - 1)
-        perm = rng.permutation(len(bursts))
-        train_bursts.update(bursts[i] for i in perm[:n_train])
+    # Bursts in order of first appearance, grouped into (scheme, snr) cells in
+    # sorted cell order; the stable sort keeps first-appearance order inside a cell.
+    ids, first = np.unique(frames.burst_ids, return_index=True)
+    by_appearance = np.argsort(first)
+    ids, first = ids[by_appearance], first[by_appearance]
+    schemes = frames.schemes[first].astype(np.int64)
+    snrs = frames.snrs_db[first]
+    order = np.lexsort((snrs, schemes))
+    ids, schemes, snrs = ids[order], schemes[order], snrs[order]
+    starts = np.flatnonzero(np.r_[True, (schemes[1:] != schemes[:-1]) | (snrs[1:] != snrs[:-1])])
+    train_bursts = []
+    for start, stop in zip(starts, np.r_[starts[1:], ids.size]):
+        bursts = ids[start:stop]
+        if bursts.size < 2:
+            key = (int(schemes[start]), float(snrs[start]))
+            raise ParameterError(f"cell {key} has {bursts.size} burst(s); need >= 2 to split")
+        n_train = int(round(bursts.size * fraction))
+        n_train = min(max(n_train, 1), bursts.size - 1)
+        perm = rng.permutation(bursts.size)
+        train_bursts.append(bursts[perm[:n_train]])
 
-    mask = np.array([int(b) in train_bursts for b in frames.burst_ids])
+    mask = np.isin(frames.burst_ids, np.concatenate(train_bursts))
     return frames.subset(mask), frames.subset(~mask)
 
 

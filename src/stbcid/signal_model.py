@@ -75,7 +75,7 @@ def modulate_qpsk(bits) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 1 or bits.size % 2 != 0:
         raise ShapeError(f"bit count must be even, got shape {bits.shape}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
+    if ((bits != 0) & (bits != 1)).any():
         raise ParameterError("bits must be 0 or 1")
     idx = 2 * bits[0::2].astype(np.intp) + bits[1::2].astype(np.intp)
     return QPSK_CONSTELLATION[idx]

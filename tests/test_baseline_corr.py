@@ -11,11 +11,40 @@ from stbcid.baseline_corr import (
     calibrate_threshold,
     classify_corr,
     correlation_feature,
+    correlation_features,
     received_sequence,
     synth_sequence,
 )
+from stbcid import baseline_corr
 from stbcid.errors import ParameterError, ShapeError
-from stbcid.signal_model import ChannelRealization, CodingScheme, NoiseSpec
+from stbcid.signal_model import _MASK64, ChannelRealization, CodingScheme, NoiseSpec
+
+
+def scalar_feature(seq) -> float:
+    """The per-sequence statistic as first written: 1-D means, Python abs and max."""
+    c = []
+    for d in (0, 1):
+        tail = seq[d:]
+        k = tail.size // 2
+        c.append(complex(np.mean(tail[: 2 * k : 2] * tail[1 : 2 * k : 2])))
+    return max(abs(c[0]), abs(c[1]))
+
+
+def scalar_calibration(snr_db, seq_len, trials, seed, variant, normalize):
+    """Frozen scalar reference of calibrate_threshold: one sequence at a time."""
+    feats = []
+    for scheme in (CodingScheme.AL, CodingScheme.SM):
+        vals = np.empty(trials)
+        for t in range(trials):
+            ss = np.random.SeedSequence([seed & _MASK64, int(scheme), t])
+            seq = synth_sequence(
+                scheme, snr_db, seq_len, int(ss.generate_state(1, np.uint64)[0]), variant
+            )
+            if normalize:
+                seq = seq / np.sqrt(float(np.mean(np.abs(seq) ** 2)))
+            vals[t] = scalar_feature(seq)
+        feats.append(vals)
+    return calibrate_from_features(*feats, snr_db=snr_db, seq_len=seq_len)
 
 
 class TestCorrelationFeature:
@@ -60,6 +89,35 @@ class TestCorrelationFeature:
             for t in range(300)
         ]
         assert np.mean(feats) < 0.2
+
+
+class TestCorrelationFeatures:
+    @pytest.mark.parametrize("length", [4, 5, 127, 128, 1024])
+    def test_rows_bit_equal_to_one_sequence(self, length):
+        rng = np.random.default_rng(length)
+        scales = np.logspace(-150, 150, 13)
+        rows = rng.standard_normal((39, length)) + 1j * rng.standard_normal((39, length))
+        rows *= np.repeat(scales, 3)[:, np.newaxis]
+        rows = np.concatenate([rows, np.zeros((2, length), dtype=np.complex128)])
+        batched = correlation_features(rows)
+        one_at_a_time = np.array([correlation_feature(r).feature for r in rows])
+        assert batched.tobytes() == one_at_a_time.tobytes()
+        assert one_at_a_time.tobytes() == np.array([scalar_feature(r) for r in rows]).tobytes()
+        assert (batched[-2:] == 0.0).all()
+
+    def test_wrapper_keeps_both_correlations(self):
+        rng = np.random.default_rng(3)
+        r = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        feat = correlation_feature(r)
+        assert feat.c_delta0 == complex(np.mean(r[0:8:2] * r[1:8:2]))
+        assert feat.c_delta1 == complex(np.mean(r[1:9:2] * r[2:9:2]))
+        assert feat.feature == max(abs(feat.c_delta0), abs(feat.c_delta1))
+        assert feat.n_pairs == 4
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 3), (2, 2, 4)])
+    def test_bad_shape_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            correlation_features(np.ones(shape, dtype=np.complex128))
 
 
 class TestEq7Generator:
@@ -120,6 +178,22 @@ class TestCalibration:
         rule = calibrate_threshold(10.0, 1024, trials=200, seed=0, variant="paper-eq7")
         assert rule.achieved_error < 0.25
         assert not rule.degenerate
+
+    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_equals_scalar_reference(self, variant, normalize):
+        for snr_db, seq_len, seed in ((10.0, 128, 7), (-6.0, 37, 2)):
+            rule = calibrate_threshold(snr_db, seq_len, trials=120, seed=seed, variant=variant,
+                                       normalize=normalize)
+            ref = scalar_calibration(snr_db, seq_len, 120, seed, variant, normalize)
+            assert (rule.threshold, rule.achieved_error, rule.degenerate) == (
+                ref.threshold, ref.achieved_error, ref.degenerate)
+
+    def test_zero_power_sequence_rejected(self, monkeypatch):
+        monkeypatch.setattr(baseline_corr, "synth_sequence",
+                            lambda scheme, snr_db, length, seed, variant: np.zeros(length))
+        with pytest.raises(ParameterError):
+            calibrate_threshold(10.0, 64, trials=100, normalize=True)
 
     def test_trial_floor_enforced(self):
         with pytest.raises(ParameterError):

@@ -1,9 +1,11 @@
 """Tests for the command-line entry point: exit codes and the generate -> train -> eval path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from stbcid import classifier, cli, dataset
+from stbcid import baseline_corr, classifier, cli, dataset, evaluation
 
 
 def test_gradcheck_exits_zero(capsys):
@@ -53,6 +55,34 @@ def test_eval_threads_match_one_thread(tmp_path):
                          "--split", "all", "--threads", threads]) == 0
         outputs.append((out / "accuracy.csv").read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):
+    data = str(tmp_path / "grid.bin")
+    assert cli.main(["generate", "--snr-min", "-10", "--snr-max", "10", "--snr-step", "5",
+                     "--bursts", "3", "--seed", "4", "-o", data]) == 0
+    frames = dataset.deserialize_frames(data)
+    assert len(frames) % cli.CORR_BLOCK and len(frames) > cli.CORR_BLOCK  # a ragged last block
+    feats = [baseline_corr.correlation_feature(f[0] + 1j * f[1]) for f in frames.frames]
+
+    def expected_csv(rule):
+        preds = np.array([int(baseline_corr.classify_corr(f, rule)) for f in feats])
+        curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames, vectorized=True)
+        evaluation.write_accuracy_csv(curve, tmp_path / "expected.csv")
+        return (tmp_path / "expected.csv").read_bytes()
+
+    def eval_csv(name):
+        out = tmp_path / name
+        assert cli.main(["eval", "--dataset", data, "--baseline", "corr", "-o", str(out),
+                         "--split", "all", "--calibrate-trials", "150", "--seed", "4"]) == 0
+        return (out / "accuracy.csv").read_bytes()
+
+    rule = baseline_corr.calibrate_threshold(10.0, 128, 150, seed=4, normalize=True)
+    assert eval_csv("corr") == expected_csv(rule)
+    # a threshold equal to one frame's feature: the tie goes to SM
+    tie = dataclasses.replace(rule, threshold=feats[300].feature)
+    monkeypatch.setattr(baseline_corr, "calibrate_threshold", lambda *args, **kwargs: tie)
+    assert eval_csv("tie") == expected_csv(tie)
 
 
 @pytest.mark.parametrize("argv", [

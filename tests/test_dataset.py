@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stbcid.baseline_corr import synth_sequence
 from stbcid.dataset import (
     BadMagicError,
     DatasetConfig,
@@ -13,6 +14,7 @@ from stbcid.dataset import (
     FrameSet,
     TruncatedRecordError,
     VersionMismatchError,
+    _burst_frames,
     assign_burst_ids,
     deserialize_frames,
     export_frames_csv,
@@ -28,6 +30,32 @@ from stbcid.dataset import (
 )
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import CodingScheme
+
+
+def scalar_to_iq(window, normalize):
+    """One frame as first written, before frames were built a burst at a time."""
+    frame = np.stack([window.real.astype(np.float64), window.imag.astype(np.float64)])
+    if normalize:
+        frame /= np.sqrt(float(np.sum(frame * frame)) / FRAME_LEN)
+    return frame
+
+
+def scalar_split(frames, fraction, seed):
+    """Frozen per-frame split loop: bursts by first appearance, cells in sorted order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x73706C69]))
+    first_index = {}
+    for i, b in enumerate(frames.burst_ids):
+        first_index.setdefault(int(b), i)
+    train_bursts = set()
+    cells = {}
+    for b, i in first_index.items():
+        cells.setdefault((int(frames.schemes[i]), float(frames.snrs_db[i])), []).append(b)
+    for key in sorted(cells):
+        bursts = cells[key]
+        n_train = min(max(int(round(len(bursts) * fraction)), 1), len(bursts) - 1)
+        perm = rng.permutation(len(bursts))
+        train_bursts.update(bursts[i] for i in perm[:n_train])
+    return np.array([int(b) in train_bursts for b in frames.burst_ids])
 
 
 def small_config(**overrides):
@@ -117,6 +145,13 @@ class TestSynthesizeBurst:
         assert b.snr_db == -4.0
         assert b.samples.shape == (256,)
 
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    @pytest.mark.parametrize("length", [128, 301, 1024])
+    def test_same_bytes_as_calibration_sequences(self, scheme, length):
+        for seed in range(5):
+            burst = synthesize_burst(scheme, 4.0, length, seed)
+            assert burst.samples.tobytes() == synth_sequence(scheme, 4.0, length, seed).tobytes()
+
     def test_mean_power_oracle_at_0db(self):
         # E|r|^2 = E(|h0|^2 + |h1|^2) + sigma_w^2 = 2 + 2; 1e6 samples spread over
         # many bursts so the per-burst channel draw averages out as well
@@ -172,7 +207,43 @@ class TestGenerateDataset:
             assert len(set(frames.snrs_db[mask].tolist())) == 1
 
 
+class TestBurstFrames:
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_bit_equal_to_one_window_at_a_time(self, normalize):
+        cfg = small_config(burst_len=700, shift=50, normalize=normalize)
+        for scheme in (CodingScheme.SM, CodingScheme.AL):
+            frames = _burst_frames((scheme, 0.0, 0, 11, cfg))
+            windows = window_frames(synthesize_burst(scheme, 0.0, 700, 11).samples, 128, 50)
+            stacked = np.stack([to_iq(w, normalize) for w in windows]).astype(np.float32)
+            frozen = np.stack([scalar_to_iq(w, normalize) for w in windows]).astype(np.float32)
+            assert frames.shape == (cfg.frames_per_burst, 2, FRAME_LEN)
+            assert frames.tobytes() == stacked.tobytes() == frozen.tobytes()
+            for w in windows:  # and before the float32 cast
+                assert to_iq(w, normalize).tobytes() == scalar_to_iq(w, normalize).tobytes()
+
+
 class TestSplit:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+    def test_index_identical_to_frame_loop(self, seed, fraction):
+        frames = generate_dataset(small_config(snr_grid=(-5.0, 0.0, 5.0), bursts_per_cell=5))
+        # the same frames with burst ids relabelled out of order and frames shuffled
+        rng = np.random.default_rng(seed)
+        relabel = rng.permutation(frames.burst_ids.max() + 1) * 3 + 7
+        shuffled = frames.subset(rng.permutation(len(frames)))
+        shuffled.burst_ids = relabel[shuffled.burst_ids]
+        for fs in (frames, shuffled):
+            train, val = split_train_val(fs, fraction, seed)
+            mask = scalar_split(fs, fraction, seed)
+            np.testing.assert_array_equal(train.burst_ids, fs.burst_ids[mask])
+            np.testing.assert_array_equal(val.burst_ids, fs.burst_ids[~mask])
+            assert train.frames.tobytes() == fs.frames[mask].tobytes()
+
+    def test_empty_set_rejected(self):
+        frames = generate_dataset(small_config()).subset(slice(0, 0))
+        with pytest.raises(ParameterError):
+            split_train_val(frames, 0.5, seed=0)
+
     def test_five_bursts_each_side(self):
         cfg = small_config(bursts_per_cell=10, burst_len=256)
         frames = generate_dataset(cfg)

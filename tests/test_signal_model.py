@@ -47,6 +47,11 @@ class TestModulateQpsk:
         with pytest.raises(ParameterError):
             modulate_qpsk([0, 2])
 
+    @pytest.mark.parametrize("bad", [0.5, 2, -1])
+    def test_any_non_bit_value_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            modulate_qpsk([0, 1, 1, bad])
+
     @given(st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda b: len(b) % 2 == 0))
     def test_constant_modulus(self, bits):
         symbols = modulate_qpsk(bits)
