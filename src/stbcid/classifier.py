@@ -20,7 +20,6 @@ from .errors import ParameterError, ShapeError
 from .signal_model import _MASK64
 from .tensor_nn import (
     LAYER_KINDS,
-    Dropout,
     LayerSpec,
     Network,
     adam_init,
@@ -76,7 +75,6 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 128
     learning_rate: float = 1e-3
-    dropout_rate: float = 0.5
     seed: int = 0
     patience: int = 5  # 0 disables early stopping
 
@@ -85,8 +83,6 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ParameterError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if self.patience < 0:
             raise ParameterError(f"patience must be >= 0, got {self.patience}")
 
@@ -104,21 +100,25 @@ class TrainHistory:
         return len(self.train_loss)
 
 
-def build_cnn2() -> ModelSpec:
-    """The reconstructed four-layer CNN (two conv, two dense) over 1 x 2 x 128 input."""
+def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
+    """The reconstructed four-layer CNN (two conv, two dense) over 1 x 2 x 128 input.
+
+    ``dropout_rate`` applies to all three dropout layers and is stored in the
+    checkpoint descriptors; a rate outside [0, 1) raises ``ParameterError``.
+    """
     layers = (
         zeropad_spec(2),
         conv_spec(256, 1, 4),
         relu_spec(),
-        dropout_spec(0.5),
+        dropout_spec(dropout_rate),
         zeropad_spec(2),
         conv_spec(80, 2, 3),
         relu_spec(),
-        dropout_spec(0.5),
+        dropout_spec(dropout_rate),
         flatten_spec(),
         dense_spec(256),
         relu_spec(),
-        dropout_spec(0.5),
+        dropout_spec(dropout_rate),
         dense_spec(2),
         softmax_spec(),
     )
@@ -205,10 +205,10 @@ def classify(model: Model, frame: np.ndarray) -> int:
     return 1 if p_al > p_sm else 0
 
 
-def _eval_metrics(model: Model, x: np.ndarray, onehot: np.ndarray, labels: np.ndarray,
-                  batch_size: int = INFER_BLOCK) -> tuple[float, float]:
+def _eval_metrics(model: Model, x: np.ndarray, onehot: np.ndarray,
+                  labels: np.ndarray) -> tuple[float, float]:
     """Mean loss and accuracy of network-shaped input x [N, 1, 2, L], scored by predict_batch."""
-    probs = predict_batch(model, x[:, 0], batch_size)
+    probs = predict_batch(model, x[:, 0])
     pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)  # ties go to SM
     return batch_cross_entropy(probs, onehot), float(np.mean(pred == labels))
 
@@ -229,10 +229,6 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
     y_train = np.eye(2, dtype=dtype)[train_set.schemes]
     y_val = np.eye(2, dtype=dtype)[val_set.schemes]
     val_labels = val_set.schemes.astype(np.int64)
-
-    for layer in model.net.layers:
-        if isinstance(layer, Dropout):
-            layer.rate = cfg.dropout_rate
 
     params = model.net.parameters()
     state = adam_init(params, lr=cfg.learning_rate)

@@ -1,13 +1,13 @@
 """Command-line entry point: generate, train, eval, classify, gradcheck.
 
 Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error. All commands
-are deterministic given identical flags and seed (with --threads 1 as the
-reference for anything parallelizable).
+are deterministic given identical flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -27,10 +27,21 @@ class UsageError(Exception):
     """Semantically invalid flags (exit code 2)."""
 
 
+def _finite_float(raw: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage errors."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for generation/evaluation (1 = determinism reference)")
+    p.add_argument("--threads", type=int, default=1, choices=(1,),
+                   help="only 1 is accepted; set OPENBLAS_NUM_THREADS to parallelize BLAS")
     p.add_argument("--config", metavar="FILE",
                    help="key=value defaults; explicit flags win")
 
@@ -43,9 +54,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     by_name = {}
 
     g = subs.add_parser("generate", help="synthesize a labeled IQ frame dataset")
-    g.add_argument("--snr-min", type=float, default=-20.0)
-    g.add_argument("--snr-max", type=float, default=20.0)
-    g.add_argument("--snr-step", type=float, default=2.0)
+    g.add_argument("--snr-min", type=_finite_float, default=-20.0)
+    g.add_argument("--snr-max", type=_finite_float, default=20.0)
+    g.add_argument("--snr-step", type=_finite_float, default=2.0)
     g.add_argument("--bursts", type=int, default=10, help="bursts per (scheme, SNR) cell")
     g.add_argument("--burst-len", type=int, default=1024, help="received samples per burst")
     g.add_argument("--no-normalize", action="store_true",
@@ -60,10 +71,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("-o", "--out-dir", required=True)
     t.add_argument("--epochs", type=int, default=50)
     t.add_argument("--batch-size", type=int, default=128)
-    t.add_argument("--lr", type=float, default=1e-3)
-    t.add_argument("--dropout", type=float, default=0.5)
+    t.add_argument("--lr", type=_finite_float, default=1e-3)
+    t.add_argument("--dropout", type=_finite_float, default=0.5)
     t.add_argument("--patience", type=int, default=5, help="early-stop patience (0 disables)")
-    t.add_argument("--val-fraction", type=float, default=0.5)
+    t.add_argument("--val-fraction", type=_finite_float, default=0.5)
     _common_flags(t)
     t.set_defaults(func=cmd_train)
     by_name["train"] = t
@@ -74,10 +85,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     e.add_argument("-o", "--out-dir", required=True)
     e.add_argument("--split", choices=("val", "train", "all"), default="val",
                    help="which side of the burst-level split to score (default val)")
-    e.add_argument("--val-fraction", type=float, default=0.5)
+    e.add_argument("--val-fraction", type=_finite_float, default=0.5)
     e.add_argument("--baseline", choices=("corr",),
                    help="score the correlation baseline instead of the CNN")
-    e.add_argument("--calibrate-snr", type=float, default=10.0)
+    e.add_argument("--calibrate-snr", type=_finite_float, default=10.0)
     e.add_argument("--calibrate-trials", type=int, default=2000)
     _common_flags(e)
     e.set_defaults(func=cmd_eval)
@@ -91,11 +102,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     by_name["classify"] = c
 
     gc = subs.add_parser("gradcheck", help="finite-difference check of backpropagation")
-    gc.add_argument("--tolerance", type=float, default=1e-4)
+    gc.add_argument("--tolerance", type=_finite_float, default=1e-4)
     gc.add_argument("--linear-only", action="store_true",
                     help="check ReLU-free stacks (finite differences are near-exact)")
     gc.add_argument("--nets", type=int, default=20, help="number of random micro-networks")
-    gc.add_argument("--step", type=float, default=None,
+    gc.add_argument("--step", type=_finite_float, default=None,
                     help="finite-difference step (default 1e-5, or 1e-4 with --linear-only "
                          "where roundoff dominates truncation)")
     _common_flags(gc)
@@ -136,10 +147,13 @@ def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
         elif action.type is not None:
             try:
                 value = action.type(raw)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
         else:
             value = raw
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config key {key!r}: {raw!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
         sub.set_defaults(**{action.dest: value})
 
 
@@ -164,7 +178,7 @@ def cmd_generate(args) -> int:
         seed=args.seed,
         normalize=not args.no_normalize,
     )
-    frames = dataset.generate_dataset(cfg, threads=max(1, args.threads))
+    frames = dataset.generate_dataset(cfg)
     dataset.serialize_frames(frames, args.out)
     dataset.write_manifest(cfg, len(frames), args.out + ".manifest")
     print(f"wrote {len(frames)} frames to {args.out} "
@@ -201,12 +215,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     train_set, val_set = _load_split(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    model = classifier.initialize(classifier.build_cnn2(), seed=args.seed)
+    model = classifier.initialize(classifier.build_cnn2(args.dropout), seed=args.seed)
     cfg = classifier.TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch_size,
         learning_rate=args.lr,
-        dropout_rate=args.dropout,
         seed=args.seed,
         patience=args.patience,
     )
@@ -281,19 +294,7 @@ def cmd_eval(args) -> int:
     classify_frames = (
         _baseline_classifier(args, frames) if args.baseline else _cnn_classifier(args, frames)
     )
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(len(frames)), args.threads)
-        preds = np.empty(len(frames), dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for idx, part in zip(chunks, pool.map(
-                    classify_frames, (frames.frames[c] for c in chunks))):
-                preds[idx] = part
-        curve, confusions = evaluation.accuracy_vs_snr(lambda a: preds, frames, vectorized=True)
-    else:
-        curve, confusions = evaluation.accuracy_vs_snr(classify_frames, frames, vectorized=True)
-
+    curve, confusions = evaluation.accuracy_vs_snr(classify_frames, frames, vectorized=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
     for snr, cm in confusions.items():

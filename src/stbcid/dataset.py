@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -195,12 +194,11 @@ def _burst_frames(job: tuple[CodingScheme, float, int, int, DatasetConfig]) -> n
     return _iq_frames(windows, cfg.normalize).astype(np.float32)
 
 
-def generate_dataset(cfg: DatasetConfig, threads: int = 1) -> FrameSet:
+def generate_dataset(cfg: DatasetConfig) -> FrameSet:
     """Build the full labeled frame set for every (snr, scheme) cell.
 
     Cell order is snr (grid order) x (SM, AL) x burst index; per-burst seeds
-    are derived from the master seed, so the output is identical whether
-    bursts are synthesized sequentially or in parallel.
+    are derived from the master seed.
     """
     if cfg.window != FRAME_LEN:
         raise ParameterError(f"frames are fixed at 2 x {FRAME_LEN}; cfg.window must be {FRAME_LEN}")
@@ -210,11 +208,7 @@ def generate_dataset(cfg: DatasetConfig, threads: int = 1) -> FrameSet:
             for b in range(cfg.bursts_per_cell):
                 seed = derive_burst_seed(cfg.seed, scheme, snr_db, b)
                 jobs.append((scheme, snr_db, b, seed, cfg))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_burst = list(pool.map(_burst_frames, jobs))
-    else:
-        per_burst = [_burst_frames(job) for job in jobs]
+    per_burst = [_burst_frames(job) for job in jobs]
 
     wpb = cfg.frames_per_burst
     frames = np.concatenate(per_burst, axis=0)

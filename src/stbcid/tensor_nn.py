@@ -14,8 +14,8 @@ layer passes activations and gradients through. The single-sample functional
 forms (``conv2d_forward``, ``relu``, ...) are channel-first float64
 references that the tests compare the layers with.
 
-Two rules keep the layers lean and a shared model safe to run in eval mode
-from several threads:
+Two rules keep the layers lean and let a library caller run one shared model
+in eval mode from several threads:
 
 - Ownership: a layer owns the array ``forward`` is given and the gradient
   ``backward`` is given, and may overwrite either (ReLU and Dropout work in
@@ -310,11 +310,10 @@ class Dropout(Layer):
 
     def __init__(self, spec: LayerSpec):
         super().__init__(spec)
-        self.rate = spec.rate  # mutable so a training config can override it
         self._keep = None
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        rate = self.rate
+        rate = self.spec.rate
         if not train or rate == 0.0:
             self._keep = None
             return x

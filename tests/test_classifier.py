@@ -79,7 +79,7 @@ class TestPredict:
             assert predict(model, frame) == first
 
     def test_shared_model_thread_safe(self):
-        # eval --threads N runs one model in N worker threads
+        # a library caller may score with one model from several threads
         model = initialize(build_cnn2(), seed=1)
         frames = np.random.default_rng(5).standard_normal((96, 2, FRAME_LEN)).astype(np.float32)
         sequential = predict_batch(model, frames, batch_size=2)
@@ -174,8 +174,8 @@ class TestTrain:
 
         x = _as_batch(val_set.frames, model.net.dtype)
         y = np.eye(2, dtype=model.net.dtype)[val_set.schemes]
-        loss, acc = _eval_metrics(model, x, y, val_set.schemes.astype(np.int64), 64)
-        assert loss == pytest.approx(h.val_loss[h.best_epoch - 1], rel=1e-6)
+        loss, acc = _eval_metrics(model, x, y, val_set.schemes.astype(np.int64))
+        assert loss == h.val_loss[h.best_epoch - 1]
 
     def test_empty_sets_rejected(self, tiny_sets):
         train_set, val_set = tiny_sets
@@ -191,7 +191,7 @@ class TestTrain:
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=0)
         with pytest.raises(ParameterError):
-            TrainConfig(dropout_rate=1.0)
+            build_cnn2(dropout_rate=1.0)
 
 
 class TestCheckpoint:

@@ -187,12 +187,6 @@ class TestGenerateDataset:
         serialize_frames(generate_dataset(small_config()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_threads_match_sequential(self):
-        seq = generate_dataset(small_config())
-        par = generate_dataset(small_config(), threads=2)
-        np.testing.assert_array_equal(seq.frames, par.frames)
-        np.testing.assert_array_equal(seq.burst_ids, par.burst_ids)
-
     @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 400.0, -327.68])
     def test_unstorable_snr_rejected(self, snr):
         # the wire format holds SNR as int16 centi-dB; 400 dB would read back as -255.36
