@@ -31,7 +31,6 @@ from .tensor_nn import (
     flatten_spec,
     relu_spec,
     softmax_spec,
-    trace_shapes,
     zeropad_spec,
 )
 
@@ -83,6 +82,8 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate >= 0.0:  # 0 freezes the parameters
+            raise ParameterError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.patience < 0:
             raise ParameterError(f"patience must be >= 0, got {self.patience}")
 
@@ -138,24 +139,11 @@ def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
 
 def parameter_counts(model_or_spec) -> list[int]:
     """Trainable parameter count per parameterized layer, in stack order."""
-    spec = model_or_spec.spec if isinstance(model_or_spec, Model) else model_or_spec
-    model = model_or_spec if isinstance(model_or_spec, Model) else None
-    if model is not None:
-        return [
-            sum(p.size for p in layer.params())
-            for layer in model.net.layers
-            if layer.params()
-        ]
-    counts = []
-    shape = spec.input_shape
-    for ls in spec.layers:
-        if ls.kind == "conv2d":
-            kh, kw = ls.kernel
-            counts.append(ls.filters * (shape[0] * kh * kw) + ls.filters)
-        elif ls.kind == "dense":
-            counts.append(ls.units * shape[0] + ls.units)
-        shape = trace_shapes([ls], shape)[0]
-    return counts
+    if isinstance(model_or_spec, Model):
+        net = model_or_spec.net
+    else:  # zero weights: nothing is drawn
+        net = Network(model_or_spec.layers, model_or_spec.input_shape, None)
+    return [sum(p.size for p in layer.params()) for layer in net.layers if layer.params()]
 
 
 def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:

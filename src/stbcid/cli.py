@@ -7,6 +7,7 @@ are deterministic given identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -25,6 +26,22 @@ CORR_BLOCK = 256
 
 class UsageError(Exception):
     """Semantically invalid flags (exit code 2)."""
+
+
+@contextlib.contextmanager
+def _flags(**flag_of):
+    """Report a library ``ParameterError`` about a flag's value as a usage error naming it.
+
+    ``flag_of`` maps a library parameter name, the word its messages begin
+    with, to the flag that sets it; any other ``ParameterError`` passes.
+    """
+    try:
+        yield
+    except ParameterError as e:
+        flag = flag_of.get(str(e).split(" ", 1)[0])
+        if flag is None:
+            raise
+        raise UsageError(f"{flag}: {e}") from None
 
 
 def _finite_float(raw: str) -> float:
@@ -162,22 +179,25 @@ def _snr_grid(args) -> tuple[float, ...]:
         raise UsageError(f"--snr-step must be positive, got {args.snr_step}")
     if args.snr_max < args.snr_min:
         raise UsageError("--snr-max must be >= --snr-min")
-    n = int(np.floor((args.snr_max - args.snr_min) / args.snr_step + 1e-9)) + 1
-    return tuple(args.snr_min + i * args.snr_step for i in range(n))
+    with _flags(SNR="--snr-min/--snr-max"):  # the storable range, before any grid is built
+        dataset._snr_centi_db((args.snr_min, args.snr_max))
+    steps = (args.snr_max - args.snr_min) / args.snr_step + 1e-9
+    if not steps < 2 ** 16:  # more points than the int16 centi-dB labels
+        raise UsageError(f"the SNR grid from --snr-min/--snr-max/--snr-step has over "
+                         f"{2 ** 16} points, more than the format can label")
+    return tuple(args.snr_min + i * args.snr_step for i in range(int(np.floor(steps)) + 1))
 
 
 def cmd_generate(args) -> int:
-    if args.bursts < 1:
-        raise UsageError(f"--bursts must be >= 1, got {args.bursts}")
-    if args.burst_len < dataset.FRAME_LEN:
-        raise UsageError(f"--burst-len must be >= {dataset.FRAME_LEN}, got {args.burst_len}")
-    cfg = dataset.DatasetConfig(
-        snr_grid=_snr_grid(args),
-        bursts_per_cell=args.bursts,
-        burst_len=args.burst_len,
-        seed=args.seed,
-        normalize=not args.no_normalize,
-    )
+    with _flags(snr_grid="--snr-min/--snr-max/--snr-step", bursts_per_cell="--bursts",
+                burst_len="--burst-len"):
+        cfg = dataset.DatasetConfig(
+            snr_grid=_snr_grid(args),
+            bursts_per_cell=args.bursts,
+            burst_len=args.burst_len,
+            seed=args.seed,
+            normalize=not args.no_normalize,
+        )
     frames = dataset.generate_dataset(cfg)
     dataset.serialize_frames(frames, args.out)
     dataset.write_manifest(cfg, len(frames), args.out + ".manifest")
@@ -190,6 +210,8 @@ def cmd_generate(args) -> int:
 
 def _load_split(args) -> tuple[dataset.FrameSet, dataset.FrameSet]:
     """Load the dataset once and split it at burst granularity: (train, val)."""
+    if not 0.0 < args.val_fraction < 1.0:
+        raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
     frames = dataset.deserialize_frames(args.dataset)
     manifest_path = args.dataset + ".manifest"
     if not os.path.exists(manifest_path):
@@ -207,22 +229,19 @@ def _load_split(args) -> tuple[dataset.FrameSet, dataset.FrameSet]:
 
 
 def cmd_train(args) -> int:
-    if args.epochs < 1:
-        raise UsageError(f"--epochs must be >= 1, got {args.epochs}")
-    if args.batch_size < 1:
-        raise UsageError(f"--batch-size must be >= 1, got {args.batch_size}")
-    if not 0.0 < args.val_fraction < 1.0:
-        raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
+    with _flags(dropout="--dropout", epochs="--epochs", batch_size="--batch-size",
+                learning_rate="--lr", patience="--patience"):
+        spec = classifier.build_cnn2(args.dropout)
+        cfg = classifier.TrainConfig(
+            epochs=args.epochs,
+            batch_size=args.batch_size,
+            learning_rate=args.lr,
+            seed=args.seed,
+            patience=args.patience,
+        )
     train_set, val_set = _load_split(args)
     os.makedirs(args.out_dir, exist_ok=True)
-    model = classifier.initialize(classifier.build_cnn2(args.dropout), seed=args.seed)
-    cfg = classifier.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        seed=args.seed,
-        patience=args.patience,
-    )
+    model = classifier.initialize(spec, seed=args.seed)
     model, history = classifier.train(model, train_set, val_set, cfg)
     ckpt = os.path.join(args.out_dir, "checkpoint.stbcnn")
     classifier.save_checkpoint(model, ckpt)
@@ -247,10 +266,11 @@ def _baseline_classifier(args, frames: dataset.FrameSet):
     if os.path.exists(manifest_path):
         cfg, _ = dataset.read_manifest(manifest_path)
         normalize = cfg.normalize
-    rule = baseline_corr.calibrate_threshold(
-        args.calibrate_snr, window, args.calibrate_trials,
-        seed=args.seed, normalize=normalize,
-    )
+    with _flags(trials="--calibrate-trials"):
+        rule = baseline_corr.calibrate_threshold(
+            args.calibrate_snr, window, args.calibrate_trials,
+            seed=args.seed, normalize=normalize,
+        )
     print(f"calibrated threshold {rule.threshold:.5f} at {rule.snr_db:g} dB "
           f"(training error {rule.achieved_error:.3f}"
           + (", degenerate)" if rule.degenerate else ")"))
@@ -290,10 +310,10 @@ def cmd_eval(args) -> int:
     else:
         train_side, val_side = _load_split(args)
         frames = val_side if args.split == "val" else train_side
-    os.makedirs(args.out_dir, exist_ok=True)
     classify_frames = (
         _baseline_classifier(args, frames) if args.baseline else _cnn_classifier(args, frames)
     )
+    os.makedirs(args.out_dir, exist_ok=True)
     curve, confusions = evaluation.accuracy_vs_snr(classify_frames, frames, vectorized=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
@@ -345,7 +365,8 @@ def cmd_gradcheck(args) -> int:
         net, x, onehot = tensor_nn.random_micro_network(
             seed=args.seed + i, linear_only=args.linear_only
         )
-        report = tensor_nn.grad_check(net, x, onehot, step=step, tolerance=args.tolerance)
+        with _flags(step="--step", tolerance="--tolerance"):
+            report = tensor_nn.grad_check(net, x, onehot, step=step, tolerance=args.tolerance)
         total_kinks += report.n_kink_skipped
         owners = [
             layer.spec.kind for layer in net.layers for _ in layer.params()

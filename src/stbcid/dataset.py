@@ -84,15 +84,18 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if not self.snr_grid:
             raise ParameterError("snr_grid must be non-empty")
-        _snr_centi_db(self.snr_grid)
+        labels = len(set(_snr_centi_db(self.snr_grid).tolist()))  # np.unique imports numpy.ma
+        if labels < len(self.snr_grid):  # their cells would merge on disk
+            raise ParameterError(f"snr_grid points must have distinct centi-dB labels, got "
+                                 f"{len(self.snr_grid)} points on {labels} labels")
         if self.bursts_per_cell < 1:
-            raise ParameterError("bursts_per_cell must be >= 1")
+            raise ParameterError(f"bursts_per_cell must be >= 1, got {self.bursts_per_cell}")
         if self.window <= 0:
             raise ParameterError("window must be positive")
         if not 0 < self.shift <= self.window:
             raise ParameterError("shift must satisfy 0 < shift <= window")
         if self.burst_len < self.window:
-            raise ParameterError("burst_len must be >= window")
+            raise ParameterError(f"burst_len must be >= window ({self.window}), got {self.burst_len}")
 
     @property
     def frames_per_burst(self) -> int:

@@ -139,7 +139,7 @@ class _Weighted(Layer):
             limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
             self.w = rng.uniform(-limit, limit, size=shape).astype(dtype)
         self.b = np.zeros(shape[0], dtype=dtype)
-        self.gw = np.zeros_like(self.w)
+        self.gw = np.zeros(shape, dtype=dtype)  # not zeros_like, which writes every page
         self.gb = np.zeros_like(self.b)
 
     def params(self):
@@ -297,15 +297,8 @@ class Softmax(Layer):
 class Dropout(Layer):
     """Inverted dropout, in place: survivors scaled by 1/(1-rate); eval mode is identity.
 
-    A unit is kept iff ``rng.random(dtype=float32) >= rate`` would keep it,
-    drawn channel-first so a seed drops the same units in any layout. The
-    draw streams one batch element at a time: PCG64 ``random_raw`` words read
-    as uint32 pairs, low half first, which is where ``random(float32)`` takes
-    its 24 bits from (``u >> 8``). So ``u >> 8 >= float32(rate) * 2**24``,
-    i.e. ``u >= ceil(float32(rate) * 2**24) << 8``, keeps exactly the same
-    units. The generator's buffered half-word is used first and an unused
-    half-word is buffered at the end, so it ends in the state
-    ``random(float32)`` leaves. Other bit generators are rejected.
+    Train mode draws the keep bits width-major with ``keep_mask`` (PCG64 only);
+    backward reuses the forward's mask and scale.
     """
 
     def __init__(self, spec: LayerSpec):
@@ -334,33 +327,23 @@ class Dropout(Layer):
 
 
 def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
-    """Width-major bool keep-mask equal to ``_flip(rng.random(channel-first, float32) >= rate)``.
+    """Bool keep-mask of ``shape``, drawn in the array's own (width-major) order.
 
-    See ``Dropout`` for the draw; ``rng`` must run on a PCG64 bit generator.
+    Each batch element of n units reads ceil(n/2) PCG64 ``random_raw`` words as
+    uint32 pairs, low half first, and keeps a unit iff its ``u >= ceil(rate *
+    2**32)``: P(keep) = 1 - rate to within 2**-32. An odd n leaves the last high
+    half unused. Other bit generators are rejected (MT19937's raw words hold
+    only 32 bits).
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ParameterError(f"dropout needs a PCG64 generator, got {type(bitgen).__name__}")
-    threshold = math.ceil(float(np.float32(rate)) * 2 ** 24) << 8
+    threshold = math.ceil(rate * 2 ** 32)
     keep = np.empty(shape, dtype=bool)
     n = int(np.prod(shape[1:]))
-    state = bitgen.state
-    last = state["uinteger"]
-    carry = last if state["has_uint32"] else None
     for element in keep:
-        fresh = n - (carry is not None)
-        halves = bitgen.random_raw((fresh + 1) // 2).astype("<u8", copy=False).view("<u4")
-        if carry is None:
-            u = halves[:n]
-        else:
-            u = np.concatenate((np.array([carry], dtype="<u4"), halves[:fresh]))
-        np.greater_equal(u.reshape(element.T.shape).T, threshold, out=element)
-        if halves.size:
-            last = int(halves[-1])
-        carry = last if fresh % 2 else None
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = int(carry is not None), last
-    bitgen.state = state
+        u = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+        np.greater_equal(u.reshape(element.shape), threshold, out=element)
     return keep
 
 
@@ -685,8 +668,11 @@ def grad_check(network: Network, x, onehot, step: float = 1e-5,
 
     Coordinates whose perturbation flips any ReLU activation pattern sit on a
     kink where the two-sided difference is meaningless; they are excluded from
-    the max and reported separately.
+    the max and reported separately. ``step`` and ``tolerance`` must be > 0.
     """
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not value > 0.0:
+            raise ParameterError(f"{name} must be > 0, got {value}")
     x = np.asarray(x)
     onehot = np.asarray(onehot)
     if x.shape[1:] != network.input_shape:

@@ -191,6 +191,9 @@ class TestTrain:
         with pytest.raises(ParameterError):
             TrainConfig(batch_size=0)
         with pytest.raises(ParameterError):
+            TrainConfig(learning_rate=-1e-3)  # gradient ascent
+        TrainConfig(learning_rate=0.0)  # frozen parameters stay legal
+        with pytest.raises(ParameterError):
             build_cnn2(dropout_rate=1.0)
 
 

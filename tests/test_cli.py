@@ -85,13 +85,46 @@ def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):
     assert eval_csv("tie") == expected_csv(tie)
 
 
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    data = str(tmp_path_factory.mktemp("tiny") / "tiny.bin")
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "2", "--burst-len", "256", "-o", data]) == 0
+    return data
+
+
+DATA, OUT = "<dataset>", "<out>"
+
+
+# the offending flag comes last; the error must name it
 @pytest.mark.parametrize("argv", [
-    ["train", "--bogus"],
+    ["train", "--dataset", DATA, "-o", OUT, "--bogus"],
     ["gradcheck", "--nets", "0"],
+    ["train", "--dataset", DATA, "-o", OUT, "--lr", "-1"],
+    ["train", "--dataset", DATA, "-o", OUT, "--dropout", "1.0"],
+    ["train", "--dataset", DATA, "-o", OUT, "--patience", "-1"],
+    ["train", "--dataset", DATA, "-o", OUT, "--epochs", "0"],
+    ["train", "--dataset", DATA, "-o", OUT, "--batch-size", "0"],
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--val-fraction", "1.5"],
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--calibrate-trials", "5"],
+    ["gradcheck", "--step", "0"],
+    ["gradcheck", "--tolerance", "-1"],
+    ["generate", "-o", OUT, "--bursts", "0"],
+    ["generate", "-o", OUT, "--burst-len", "100"],
+    # 6 points on 3 centi-dB labels: their cells would merge on disk
+    ["generate", "-o", OUT, "--snr-min", "0", "--snr-max", "0.02", "--snr-step", "0.004"],
+    # 10^9 points, nearly all beyond the storable +-327.67 dB
+    ["generate", "-o", OUT, "--snr-min", "0", "--snr-step", "1e-3", "--snr-max", "1e6"],
+    # storable bounds, but more points than int16 has labels
+    ["generate", "-o", OUT, "--snr-min", "-300", "--snr-max", "300", "--snr-step", "1e-3"],
 ])
-def test_bad_flags_exit_two(argv, capsys):
+def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [tiny_dataset if a == DATA else str(out) if a == OUT else a for a in argv]
     assert cli.main(argv) == 2
-    assert capsys.readouterr().err
+    flag = [a for a in argv if a.startswith("--")][-1]
+    assert flag in capsys.readouterr().err
+    assert not out.exists()  # nothing written, no output directory made
 
 
 @pytest.mark.parametrize("rate", [None, 0.2])

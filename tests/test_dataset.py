@@ -187,9 +187,11 @@ class TestGenerateDataset:
         serialize_frames(generate_dataset(small_config()), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 400.0, -327.68])
+    @pytest.mark.parametrize("snr", [float("nan"), float("inf"), 400.0, -327.68,
+                                     0.0, 0.004, 0.005])
     def test_unstorable_snr_rejected(self, snr):
-        # the wire format holds SNR as int16 centi-dB; 400 dB would read back as -255.36
+        # the wire format holds SNR as int16 centi-dB; 400 dB would read back as -255.36,
+        # and a point whose label is 0 dB's would merge into its cell on disk
         with pytest.raises(ParameterError):
             small_config(snr_grid=(0.0, snr))
 

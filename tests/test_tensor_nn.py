@@ -313,6 +313,13 @@ class TestGradCheck:
         assert all(pi == bias_tensor_index for pi, _ in report.kink_indices)
         assert report.passed
 
+    @pytest.mark.parametrize("step, tolerance", [(0.0, 1e-4), (-1e-5, 1e-4), (1e-5, 0.0),
+                                                  (1e-5, -1.0)])
+    def test_nonpositive_step_or_tolerance_rejected(self, step, tolerance):
+        net, x, onehot = random_micro_network(seed=0)
+        with pytest.raises(ParameterError):
+            grad_check(net, x, onehot, step=step, tolerance=tolerance)
+
 
 class TestNetworkValidation:
     def test_must_end_with_softmax(self):
@@ -472,43 +479,54 @@ class TestWidthMajorEngine:
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
-    def test_dropout_draws_keep_bits_channel_first(self):
-        # a seed drops the same units as a channel-first engine would
-        x = np.ones((2, 5, 2, 3), dtype=np.float32)  # width-major [B, W, H, C]
-        layer = Dropout(dropout_spec(0.5))
-        rng = np.random.default_rng(4)
-        out = layer.forward(x, train=True, rng=rng)
-        reference = np.random.default_rng(4)
-        keep = reference.random((2, 3, 2, 5), dtype=np.float32) >= 0.5
-        np.testing.assert_array_equal(out, 2.0 * keep.transpose(0, 3, 2, 1))
-        # the same units pass the gradient, and the generator ends where the float draw leaves it
-        grad = np.full((2, 5, 2, 3), 3.0, dtype=np.float32)
-        np.testing.assert_array_equal(layer.backward(grad), 6.0 * keep.transpose(0, 3, 2, 1))
-        assert rng.random() == reference.random()
-
 
 class TestKeepMask:
-    """keep_mask streams PCG64 words but must keep exactly what random(float32) >= rate keeps."""
+    """keep_mask: per batch element, ceil(n/2) PCG64 words as uint32, kept iff u >= ceil(rate * 2**32)."""
 
-    @pytest.mark.parametrize("rate", [0.5, 0.3, 1 / 3])
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
     @pytest.mark.parametrize("shape", [
         (3, 5, 2, 4),  # 40 units per element: whole words
-        (3, 5, 1, 3),  # 15 per element: a half-word carried into the next element
+        (3, 5, 1, 3),  # 15 per element: the last high half of each element's words unused
         (4, 7),  # a dense layer's [B, units], odd
-        (1, 1, 1, 1),  # one unit: half a word drawn, or the buffered half-word used
+        (1, 1, 1, 1),  # one unit: one word drawn
     ])
-    @pytest.mark.parametrize("carried", [False, True])
-    def test_matches_float32_draw(self, rate, shape, carried):
-        rng, reference = np.random.default_rng(17), np.random.default_rng(17)
-        if carried:  # one float32 draw leaves the high half of a word buffered
-            assert rng.random(dtype=np.float32) == reference.random(dtype=np.float32)
-            assert rng.bit_generator.state["has_uint32"] == 1
+    def test_seed_fixes_mask_and_generator_state(self, rate, shape):
+        rng, again = np.random.default_rng(17), np.random.default_rng(17)
         keep = keep_mask(rng, shape, rate)
-        channel_first = (shape[0],) + shape[:0:-1]
-        expected = reference.random(channel_first, dtype=np.float32) >= rate
-        np.testing.assert_array_equal(keep, expected.transpose(0, *range(len(shape) - 1, 0, -1)))
-        assert rng.bit_generator.state == reference.bit_generator.state
-        assert rng.random() == reference.random()
+        np.testing.assert_array_equal(keep, keep_mask(again, shape, rate))
+        assert rng.bit_generator.state == again.bit_generator.state
+        # the documented draw, element by element in the array's own order
+        reference = np.random.default_rng(17).bit_generator
+        n = int(np.prod(shape[1:]))
+        for element in keep:
+            u = reference.random_raw((n + 1) // 2).astype("<u8").view("<u4")[:n]
+            np.testing.assert_array_equal(element, (u >= np.ceil(rate * 2**32)).reshape(element.shape))
+        assert rng.bit_generator.state == reference.state
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
+    def test_keep_share_at_drop1_shape(self, rate):
+        keep = keep_mask(np.random.default_rng(5), (128, 129, 2, 256), rate)
+        p = 1.0 - rate
+        sigma = np.sqrt(p * (1.0 - p) / keep.size)
+        assert abs(keep.mean() - p) < 4.0 * sigma
+
+    def test_rate_bounds(self):
+        assert keep_mask(np.random.default_rng(0), (4, 7, 2, 3), 0.0).all()
+        # ceil(rate * 2**32) == 2**32: no uint32 reaches it (nor may it wrap to 0)
+        assert not keep_mask(np.random.default_rng(0), (4, 7, 2, 3), np.nextafter(1.0, 0.0)).any()
+
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_dropout_layer_uses_one_mask_and_exact_scale(self, rate):
+        x = np.ones((2, 5, 2, 3), dtype=np.float32)  # width-major [B, W, H, C]
+        layer = Dropout(dropout_spec(rate))
+        out = layer.forward(x, train=True, rng=np.random.default_rng(4))
+        keep = keep_mask(np.random.default_rng(4), x.shape, rate)
+        assert 0 < keep.sum() < keep.size
+        scale = np.float32(1.0) / np.float32(1.0 - rate)
+        np.testing.assert_array_equal(out, np.where(keep, scale, np.float32(0.0)))
+        grad = np.full(x.shape, 3.0, dtype=np.float32)
+        np.testing.assert_array_equal(layer.backward(grad),
+                                      np.where(keep, np.float32(3.0) * scale, np.float32(0.0)))
 
     @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.PCG64DXSM])
     def test_other_bit_generators_rejected(self, bitgen):
