@@ -238,16 +238,8 @@ def calibrate_threshold(
                 raise ParameterError("cannot normalize a zero-power sequence")
             seqs /= np.sqrt(power)[:, np.newaxis]
         feats[scheme] = correlation_features(seqs)
-    rule = calibrate_from_features(feats[CodingScheme.AL], feats[CodingScheme.SM],
+    return calibrate_from_features(feats[CodingScheme.AL], feats[CodingScheme.SM],
                                    snr_db=snr_db, seq_len=seq_len)
-    return ThresholdRule(
-        threshold=rule.threshold,
-        snr_db=snr_db,
-        seq_len=seq_len,
-        trials=trials,
-        achieved_error=rule.achieved_error,
-        degenerate=rule.degenerate,
-    )
 
 
 def classify_corr(feature, rule: ThresholdRule) -> CodingScheme:

@@ -193,12 +193,12 @@ def classify(model: Model, frame: np.ndarray) -> int:
     return 1 if p_al > p_sm else 0
 
 
-def _eval_metrics(model: Model, x: np.ndarray, onehot: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, float]:
-    """Mean loss and accuracy of network-shaped input x [N, 1, 2, L], scored by predict_batch."""
-    probs = predict_batch(model, x[:, 0])
+def _eval_metrics(model: Model, frames: FrameSet) -> tuple[float, float]:
+    """Mean loss and accuracy of a frame set, scored by predict_batch."""
+    probs = predict_batch(model, frames.frames)
     pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)  # ties go to SM
-    return batch_cross_entropy(probs, onehot), float(np.mean(pred == labels))
+    onehot = np.eye(2)[frames.schemes]
+    return batch_cross_entropy(probs, onehot), float(np.mean(pred == frames.schemes))
 
 
 def train(model: Model, train_set: FrameSet, val_set: FrameSet,
@@ -213,10 +213,7 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
         raise ParameterError("train and validation sets must be non-empty")
     dtype = model.net.dtype
     x_train = _as_batch(train_set.frames, dtype)
-    x_val = _as_batch(val_set.frames, dtype)
     y_train = np.eye(2, dtype=dtype)[train_set.schemes]
-    y_val = np.eye(2, dtype=dtype)[val_set.schemes]
-    val_labels = val_set.schemes.astype(np.int64)
 
     params = model.net.parameters()
     state = adam_init(params, lr=cfg.learning_rate)
@@ -233,13 +230,11 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
         running = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            loss, grads = model.net.loss_and_grads(
-                x_train[idx], y_train[idx], train=True, rng=dropout_rng
-            )
+            loss, grads = model.net.loss_and_grads(x_train[idx], y_train[idx], rng=dropout_rng)
             adam_step(params, grads, state)
             running += loss * idx.size
         train_loss = running / n
-        val_loss, val_acc = _eval_metrics(model, x_val, y_val, val_labels)
+        val_loss, val_acc = _eval_metrics(model, val_set)
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)
@@ -305,12 +300,12 @@ def save_checkpoint(model: Model, path) -> None:
     parts += [_layer_descriptor(ls) for ls in model.spec.layers]
     tensors = model.net.parameters()
     parts.append(struct.pack("<I", len(tensors)))
-    for t in tensors:
-        parts.append(struct.pack("<B", t.ndim))
-        parts.append(struct.pack(f"<{t.ndim}I", *t.shape))
-        parts.append(np.ascontiguousarray(t, dtype="<f4").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(parts))
+        for t in tensors:  # written from their own buffers: no joined copy of the weights
+            f.write(struct.pack("<B", t.ndim))
+            f.write(struct.pack(f"<{t.ndim}I", *t.shape))
+            f.write(np.ascontiguousarray(t, dtype="<f4").data)
 
 
 class _Reader:

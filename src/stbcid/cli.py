@@ -55,8 +55,8 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=7, help="master seed (default 7)")
+def _common_flags(p: argparse.ArgumentParser, seed_help: str = "master seed") -> None:
+    p.add_argument("--seed", type=int, default=7, help=f"{seed_help} (default 7)")
     p.add_argument("--threads", type=int, default=1, choices=(1,),
                    help="only 1 is accepted; set OPENBLAS_NUM_THREADS to parallelize BLAS")
     p.add_argument("--config", metavar="FILE",
@@ -91,8 +91,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--lr", type=_finite_float, default=1e-3)
     t.add_argument("--dropout", type=_finite_float, default=0.5)
     t.add_argument("--patience", type=int, default=5, help="early-stop patience (0 disables)")
-    t.add_argument("--val-fraction", type=_finite_float, default=0.5)
-    _common_flags(t)
+    _common_flags(t, "seeds weight init, shuffling and dropout, not the split")
     t.set_defaults(func=cmd_train)
     by_name["train"] = t
 
@@ -101,13 +100,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     e.add_argument("--checkpoint", help="trained model (omit with --baseline corr)")
     e.add_argument("-o", "--out-dir", required=True)
     e.add_argument("--split", choices=("val", "train", "all"), default="val",
-                   help="which side of the burst-level split to score (default val)")
-    e.add_argument("--val-fraction", type=_finite_float, default=0.5)
+                   help="which side of the dataset's own burst split to score (default val)")
     e.add_argument("--baseline", choices=("corr",),
                    help="score the correlation baseline instead of the CNN")
     e.add_argument("--calibrate-snr", type=_finite_float, default=10.0)
     e.add_argument("--calibrate-trials", type=int, default=2000)
-    _common_flags(e)
+    _common_flags(e, "seeds the --baseline corr calibration")
     e.set_defaults(func=cmd_eval)
     by_name["eval"] = e
 
@@ -208,12 +206,10 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_split(args) -> tuple[dataset.FrameSet, dataset.FrameSet]:
-    """Load the dataset once and split it at burst granularity: (train, val)."""
-    if not 0.0 < args.val_fraction < 1.0:
-        raise UsageError(f"--val-fraction must lie in (0, 1), got {args.val_fraction}")
-    frames = dataset.deserialize_frames(args.dataset)
-    manifest_path = args.dataset + ".manifest"
+def _load_split(path: str) -> tuple[dataset.FrameSet, dataset.FrameSet, int]:
+    """Load the dataset once and split its bursts by its manifest seed: (train, val, seed)."""
+    frames = dataset.deserialize_frames(path)
+    manifest_path = path + ".manifest"
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(
             f"{manifest_path} not found; the manifest is required to reconstruct "
@@ -225,7 +221,7 @@ def _load_split(args) -> tuple[dataset.FrameSet, dataset.FrameSet]:
             f"manifest says {count} frames, dataset has {len(frames)}"
         )
     frames = dataset.assign_burst_ids(frames, cfg)
-    return dataset.split_train_val(frames, args.val_fraction, args.seed)
+    return (*dataset.split_train_val(frames, seed=cfg.seed), cfg.seed)
 
 
 def cmd_train(args) -> int:
@@ -239,7 +235,9 @@ def cmd_train(args) -> int:
             seed=args.seed,
             patience=args.patience,
         )
-    train_set, val_set = _load_split(args)
+    train_set, val_set, data_seed = _load_split(args.dataset)
+    print(f"split: {np.unique(train_set.burst_ids).size} train / "
+          f"{np.unique(val_set.burst_ids).size} val bursts (dataset seed {data_seed})")
     os.makedirs(args.out_dir, exist_ok=True)
     model = classifier.initialize(spec, seed=args.seed)
     model, history = classifier.train(model, train_set, val_set, cfg)
@@ -308,7 +306,7 @@ def cmd_eval(args) -> int:
     if args.split == "all":
         frames = dataset.deserialize_frames(args.dataset)
     else:
-        train_side, val_side = _load_split(args)
+        train_side, val_side, _ = _load_split(args.dataset)
         frames = val_side if args.split == "val" else train_side
     classify_frames = (
         _baseline_classifier(args, frames) if args.baseline else _cnn_classifier(args, frames)

@@ -14,7 +14,7 @@ layer passes activations and gradients through. The single-sample functional
 forms (``conv2d_forward``, ``relu``, ...) are channel-first float64
 references that the tests compare the layers with.
 
-Two rules keep the layers lean and let a library caller run one shared model
+Three rules keep the layers lean and let a library caller run one shared model
 in eval mode from several threads:
 
 - Ownership: a layer owns the array ``forward`` is given and the gradient
@@ -24,6 +24,10 @@ in eval mode from several threads:
 - Locals only: ``forward`` computes its output from its arguments and locals
   and only *stores* what ``backward`` reads; it never reads ``self`` state
   back within the call, and no array is kept for reuse by a later call.
+- Only a training step holds activations: ``train`` means "a backward
+  follows". An eval forward (``train=False``) writes nothing to a layer; a
+  training forward's state lives until its backward, which releases it.
+  Dropout drops units only in a training forward given an ``rng``.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ def flatten_spec() -> LayerSpec:
 
 
 class Layer:
-    """Forward/backward node. backward() consumes state cached by forward().
+    """Forward/backward node. backward() consumes and releases what forward(train=True) stored.
 
     Both calls may overwrite the array they are given (the caller hands it
     over), and forward() computes from its arguments only, storing for
@@ -217,10 +221,12 @@ class Conv2D(_Weighted):
             patches = np.empty((b, ow, g, k * kw + 1), dtype=x.dtype)
             patches[..., :-1] = windows.reshape(b, ow, g, k * kw)
             patches[..., -1] = 1.0
-            self._x = patches.reshape(b, ow * g, -1)
+            if train:
+                self._x = patches.reshape(b, ow * g, -1)
             out = patches.reshape(-1, k * kw + 1) @ np.vstack([wt.reshape(k * kw, f), self.b])
             return out.reshape(b, ow, g, f)
-        self._x = x
+        if train:
+            self._x = x
         per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(b, w, g, kw, f)
         out = np.empty((b, ow, g, f), dtype=per_shift.dtype)
         out[...] = self.b
@@ -230,6 +236,7 @@ class Conv2D(_Weighted):
 
     def backward(self, grad, input_grad=True):
         """Fills gw and gb; returns the unpadded input gradient unless ``input_grad`` is False."""
+        x, self._x = self._x, None
         f, c, kh, kw = self.w.shape
         b, ow, g, _ = grad.shape
         p = self.pad
@@ -241,10 +248,10 @@ class Conv2D(_Weighted):
             shifted = shifted.reshape(-1, kw * f)
         if self._windowed:
             # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
-            gwb = np.matmul(self._x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
+            gwb = np.matmul(x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
             gwt, self.gb[...] = gwb[:-1], gwb[-1]
         else:
-            gwt = self._x.reshape(-1, k).T @ shifted
+            gwt = x.reshape(-1, k).T @ shifted
             self.gb[...] = grad.sum(axis=(0, 1, 2))
         self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
         if not input_grad:
@@ -262,27 +269,31 @@ class Dense(_Weighted):
     def forward(self, x, train=False, rng=None, sign_trace=None):
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"dense expects [B, {self.w.shape[1]}], got {x.shape}")
-        self._x = x
+        if train:
+            self._x = x
         return x @ self.w.T + self.b
 
     def backward(self, grad, input_grad=True):
-        self.gw[...] = grad.T @ self._x
+        x, self._x = self._x, None
+        self.gw[...] = grad.T @ x
         self.gb[...] = grad.sum(axis=0)
         return grad @ self.w if input_grad else None
 
 
 class ReLU(Layer):
-    """In place, forward and backward; keeps the bool mask of positive inputs."""
+    """In place, forward and backward; builds the bool mask of positive inputs only when read."""
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        mask = x > 0
-        self._mask = mask
+        mask = x > 0 if train or sign_trace is not None else None
+        if train:
+            self._mask = mask
         if sign_trace is not None:
             sign_trace.append(mask)
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad):
-        grad *= self._mask
+        mask, self._mask = self._mask, None
+        grad *= mask
         return grad
 
 
@@ -295,34 +306,31 @@ class Softmax(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout, in place: survivors scaled by 1/(1-rate); eval mode is identity.
+    """Inverted dropout, in place: survivors scaled by 1/(1-rate).
 
-    Train mode draws the keep bits width-major with ``keep_mask`` (PCG64 only);
-    backward reuses the forward's mask and scale.
+    A training forward given an ``rng`` draws the keep bits width-major with
+    ``keep_mask`` (PCG64 only) and backward reuses that mask; any other forward
+    is the identity, and so is the backward after it.
     """
 
-    def __init__(self, spec: LayerSpec):
-        super().__init__(spec)
-        self._keep = None
+    def _scale(self, dtype):
+        return dtype.type(1.0) / dtype.type(1.0 - self.spec.rate)
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        rate = self.spec.rate
-        if not train or rate == 0.0:
-            self._keep = None
+        if not train:
             return x
-        if rng is None:
-            raise ParameterError("train-mode dropout needs an rng")
-        keep = keep_mask(rng, x.shape, rate)
-        scale = x.dtype.type(1.0) / x.dtype.type(1.0 - rate)
-        self._keep, self._scale = keep, scale
-        x *= keep
-        x *= scale
+        self._keep = None
+        if rng is not None and self.spec.rate != 0.0:
+            self._keep = keep = keep_mask(rng, x.shape, self.spec.rate)
+            x *= keep
+            x *= self._scale(x.dtype)
         return x
 
     def backward(self, grad):
-        if self._keep is not None:
-            grad *= self._keep
-            grad *= self._scale
+        keep, self._keep = self._keep, None
+        if keep is not None:
+            grad *= keep
+            grad *= self._scale(grad.dtype)
         return grad
 
 
@@ -360,11 +368,13 @@ class ZeroPad(Layer):
 class Flatten(Layer):
     def forward(self, x, train=False, rng=None, sign_trace=None):
         x = _flip(x)  # channel-first order, which the dense weights after a conv expect
-        self._shape = x.shape
+        if train:
+            self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad):
-        return np.ascontiguousarray(_flip(grad.reshape(self._shape)))
+        shape, self._shape = self._shape, None
+        return np.ascontiguousarray(_flip(grad.reshape(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +483,16 @@ class Network:
         probs = self.forward(x, train=False, sign_trace=sign_trace)
         return batch_cross_entropy(probs, np.asarray(onehot, dtype=self.dtype))
 
-    def loss_and_grads(self, x, onehot, train: bool = False, rng=None):
+    def loss_and_grads(self, x, onehot, rng=None):
         """Mean cross-entropy over the batch and its exact parameter gradients.
 
-        Softmax and cross-entropy are fused: backprop starts from (p - y)/B at
-        the softmax input, so the softmax layer's own backward is bypassed.
+        A training forward: dropout drops units only given an ``rng``. Softmax
+        and cross-entropy are fused: backprop starts from (p - y)/B at the
+        softmax input. It stops at the first weighted layer; a layer before
+        that keeps what its forward stored (CNN2's, a ZeroPad, stores nothing).
         """
         onehot = np.asarray(onehot, dtype=self.dtype)
-        probs = self.forward(x, train=train, rng=rng)
+        probs = self.forward(x, train=True, rng=rng)
         if probs.shape != onehot.shape:
             raise ShapeError(f"one-hot shape {onehot.shape} != output shape {probs.shape}")
         loss = batch_cross_entropy(probs, onehot)

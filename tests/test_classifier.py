@@ -170,12 +170,26 @@ class TestTrain:
         model = initialize(build_cnn2(), seed=9)
         model, h = train(model, train_set, val_set, cfg)
         # rerunning validation on the returned model reproduces the best epoch's loss
-        from stbcid.classifier import _as_batch, _eval_metrics
+        from stbcid.classifier import _eval_metrics
 
-        x = _as_batch(val_set.frames, model.net.dtype)
-        y = np.eye(2, dtype=model.net.dtype)[val_set.schemes]
-        loss, acc = _eval_metrics(model, x, y, val_set.schemes.astype(np.int64))
+        loss, acc = _eval_metrics(model, val_set)
         assert loss == h.val_loss[h.best_epoch - 1]
+
+    def test_only_a_training_step_holds_activations(self, tiny_sets):
+        def held(model):  # layer attributes, other than parameters and gradients, holding arrays
+            return [(i, name) for i, layer in enumerate(model.net.layers)
+                    for name, value in vars(layer).items()
+                    if isinstance(value, np.ndarray) and name not in ("w", "b", "gw", "gb")]
+
+        train_set, val_set = tiny_sets
+        model = initialize(build_cnn2(), seed=4)
+        predict_batch(model, train_set.frames[:4])
+        assert held(model) == []
+        onehot = np.eye(2, dtype=np.float32)[train_set.schemes[:4]]
+        model.net.loss_and_grads(train_set.frames[:4, None], onehot, rng=np.random.default_rng(0))
+        assert held(model) == []
+        train(model, train_set, val_set, TrainConfig(epochs=1, batch_size=16, seed=4))
+        assert held(model) == []
 
     def test_empty_sets_rejected(self, tiny_sets):
         train_set, val_set = tiny_sets

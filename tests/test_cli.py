@@ -35,6 +35,32 @@ def test_generate_train_eval(tmp_path, monkeypatch, capsys):
     assert "overall" in capsys.readouterr().out
 
 
+def test_train_and_eval_share_the_split(tmp_path, monkeypatch, capsys):
+    data = str(tmp_path / "grid.bin")
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "4", "--burst-len", "256", "-o", data]) == 0
+    seen = []  # the val frames each command scores
+    train, accuracy_vs_snr = classifier.train, evaluation.accuracy_vs_snr
+
+    def traced_train(model, train_set, val_set, cfg):
+        seen.append(val_set.frames.tobytes())
+        return train(model, train_set, val_set, cfg)
+
+    def traced_accuracy(classify_frames, frames, **kwargs):
+        seen.append(frames.frames.tobytes())
+        return accuracy_vs_snr(classify_frames, frames, **kwargs)
+
+    monkeypatch.setattr(classifier, "train", traced_train)
+    monkeypatch.setattr(evaluation, "accuracy_vs_snr", traced_accuracy)
+    for seed in ("1", "2"):
+        assert cli.main(["train", "--dataset", data, "-o", str(tmp_path / seed), "--epochs", "1",
+                         "--batch-size", "32", "--seed", seed]) == 0
+        assert "split: 8 train / 8 val bursts (dataset seed 7)" in capsys.readouterr().out
+    assert cli.main(["eval", "--dataset", data, "--checkpoint",
+                     str(tmp_path / "1" / "checkpoint.stbcnn"), "-o", str(tmp_path / "eval")]) == 0
+    assert len(seen) == 3 and seen[0] == seen[1] == seen[2]
+
+
 def test_eval_cnn_matches_predict_batch(tmp_path):
     data = str(tmp_path / "tiny.bin")
     assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
@@ -142,10 +168,11 @@ def test_train_checkpoint_records_dropout_rate(tmp_path, rate):
     stored = classifier.load_checkpoint(out / "checkpoint.stbcnn").spec
     rates = [ls.rate for ls in stored.layers if ls.kind == "dropout"]
     assert rates == [expected] * 3
-    # the library path with the same spec trains the same weights
-    frames = dataset.assign_burst_ids(
-        dataset.deserialize_frames(data), dataset.read_manifest(data + ".manifest")[0])
-    train_set, val_set = dataset.split_train_val(frames, 0.5, 3)
+    # the library path with the same spec trains the same weights; the file's
+    # manifest seed (the default 7), not --seed 3, draws the split
+    cfg, _ = dataset.read_manifest(data + ".manifest")
+    frames = dataset.assign_burst_ids(dataset.deserialize_frames(data), cfg)
+    train_set, val_set = dataset.split_train_val(frames, seed=cfg.seed)
     model, _ = classifier.train(classifier.initialize(classifier.build_cnn2(expected), seed=3),
                                 train_set, val_set,
                                 classifier.TrainConfig(epochs=1, batch_size=8, seed=3))
@@ -170,7 +197,7 @@ def _float_actions():
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_non_finite_float_flags_exit_two(tmp_path, capsys, bad):
     found = list(_float_actions())
-    assert len(found) >= 10
+    assert len(found) >= 8
     for command, sub, action in found:
         flag, key = action.option_strings[-1], action.option_strings[-1][2:]
         assert action.type is cli._finite_float, f"{command} {flag}"

@@ -555,7 +555,7 @@ class TestCallContracts:
         for net in (model.net, in_place):
             net.forward(x)
             net.forward(x, train=True, rng=np.random.default_rng(0))
-            net.loss_and_grads(x, onehot, train=True, rng=np.random.default_rng(0))
+            net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
             np.testing.assert_array_equal(x, before)
         frames = x[:, 0].copy()
         predict_batch(model, frames)
@@ -568,7 +568,7 @@ class TestCallContracts:
 
         def run(net, x, onehot):
             probs = net.forward(x)
-            loss, grads = net.loss_and_grads(x, onehot, train=True, rng=np.random.default_rng(9))
+            loss, grads = net.loss_and_grads(x, onehot, rng=np.random.default_rng(9))
             return [probs, np.float64(loss)] + [g.copy() for g in grads]
 
         shared = initialize(build_cnn2(), seed=7).net
