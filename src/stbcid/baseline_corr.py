@@ -37,6 +37,11 @@ from .signal_model import (
 
 GENERATOR_VARIANTS = ("eq2", "paper-eq7")
 
+# Frames scored per correlation_features call in classify_frames: bounds its
+# complex temporaries (scoring all 6300 frames of the default grid at once took
+# peak RSS from 67 to 78 MB in `perfbench/run.py --workload baseline`).
+CORR_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class CorrelationFeature:
@@ -112,7 +117,6 @@ def received_sequence(
     noise: NoiseSpec,
     k1: int = 0,
     variant: str = "eq2",
-    snr_db: float = 0.0,
 ) -> np.ndarray:
     """One received sequence with an explicit channel (constant throughout).
 
@@ -139,8 +143,7 @@ def received_sequence(
     else:
         n_sym = 2 * n_cols
     tx = encode(scheme, _random_symbols(rng, n_sym))
-    cfg = ReceiveConfig(k1=k1, length=length, snr_db=snr_db)
-    return receive(tx, channel, noise, cfg, rng)
+    return receive(tx, channel, noise, ReceiveConfig(k1=k1, length=length), rng)
 
 
 def synth_with_channel(
@@ -157,7 +160,7 @@ def synth_with_channel(
     k1 = int(rng.integers(0, block_slots(scheme)))
     return channel, received_sequence(
         scheme, length, rng, channel, noise_variance_for_snr(snr_db),
-        k1=k1, variant=variant, snr_db=snr_db,
+        k1=k1, variant=variant,
     )
 
 
@@ -242,7 +245,24 @@ def calibrate_threshold(
                                    snr_db=snr_db, seq_len=seq_len)
 
 
+def _decide(features, rule: ThresholdRule) -> np.ndarray:
+    """The decision rule: feature > threshold -> AL (1), ties -> SM (0)."""
+    return (np.asarray(features) > rule.threshold).astype(np.int64)
+
+
 def classify_corr(feature, rule: ThresholdRule) -> CodingScheme:
-    """feature > threshold -> AL, ties -> SM."""
+    """One feature's class under ``rule``."""
     value = feature.feature if isinstance(feature, CorrelationFeature) else float(feature)
-    return CodingScheme.AL if value > rule.threshold else CodingScheme.SM
+    return CodingScheme(int(_decide(value, rule)))
+
+
+def classify_frames(frames, rule: ThresholdRule) -> np.ndarray:
+    """Class of each IQ frame [N, 2, L] (rows I, Q) under ``rule``, ``CORR_BLOCK`` frames
+    per feature pass; frame i's equals ``classify_corr(correlation_feature(I + jQ), rule)``."""
+    frames = np.asarray(frames)
+    out = np.empty(frames.shape[0], dtype=np.int64)
+    for start in range(0, frames.shape[0], CORR_BLOCK):
+        block = frames[start : start + CORR_BLOCK]
+        feats = correlation_features(block[:, 0] + 1j * block[:, 1])
+        out[start : start + CORR_BLOCK] = _decide(feats, rule)
+    return out

@@ -1,5 +1,8 @@
 """The two-class IQ-frame CNN: architecture, training loop, inference, checkpoints.
 
+A model maps a 1 x 2 x 128 frame to two class probabilities (P_SM, P_AL), which
+``decide`` turns into classes; ``load_checkpoint`` rejects any other stack.
+
 The architecture is pinned by its parameter counts (1280, 122960, 2683136,
 514): 1280 = 256*(1*1*4+1) forces a 1x4 kernel on the first conv layer;
 122960 = 80*(256*2*3+1) forces 2x3 on the second; the stated activation
@@ -53,14 +56,13 @@ class CheckpointVersionError(CheckpointError):
 
 
 class DescriptorMismatchError(CheckpointError):
-    """Stored architecture descriptor disagrees with the expected one."""
+    """The stored tensors disagree with the descriptors, or the stack is not a frame classifier."""
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     layers: tuple[LayerSpec, ...]
     input_shape: tuple[int, ...] = (1, 2, FRAME_LEN)
-    n_classes: int = 2
 
 
 @dataclass
@@ -123,17 +125,15 @@ def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
         dense_spec(2),
         softmax_spec(),
     )
-    return ModelSpec(layers=layers, input_shape=(1, 2, FRAME_LEN), n_classes=2)
+    return ModelSpec(layers=layers, input_shape=(1, 2, FRAME_LEN))
 
 
 def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
     """Materialize a spec with seeded He/Glorot-uniform weights."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, 0x696E6974]))
     net = Network(spec.layers, spec.input_shape, rng, dtype=dtype)
-    if net.output_shape != (spec.n_classes,):
-        raise ShapeError(
-            f"stack produces {net.output_shape}, expected ({spec.n_classes},)"
-        )
+    if net.output_shape != (2,):
+        raise ShapeError(f"stack produces {net.output_shape}, expected the two classes (2,)")
     return Model(spec=spec, net=net)
 
 
@@ -168,7 +168,7 @@ def predict_batch(model: Model, frames: np.ndarray, batch_size: int = INFER_BLOC
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     x = _as_batch(np.asarray(frames), model.net.dtype)
     n = x.shape[0]
-    out = np.empty((n, model.spec.n_classes), dtype=np.float64)
+    out = np.empty((n, 2), dtype=np.float64)
     for start in range(0, n, batch_size):
         block = x[start:start + batch_size]
         if block.shape[0] < batch_size:
@@ -178,9 +178,14 @@ def predict_batch(model: Model, frames: np.ndarray, batch_size: int = INFER_BLOC
     return out
 
 
+def decide(probs) -> np.ndarray:
+    """Class of each row (P_SM, P_AL) of [N, 2]: AL (1) iff P_AL > P_SM, ties go to SM (0)."""
+    probs = np.asarray(probs)
+    return (probs[:, 1] > probs[:, 0]).astype(np.int64)
+
+
 def predict(model: Model, frame: np.ndarray) -> tuple[float, float]:
-    """Probabilities (P_SM, P_AL) for one 2 x 128 frame; classification is argmax,
-    ties broken toward SM."""
+    """Probabilities (P_SM, P_AL) for one 2 x 128 frame; ``decide`` classifies them."""
     frame = np.asarray(frame)
     if frame.shape == (1, 2, FRAME_LEN):
         frame = frame[0]
@@ -189,16 +194,14 @@ def predict(model: Model, frame: np.ndarray) -> tuple[float, float]:
 
 
 def classify(model: Model, frame: np.ndarray) -> int:
-    p_sm, p_al = predict(model, frame)
-    return 1 if p_al > p_sm else 0
+    return int(decide([predict(model, frame)])[0])
 
 
 def _eval_metrics(model: Model, frames: FrameSet) -> tuple[float, float]:
     """Mean loss and accuracy of a frame set, scored by predict_batch."""
     probs = predict_batch(model, frames.frames)
-    pred = (probs[:, 1] > probs[:, 0]).astype(np.int64)  # ties go to SM
     onehot = np.eye(2)[frames.schemes]
-    return batch_cross_entropy(probs, onehot), float(np.mean(pred == frames.schemes))
+    return batch_cross_entropy(probs, onehot), float(np.mean(decide(probs) == frames.schemes))
 
 
 def train(model: Model, train_set: FrameSet, val_set: FrameSet,
@@ -325,8 +328,9 @@ class _Reader:
         return fmt.unpack(self.take(fmt.size))
 
 
-def load_checkpoint(path, expected: ModelSpec | None = None) -> Model:
-    """Rebuild a model bit-exactly; optionally insist on a particular architecture."""
+def load_checkpoint(path) -> Model:
+    """Rebuild a model bit-exactly; ``DescriptorMismatchError`` unless its stack maps a
+    (1, 2, FRAME_LEN) frame to two class probabilities, so callers check no shapes."""
     with open(path, "rb") as f:
         r = _Reader(f.read(), path)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -345,7 +349,11 @@ def load_checkpoint(path, expected: ModelSpec | None = None) -> Model:
         net = Network(specs, input_shape, None, dtype=np.float32)  # zeros, filled below
     except (ParameterError, ShapeError) as e:
         raise CorruptCheckpointError(f"{path}: descriptors do not form a network ({e})") from None
-    spec = ModelSpec(layers=specs, input_shape=input_shape, n_classes=net.output_shape[0])
+    if input_shape != (1, 2, FRAME_LEN) or net.output_shape != (2,):
+        raise DescriptorMismatchError(
+            f"{path}: the model maps {input_shape} to {net.output_shape}, not a "
+            f"(1, 2, {FRAME_LEN}) frame to the two classes (2,)"
+        )
     (n_tensors,) = struct.unpack("<I", r.take(4))
     params = net.parameters()
     if n_tensors != len(params):
@@ -363,9 +371,4 @@ def load_checkpoint(path, expected: ModelSpec | None = None) -> Model:
         p[...] = np.frombuffer(raw, dtype="<f4").reshape(tshape)
     if r.pos != len(r.data):
         raise CorruptCheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
-    model = Model(spec=spec, net=net)
-    if expected is not None and (
-        spec.layers != expected.layers or spec.input_shape != expected.input_shape
-    ):
-        raise DescriptorMismatchError(f"{path}: architecture differs from the expected spec")
-    return model
+    return Model(spec=ModelSpec(layers=specs, input_shape=input_shape), net=net)

@@ -18,12 +18,6 @@ from . import baseline_corr, classifier, dataset, evaluation, tensor_nn
 from .errors import ParameterError, ShapeError
 
 
-# Frames scored per correlation_features call: bounds its complex temporaries
-# (scoring all 6300 frames of the default grid at once took peak RSS from 67
-# to 78 MB in `perfbench/run.py --workload baseline`).
-CORR_BLOCK = 256
-
-
 class UsageError(Exception):
     """Semantically invalid flags (exit code 2)."""
 
@@ -55,8 +49,9 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _common_flags(p: argparse.ArgumentParser, seed_help: str = "master seed") -> None:
-    p.add_argument("--seed", type=int, default=7, help=f"{seed_help} (default 7)")
+def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master seed") -> None:
+    if seed_help is not None:
+        p.add_argument("--seed", type=int, default=7, help=f"{seed_help} (default 7)")
     p.add_argument("--threads", type=int, default=1, choices=(1,),
                    help="only 1 is accepted; set OPENBLAS_NUM_THREADS to parallelize BLAS")
     p.add_argument("--config", metavar="FILE",
@@ -103,8 +98,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="which side of the dataset's own burst split to score (default val)")
     e.add_argument("--baseline", choices=("corr",),
                    help="score the correlation baseline instead of the CNN")
-    e.add_argument("--calibrate-snr", type=_finite_float, default=10.0)
-    e.add_argument("--calibrate-trials", type=int, default=2000)
+    e.add_argument("--calibrate-snr", type=_finite_float,
+                   help="--baseline corr only: calibration SNR in dB (default 10)")
+    e.add_argument("--calibrate-trials", type=int,
+                   help="--baseline corr only: sequences per class (default 2000)")
     _common_flags(e, "seeds the --baseline corr calibration")
     e.set_defaults(func=cmd_eval)
     by_name["eval"] = e
@@ -112,7 +109,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     c = subs.add_parser("classify", help="per-frame probabilities for a dataset or CSV")
     c.add_argument("--checkpoint", required=True)
     c.add_argument("--input", required=True, help="binary dataset or CSV frame rows")
-    _common_flags(c)
+    _common_flags(c, seed_help=None)
     c.set_defaults(func=cmd_classify)
     by_name["classify"] = c
 
@@ -206,22 +203,22 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_split(path: str) -> tuple[dataset.FrameSet, dataset.FrameSet, int]:
-    """Load the dataset once and split its bursts by its manifest seed: (train, val, seed)."""
+def _load_dataset(path: str) -> tuple[dataset.FrameSet, dataset.DatasetConfig]:
+    """Read the dataset and its manifest once: (frames with burst ids, manifest config)."""
     frames = dataset.deserialize_frames(path)
     manifest_path = path + ".manifest"
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(
-            f"{manifest_path} not found; the manifest is required to reconstruct "
-            f"burst boundaries for a leakage-free split"
+            f"{manifest_path} not found; the manifest is required: it holds the "
+            f"config and burst boundaries that the split and the baseline read"
         )
     cfg, count = dataset.read_manifest(manifest_path)
-    if count != len(frames):
+    if count != len(frames) or frames.frames.shape[2] != dataset.FRAME_LEN:
         raise dataset.DatasetFormatError(
-            f"manifest says {count} frames, dataset has {len(frames)}"
+            f"manifest says {count} frames of {dataset.FRAME_LEN} samples, dataset has "
+            f"{len(frames)} of {frames.frames.shape[2]}"
         )
-    frames = dataset.assign_burst_ids(frames, cfg)
-    return (*dataset.split_train_val(frames, seed=cfg.seed), cfg.seed)
+    return dataset.assign_burst_ids(frames, cfg), cfg
 
 
 def cmd_train(args) -> int:
@@ -235,9 +232,11 @@ def cmd_train(args) -> int:
             seed=args.seed,
             patience=args.patience,
         )
-    train_set, val_set, data_seed = _load_split(args.dataset)
+    frames, data_cfg = _load_dataset(args.dataset)
+    train_set, val_set = dataset.split_train_val(frames, seed=data_cfg.seed)
+    del frames  # the sides are copies; training holds only them
     print(f"split: {np.unique(train_set.burst_ids).size} train / "
-          f"{np.unique(val_set.burst_ids).size} val bursts (dataset seed {data_seed})")
+          f"{np.unique(val_set.burst_ids).size} val bursts (dataset seed {data_cfg.seed})")
     os.makedirs(args.out_dir, exist_ok=True)
     model = classifier.initialize(spec, seed=args.seed)
     model, history = classifier.train(model, train_set, val_set, cfg)
@@ -257,62 +256,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _baseline_classifier(args, frames: dataset.FrameSet):
-    window = frames.frames.shape[2]
-    manifest_path = args.dataset + ".manifest"
-    normalize = True
-    if os.path.exists(manifest_path):
-        cfg, _ = dataset.read_manifest(manifest_path)
-        normalize = cfg.normalize
+def _baseline_classifier(args, normalize: bool):
+    snr_db = 10.0 if args.calibrate_snr is None else args.calibrate_snr
+    trials = 2000 if args.calibrate_trials is None else args.calibrate_trials
     with _flags(trials="--calibrate-trials"):
         rule = baseline_corr.calibrate_threshold(
-            args.calibrate_snr, window, args.calibrate_trials,
-            seed=args.seed, normalize=normalize,
+            snr_db, dataset.FRAME_LEN, trials, seed=args.seed, normalize=normalize,
         )
     print(f"calibrated threshold {rule.threshold:.5f} at {rule.snr_db:g} dB "
           f"(training error {rule.achieved_error:.3f}"
           + (", degenerate)" if rule.degenerate else ")"))
-
-    def classify_frames(arr: np.ndarray) -> np.ndarray:
-        out = np.empty(arr.shape[0], dtype=np.int64)
-        for start in range(0, arr.shape[0], CORR_BLOCK):
-            block = arr[start : start + CORR_BLOCK]
-            feats = baseline_corr.correlation_features(block[:, 0] + 1j * block[:, 1])
-            out[start : start + CORR_BLOCK] = feats > rule.threshold  # classify_corr: ties -> SM
-        return out
-
-    return classify_frames
+    return lambda arr: baseline_corr.classify_frames(arr, rule)
 
 
-def _cnn_classifier(args, frames: dataset.FrameSet):
+def _cnn_classifier(args):
     model = classifier.load_checkpoint(args.checkpoint)
-    window = frames.frames.shape[2]
-    if model.spec.input_shape != (1, 2, window):
-        raise ShapeError(
-            f"checkpoint expects input {model.spec.input_shape}, dataset frames are "
-            f"(2, {window})"
-        )
-
-    def classify_frames(arr: np.ndarray) -> np.ndarray:
-        probs = classifier.predict_batch(model, arr)
-        return (probs[:, 1] > probs[:, 0]).astype(np.int64)
-
-    return classify_frames
+    return lambda arr: classifier.decide(classifier.predict_batch(model, arr))
 
 
 def cmd_eval(args) -> int:
     if args.baseline is None and not args.checkpoint:
         raise UsageError("--checkpoint is required unless --baseline corr is given")
-    if args.split == "all":
-        frames = dataset.deserialize_frames(args.dataset)
-    else:
-        train_side, val_side, _ = _load_split(args.dataset)
+    # a flag that the chosen path does not read is a usage error naming it
+    unread = (("--checkpoint", args.checkpoint),) if args.baseline else (
+        ("--calibrate-trials", args.calibrate_trials), ("--calibrate-snr", args.calibrate_snr))
+    given = [flag for flag, value in unread if value is not None]
+    if given:
+        path = "with --baseline corr" if args.baseline else "without --baseline"
+        raise UsageError(f"{', '.join(given)}: not read by eval {path}")
+    frames, data_cfg = _load_dataset(args.dataset)
+    if args.split != "all":
+        train_side, val_side = dataset.split_train_val(frames, seed=data_cfg.seed)
         frames = val_side if args.split == "val" else train_side
     classify_frames = (
-        _baseline_classifier(args, frames) if args.baseline else _cnn_classifier(args, frames)
+        _baseline_classifier(args, data_cfg.normalize) if args.baseline
+        else _cnn_classifier(args)
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     curve, confusions = evaluation.accuracy_vs_snr(classify_frames, frames, vectorized=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
     for snr, cm in confusions.items():
@@ -340,15 +321,9 @@ def cmd_classify(args) -> int:
         frames = dataset.read_frames_csv(args.input)
     if len(frames) == 0:
         return 0
-    window = frames.frames.shape[2]
-    if model.spec.input_shape != (1, 2, window):
-        raise ShapeError(
-            f"checkpoint expects input {model.spec.input_shape}, frames are (2, {window})"
-        )
     probs = classifier.predict_batch(model, frames.frames)
-    for i, (p_sm, p_al) in enumerate(probs):
-        label = evaluation.CLASS_NAMES[1 if p_al > p_sm else 0]
-        print(f"{i},{p_sm:.6f},{p_al:.6f},{label}")
+    for i, ((p_sm, p_al), label) in enumerate(zip(probs, classifier.decide(probs))):
+        print(f"{i},{p_sm:.6f},{p_al:.6f},{evaluation.CLASS_NAMES[label]}")
     return 0
 
 

@@ -76,8 +76,7 @@ class DatasetConfig:
     snr_grid: tuple[float, ...]
     bursts_per_cell: int
     burst_len: int = 1024
-    window: int = FRAME_LEN
-    shift: int = 64
+    shift: int = 64  # frames are FRAME_LEN-sample windows, this many samples apart
     seed: int = 0
     normalize: bool = True
 
@@ -90,16 +89,14 @@ class DatasetConfig:
                                  f"{len(self.snr_grid)} points on {labels} labels")
         if self.bursts_per_cell < 1:
             raise ParameterError(f"bursts_per_cell must be >= 1, got {self.bursts_per_cell}")
-        if self.window <= 0:
-            raise ParameterError("window must be positive")
-        if not 0 < self.shift <= self.window:
-            raise ParameterError("shift must satisfy 0 < shift <= window")
-        if self.burst_len < self.window:
-            raise ParameterError(f"burst_len must be >= window ({self.window}), got {self.burst_len}")
+        if not 0 < self.shift <= FRAME_LEN:
+            raise ParameterError(f"shift must satisfy 0 < shift <= {FRAME_LEN}")
+        if self.burst_len < FRAME_LEN:
+            raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {self.burst_len}")
 
     @property
     def frames_per_burst(self) -> int:
-        return (self.burst_len - self.window) // self.shift + 1
+        return (self.burst_len - FRAME_LEN) // self.shift + 1
 
     @property
     def total_frames(self) -> int:
@@ -190,10 +187,9 @@ def to_iq(window, normalize: bool = True) -> np.ndarray:
     return _iq_frames(w[np.newaxis], normalize)[0]
 
 
-def _burst_frames(job: tuple[CodingScheme, float, int, int, DatasetConfig]) -> np.ndarray:
-    scheme, snr_db, burst_index, seed, cfg = job
+def _burst_frames(scheme: CodingScheme, snr_db: float, seed: int, cfg: DatasetConfig) -> np.ndarray:
     burst = synthesize_burst(scheme, snr_db, cfg.burst_len, seed)
-    windows = window_frames(burst.samples, cfg.window, cfg.shift)
+    windows = window_frames(burst.samples, FRAME_LEN, cfg.shift)
     return _iq_frames(windows, cfg.normalize).astype(np.float32)
 
 
@@ -203,15 +199,13 @@ def generate_dataset(cfg: DatasetConfig) -> FrameSet:
     Cell order is snr (grid order) x (SM, AL) x burst index; per-burst seeds
     are derived from the master seed.
     """
-    if cfg.window != FRAME_LEN:
-        raise ParameterError(f"frames are fixed at 2 x {FRAME_LEN}; cfg.window must be {FRAME_LEN}")
     jobs = []
     for snr_db in cfg.snr_grid:
         for scheme in (CodingScheme.SM, CodingScheme.AL):
             for b in range(cfg.bursts_per_cell):
                 seed = derive_burst_seed(cfg.seed, scheme, snr_db, b)
-                jobs.append((scheme, snr_db, b, seed, cfg))
-    per_burst = [_burst_frames(job) for job in jobs]
+                jobs.append((scheme, snr_db, seed))
+    per_burst = [_burst_frames(*job, cfg) for job in jobs]
 
     wpb = cfg.frames_per_burst
     frames = np.concatenate(per_burst, axis=0)
@@ -381,7 +375,7 @@ def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
         "snr_grid=" + ",".join(repr(s) for s in cfg.snr_grid),
         f"bursts_per_cell={cfg.bursts_per_cell}",
         f"burst_len={cfg.burst_len}",
-        f"window={cfg.window}",
+        f"window={FRAME_LEN}",
         f"shift={cfg.shift}",
         f"normalize={int(cfg.normalize)}",
         f"frames={count}",
@@ -404,11 +398,12 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
     try:
         if int(kv["manifest_version"]) != MANIFEST_VERSION:
             raise VersionMismatchError(f"{path}: manifest version {kv['manifest_version']}")
+        if int(kv["window"]) != FRAME_LEN:
+            raise DatasetFormatError(f"{path}: window {kv['window']}, frames have {FRAME_LEN}")
         cfg = DatasetConfig(
             snr_grid=tuple(float(s) for s in kv["snr_grid"].split(",")),
             bursts_per_cell=int(kv["bursts_per_cell"]),
             burst_len=int(kv["burst_len"]),
-            window=int(kv["window"]),
             shift=int(kv["shift"]),
             seed=int(kv["seed"]),
             normalize=bool(int(kv["normalize"])),

@@ -49,10 +49,9 @@ class LossCurve:
 
 
 def confusion_matrix(preds, truths) -> np.ndarray:
-    """2x2 counts, rows = true class (SM, AL), columns = predicted."""
-    preds = np.asarray([int(p) for p in preds], dtype=np.int64)
-    truths = np.asarray([int(t) for t in truths], dtype=np.int64)
-    if preds.size == 0 or preds.shape != truths.shape:
+    """2x2 counts, rows = true class (SM, AL), columns = predicted; any class but 0 or 1 raises."""
+    preds, truths = np.asarray(preds), np.asarray(truths)
+    if preds.ndim != 1 or preds.size == 0 or preds.shape != truths.shape:
         raise ShapeError(
             f"need equal-length non-empty prediction/truth lists, "
             f"got {preds.shape} and {truths.shape}"
@@ -60,7 +59,7 @@ def confusion_matrix(preds, truths) -> np.ndarray:
     if not (np.isin(preds, (0, 1)).all() and np.isin(truths, (0, 1)).all()):
         raise ParameterError("classes must be 0 (SM) or 1 (AL)")
     cm = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(cm, (truths, preds), 1)
+    np.add.at(cm, (truths.astype(np.int64), preds.astype(np.int64)), 1)
     return cm
 
 

@@ -52,11 +52,10 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class ReceiveConfig:
-    """Interception window: block offset k1, sample count, nominal SNR tag."""
+    """Interception window: block offset k1 and sample count."""
 
     k1: int
     length: int
-    snr_db: float
 
     def __post_init__(self) -> None:
         if self.k1 < 0:

@@ -460,9 +460,9 @@ class Network:
                 layer.pad = specs[i - 1].pad
             self.layers.append(layer)
         self.output_shape = shapes[-1]
-        # backprop stops at the first layer with parameters: nothing reads its input gradient
-        weighted = [i for i, layer in enumerate(self.layers) if layer.params()]
-        self._backprop_layers = self.layers[weighted[0]:-1] if weighted else []
+        # backprop reaches the first layer that is not a ZeroPad, which stores nothing
+        first = next(i for i, layer in enumerate(self.layers) if not isinstance(layer, ZeroPad))
+        self._backprop_layers = self.layers[first:-1]
 
     def forward(self, x, train: bool = False, rng=None, sign_trace=None) -> np.ndarray:
         x = np.array(x, dtype=self.dtype)  # the layers may overwrite it; the caller's stays
@@ -488,8 +488,9 @@ class Network:
 
         A training forward: dropout drops units only given an ``rng``. Softmax
         and cross-entropy are fused: backprop starts from (p - y)/B at the
-        softmax input. It stops at the first weighted layer; a layer before
-        that keeps what its forward stored (CNN2's, a ZeroPad, stores nothing).
+        softmax input. It runs down to the first layer that is not a ZeroPad,
+        so every layer releases what its forward stored; if that layer has
+        weights it skips its input gradient, which nothing reads.
         """
         onehot = np.asarray(onehot, dtype=self.dtype)
         probs = self.forward(x, train=True, rng=rng)
@@ -500,7 +501,11 @@ class Network:
         for layer in reversed(self._backprop_layers[1:]):
             grad = layer.backward(grad)
         if self._backprop_layers:
-            self._backprop_layers[0].backward(grad, input_grad=False)
+            first = self._backprop_layers[0]
+            if first.params():  # nothing reads its input gradient
+                first.backward(grad, input_grad=False)
+            else:
+                first.backward(grad)
         return loss, self.gradients()
 
 

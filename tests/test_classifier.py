@@ -26,8 +26,8 @@ from stbcid.classifier import (
     train,
 )
 from stbcid.dataset import FRAME_LEN, DatasetConfig, generate_dataset, split_train_val
-from stbcid.errors import ParameterError
-from stbcid.tensor_nn import dense_spec, flatten_spec, softmax_spec, trace_shapes
+from stbcid.errors import ParameterError, ShapeError
+from stbcid.tensor_nn import Network, dense_spec, flatten_spec, softmax_spec, trace_shapes
 
 TABLE_COUNTS = [1280, 122960, 2683136, 514]
 
@@ -252,18 +252,23 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_descriptor_mismatch_rejected(self, tmp_path):
-        other = ModelSpec(
-            layers=(flatten_spec(), dense_spec(4), softmax_spec()),
-            input_shape=(1, 2, FRAME_LEN),
-            n_classes=4,
-        )
-        model = initialize(other, seed=0)
         path = tmp_path / "m.stbcnn"
-        save_checkpoint(model, path)
-        with pytest.raises(DescriptorMismatchError):
-            load_checkpoint(path, expected=build_cnn2())
-        # without the expectation the checkpoint loads fine
-        assert isinstance(load_checkpoint(path), Model)
+        # well-formed stacks that do not map a 2 x 128 frame to the two classes
+        for units, input_shape in [(4, (1, 2, FRAME_LEN)), (1, (1, 2, FRAME_LEN)),
+                                   (2, (1, 2, 64))]:
+            spec = ModelSpec(layers=(flatten_spec(), dense_spec(units), softmax_spec()),
+                             input_shape=input_shape)
+            net = Network(spec.layers, spec.input_shape, np.random.default_rng(0))
+            save_checkpoint(Model(spec=spec, net=net), path)
+            with pytest.raises(DescriptorMismatchError):
+                load_checkpoint(path)
+            if units != 2:
+                with pytest.raises(ShapeError):
+                    initialize(spec)
+        # the same small stack with two classes over 2 x 128 frames loads fine
+        spec = ModelSpec(layers=(flatten_spec(), dense_spec(2), softmax_spec()))
+        save_checkpoint(initialize(spec), path)
+        assert load_checkpoint(path).spec == spec
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         model = initialize(build_cnn2(), seed=4)

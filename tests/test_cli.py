@@ -2,11 +2,12 @@
 
 import argparse
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
 
-from stbcid import baseline_corr, classifier, cli, dataset, evaluation
+from stbcid import baseline_corr, classifier, cli, dataset, evaluation, tensor_nn
 
 
 def test_gradcheck_exits_zero(capsys):
@@ -88,7 +89,8 @@ def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):
     assert cli.main(["generate", "--snr-min", "-10", "--snr-max", "10", "--snr-step", "5",
                      "--bursts", "3", "--seed", "4", "-o", data]) == 0
     frames = dataset.deserialize_frames(data)
-    assert len(frames) % cli.CORR_BLOCK and len(frames) > cli.CORR_BLOCK  # a ragged last block
+    assert (len(frames) % baseline_corr.CORR_BLOCK
+            and len(frames) > baseline_corr.CORR_BLOCK)  # a ragged last block
     feats = [baseline_corr.correlation_feature(f[0] + 1j * f[1]) for f in frames.frames]
 
     def expected_csv(rule):
@@ -143,6 +145,10 @@ DATA, OUT = "<dataset>", "<out>"
     ["generate", "-o", OUT, "--snr-min", "0", "--snr-step", "1e-3", "--snr-max", "1e6"],
     # storable bounds, but more points than int16 has labels
     ["generate", "-o", OUT, "--snr-min", "-300", "--snr-max", "300", "--snr-step", "1e-3"],
+    # flags that the chosen eval path does not read, rejected before any file is opened
+    ["eval", "--dataset", DATA, "-o", OUT, "--checkpoint", "missing.stbcnn",
+     "--calibrate-trials", "5", "--calibrate-snr", "99"],
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--checkpoint", "missing.stbcnn"],
 ])
 def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
     out = tmp_path / "out"
@@ -151,6 +157,92 @@ def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
     flag = [a for a in argv if a.startswith("--")][-1]
     assert flag in capsys.readouterr().err
     assert not out.exists()  # nothing written, no output directory made
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("calibrate-snr", "10", []),  # the default value, still not read by a CNN eval
+    ("calibrate-trials", "2000", []),
+    ("checkpoint", "missing.stbcnn", ["--baseline", "corr"]),
+])
+def test_unread_config_values_exit_two(tiny_dataset, tmp_path, capsys, key, value, path):
+    config = tmp_path / "eval.cfg"
+    config.write_text(f"{key}={value}\n")
+    flags = [] if path else ["--checkpoint", "missing.stbcnn"]
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--dataset", tiny_dataset, "-o", str(out), *flags, *path,
+                     "--config", str(config)]) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _small_model(units=2, width=dataset.FRAME_LEN) -> classifier.Model:
+    """A flatten-dense-softmax model with any number of outputs and any frame width."""
+    spec = classifier.ModelSpec(
+        layers=(tensor_nn.flatten_spec(), tensor_nn.dense_spec(units), tensor_nn.softmax_spec()),
+        input_shape=(1, 2, width),
+    )
+    return classifier.Model(spec=spec, net=tensor_nn.Network(spec.layers, spec.input_shape,
+                                                             np.random.default_rng(0)))
+
+
+def _assert_exits_one(argv, capsys, out=None):
+    assert cli.main(argv) == 1  # returns: no traceback escapes
+    assert "error:" in capsys.readouterr().err
+    assert out is None or not out.exists()
+
+
+@pytest.mark.parametrize("units, width", [(1, dataset.FRAME_LEN), (4, dataset.FRAME_LEN), (2, 64)])
+def test_checkpoint_that_is_not_a_frame_classifier_exits_one(tiny_dataset, tmp_path, capsys,
+                                                              units, width):
+    checkpoint = str(tmp_path / "m.stbcnn")
+    classifier.save_checkpoint(_small_model(units, width), checkpoint)
+    out = tmp_path / "out"
+    for split in ("val", "all"):
+        _assert_exits_one(["eval", "--dataset", tiny_dataset, "--checkpoint", checkpoint,
+                           "-o", str(out), "--split", split], capsys, out)
+    _assert_exits_one(["classify", "--checkpoint", checkpoint, "--input", tiny_dataset], capsys)
+
+
+def test_frames_of_another_width_exit_one(tiny_dataset, tmp_path, capsys):
+    checkpoint = str(tmp_path / "m.stbcnn")
+    classifier.save_checkpoint(_small_model(), checkpoint)
+    n = len(dataset.deserialize_frames(tiny_dataset))
+    narrow = dataset.FrameSet(frames=np.ones((n, 2, 64), np.float32),
+                              schemes=np.zeros(n, np.uint8), snrs_db=np.zeros(n))
+    binary, text = str(tmp_path / "narrow.bin"), str(tmp_path / "narrow.csv")
+    dataset.serialize_frames(narrow, binary)
+    dataset.export_frames_csv(narrow, text)
+    for path in (binary, text):
+        _assert_exits_one(["classify", "--checkpoint", checkpoint, "--input", path], capsys)
+    # the same frame count under a 128-sample manifest: the file does not match it
+    shutil.copy(tiny_dataset + ".manifest", binary + ".manifest")
+    out = tmp_path / "out"
+    _assert_exits_one(["eval", "--dataset", binary, "--checkpoint", checkpoint, "-o", str(out)],
+                      capsys, out)
+    _assert_exits_one(["eval", "--dataset", binary, "--baseline", "corr", "-o", str(out),
+                       "--calibrate-trials", "100"], capsys, out)
+
+
+def test_classify_prints_each_frame_decision(tiny_dataset, tmp_path, capsys):
+    frames = dataset.deserialize_frames(tiny_dataset)
+    model = _small_model()
+    # output bias set so that the decisions split the frames
+    probs = classifier.predict_batch(model, frames.frames)
+    model.net.layers[-2].b[0] += np.median(np.log(probs[:, 1]) - np.log(probs[:, 0]))
+    checkpoint = str(tmp_path / "m.stbcnn")
+    classifier.save_checkpoint(model, checkpoint)
+    text = str(tmp_path / "frames.csv")
+    dataset.export_frames_csv(frames, text)
+    printed = []
+    for path in (tiny_dataset, text):
+        assert cli.main(["classify", "--checkpoint", checkpoint, "--input", path]) == 0
+        printed.append(capsys.readouterr().out.splitlines())
+    assert printed[0] == printed[1] and len(printed[0]) == len(frames)
+    probs = classifier.predict_batch(classifier.load_checkpoint(checkpoint), frames.frames)
+    labels = classifier.decide(probs)
+    assert 0 < labels.sum() < len(labels)
+    for i, (line, (p_sm, p_al), label) in enumerate(zip(printed[0], probs, labels)):
+        assert line == f"{i},{p_sm:.6f},{p_al:.6f},{evaluation.CLASS_NAMES[label]}"
 
 
 @pytest.mark.parametrize("rate", [None, 0.2])

@@ -208,7 +208,7 @@ class TestBurstFrames:
     def test_bit_equal_to_one_window_at_a_time(self, normalize):
         cfg = small_config(burst_len=700, shift=50, normalize=normalize)
         for scheme in (CodingScheme.SM, CodingScheme.AL):
-            frames = _burst_frames((scheme, 0.0, 0, 11, cfg))
+            frames = _burst_frames(scheme, 0.0, 11, cfg)
             windows = window_frames(synthesize_burst(scheme, 0.0, 700, 11).samples, 128, 50)
             stacked = np.stack([to_iq(w, normalize) for w in windows]).astype(np.float32)
             frozen = np.stack([scalar_to_iq(w, normalize) for w in windows]).astype(np.float32)
@@ -389,6 +389,16 @@ class TestManifest:
         cfg2, count = read_manifest(path)
         assert cfg2 == cfg
         assert count == len(frames)
+
+    def test_window_other_than_frame_len_rejected(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "d.manifest"
+        write_manifest(cfg, cfg.total_frames, path)
+        text = path.read_text()
+        assert f"window={FRAME_LEN}\n" in text
+        path.write_text(text.replace(f"window={FRAME_LEN}\n", "window=64\n"))
+        with pytest.raises(DatasetFormatError, match="window"):
+            read_manifest(path)
 
     def test_burst_id_reconstruction(self, tmp_path):
         cfg = small_config()

@@ -52,6 +52,14 @@ class TestConfusionMatrix:
         with pytest.raises(ShapeError):
             confusion_matrix([SM], [SM, AL])
 
+    @pytest.mark.parametrize("bad", [2, 0.7, float("nan")])
+    def test_non_class_values_rejected(self, bad):
+        # counted as neither class, not truncated to one
+        with pytest.raises(ParameterError):
+            confusion_matrix([bad, AL], [AL, AL])
+        with pytest.raises(ParameterError):
+            confusion_matrix([AL, AL], [AL, bad])
+
 
 class TestAccuracyVsSnr:
     def test_perfect_classifier(self):

@@ -135,28 +135,28 @@ class TestReceive:
     def test_degenerate_channel_row0(self):
         tx = self._tx()
         ch = ChannelRealization(h0=1.0, h1=0.0)
-        cfg = ReceiveConfig(k1=0, length=tx.shape[1], snr_db=0.0)
+        cfg = ReceiveConfig(k1=0, length=tx.shape[1])
         r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[0], atol=1e-15)
 
     def test_degenerate_channel_row1(self):
         tx = self._tx()
         ch = ChannelRealization(h0=0.0, h1=1.0)
-        cfg = ReceiveConfig(k1=0, length=tx.shape[1], snr_db=0.0)
+        cfg = ReceiveConfig(k1=0, length=tx.shape[1])
         r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[1], atol=1e-15)
 
     def test_offset_shifts_columns(self):
         tx = self._tx()
         ch = ChannelRealization(h0=1.0, h1=0.0)
-        cfg = ReceiveConfig(k1=3, length=5, snr_db=0.0)
+        cfg = ReceiveConfig(k1=3, length=5)
         r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[0, 3:8], atol=1e-15)
 
     def test_noise_variance_oracle(self):
         # all-zero tx isolates w(k); sample variance ~ sigma_w^2 within 2%
         tx = np.zeros((2, 100_000), dtype=complex)
-        cfg = ReceiveConfig(k1=0, length=100_000, snr_db=0.0)
+        cfg = ReceiveConfig(k1=0, length=100_000)
         spec = noise_variance_for_snr(0.0)
         r = receive(tx, ChannelRealization(1.0, 1.0), spec, cfg, np.random.default_rng(3))
         measured = np.mean(np.abs(r) ** 2)
@@ -167,7 +167,7 @@ class TestReceive:
         a = rng_tx.standard_normal((2, 12)) + 1j * rng_tx.standard_normal((2, 12))
         b = rng_tx.standard_normal((2, 12)) + 1j * rng_tx.standard_normal((2, 12))
         ch = ChannelRealization(h0=0.3 - 0.2j, h1=1.1 + 0.7j)
-        cfg = ReceiveConfig(k1=0, length=12, snr_db=0.0)
+        cfg = ReceiveConfig(k1=0, length=12)
 
         def rx(tx):
             return receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
@@ -176,14 +176,14 @@ class TestReceive:
 
     def test_length_overrun_rejected(self):
         tx = self._tx(n=4)
-        cfg = ReceiveConfig(k1=1, length=tx.shape[1], snr_db=0.0)
+        cfg = ReceiveConfig(k1=1, length=tx.shape[1])
         with pytest.raises(ShapeError):
             receive(tx, ChannelRealization(1.0, 0.0), NoiseSpec(0.0), cfg, np.random.default_rng(0))
 
     def test_same_seed_identical(self):
         tx = self._tx()
         ch = ChannelRealization(h0=0.5 + 0.5j, h1=-0.2j)
-        cfg = ReceiveConfig(k1=0, length=8, snr_db=5.0)
+        cfg = ReceiveConfig(k1=0, length=8)
         spec = noise_variance_for_snr(5.0)
         r1 = receive(tx, ch, spec, cfg, np.random.default_rng(7))
         r2 = receive(tx, ch, spec, cfg, np.random.default_rng(7))

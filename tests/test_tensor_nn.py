@@ -561,6 +561,23 @@ class TestCallContracts:
         predict_batch(model, frames)
         np.testing.assert_array_equal(frames, before[:, 0])
 
+    def test_state_before_the_first_weighted_layer_released(self):
+        # the ReLU and Dropout come before the first weighted layer
+        specs = [relu_spec(), dropout_spec(0.5), flatten_spec(), dense_spec(2), softmax_spec()]
+        net = Network(specs, (1, 2, FRAME_LEN), np.random.default_rng(1))
+        x, onehot = _cnn2_batch(64, seed=2)
+        net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
+        held = [(i, name) for i, layer in enumerate(net.layers)
+                for name, value in vars(layer).items()
+                if isinstance(value, np.ndarray) and name not in ("w", "b", "gw", "gb")]
+        assert held == []
+        # backprop through them leaves the gradients exact
+        rng = np.random.default_rng(3)
+        net64 = Network(specs, (1, 2, 8), rng, dtype=np.float64)
+        x64 = rng.standard_normal((3, 1, 2, 8))
+        report = grad_check(net64, x64, np.eye(2)[[0, 1, 1]], step=1e-5, tolerance=1e-4)
+        assert report.passed, f"max rel error {report.max_rel_error}"
+
     def test_batch_sizes_do_not_leak_between_calls(self):
         # 128 -> 118 -> 128 on one model: each call equals the same call on a fresh model
         xa, ya = _cnn2_batch(128, seed=3)
