@@ -26,21 +26,26 @@ from .signal_model import (
     ChannelRealization,
     CodingScheme,
     NoiseSpec,
-    ReceiveConfig,
     block_slots,
-    draw_channel,
+    channel_gains,
+    draw_fading,
     encode,
+    mix,
     modulate_qpsk,
     noise_variance_for_snr,
-    receive,
+    receive,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
 )
-
-GENERATOR_VARIANTS = ("eq2", "paper-eq7")
 
 # Frames scored per correlation_features call in classify_frames: bounds its
 # complex temporaries (scoring all 6300 frames of the default grid at once took
 # peak RSS from 67 to 78 MB in `perfbench/run.py --workload baseline`).
 CORR_BLOCK = 256
+
+# Calibration sequences synthesized per synth_batch call: bounds the block's
+# temporaries at no measured cost in speed. The traced peak of
+# calibrate_threshold(10, 128, 4000) is ~1.4 MB at 64, ~5.1 MB at 256, and
+# ~16 MB with every trial in one block.
+SYNTH_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,30 @@ def correlation_feature(samples) -> CorrelationFeature:
     )
 
 
-def _random_symbols(rng: np.random.Generator, n: int) -> np.ndarray:
-    return modulate_qpsk(rng.integers(0, 2, size=2 * n))
+def _n_bits(scheme: CodingScheme, n_cols: int) -> int:
+    """Bits whose symbols fill n_cols transmit slots: whole AL pairs, two SM symbols a slot."""
+    return 2 * (n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols)
+
+
+def _synth_draws(rng: np.random.Generator, scheme: CodingScheme, length: int, k1: int,
+                 noise_std: float) -> tuple[np.ndarray, np.ndarray]:
+    """One sequence's bits (enough to fill slots k1 .. k1+length-1), then its noise."""
+    bits = rng.integers(0, 2, size=_n_bits(scheme, length + k1))
+    return bits, rng.normal(0.0, noise_std, size=(2, length))
+
+
+def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndarray,
+              w: np.ndarray, variant: str) -> np.ndarray:
+    """Sequences [n, L] from bits [n, B] (rows zero-padded past their own count),
+    offsets k1 [n], gains h [n, 2] and noise w [n, 2, L]: encode, slice at k1, mix."""
+    tx = encode(scheme, modulate_qpsk(bits), variant)
+    windows = np.lib.stride_tricks.sliding_window_view(tx, w.shape[-1], axis=2)
+    return mix(windows[np.arange(k1.size), :, k1], h, w)  # row i's window starts at k1[i]
+
+
+def _start_slot(scheme: CodingScheme, k1: int, variant: str) -> int:
+    """The ``paper-eq7`` AL generator ignores the drawn offset: its pairs start at r(0)."""
+    return 0 if variant == "paper-eq7" and scheme == CodingScheme.AL else k1
 
 
 def received_sequence(
@@ -118,50 +145,58 @@ def received_sequence(
     k1: int = 0,
     variant: str = "eq2",
 ) -> np.ndarray:
-    """One received sequence with an explicit channel (constant throughout).
+    """One received sequence with an explicit channel (constant throughout),
+    drawn and mixed as one row of ``synth_batch``.
 
     ``paper-eq7`` only changes AL synthesis; SM is the same two-stream model
     either way.
     """
-    if variant not in GENERATOR_VARIANTS:
-        raise ParameterError(f"unknown generator variant {variant!r}")
     if length < 2:
         raise ParameterError(f"length must be >= 2, got {length}")
-    if variant == "paper-eq7" and scheme == CodingScheme.AL:
-        n_pairs = (length + 1) // 2
-        x = _random_symbols(rng, 2 * n_pairs)
-        x0, x1 = x[0::2], x[1::2]
-        r = np.empty(2 * n_pairs, dtype=np.complex128)
-        r[0::2] = channel.h0 * x0 + channel.h1 * x1
-        r[1::2] = -channel.h0 * np.conj(x0) + channel.h1 * np.conj(x1)
-        r = r[:length]
-        w = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(2, length))
-        return r + w[0] + 1j * w[1]
-    n_cols = length + k1
-    if scheme == CodingScheme.AL:
-        n_sym = n_cols + (n_cols % 2)
-    else:
-        n_sym = 2 * n_cols
-    tx = encode(scheme, _random_symbols(rng, n_sym))
-    return receive(tx, channel, noise, ReceiveConfig(k1=k1, length=length), rng)
+    if k1 < 0:
+        raise ParameterError(f"k1 must be >= 0, got {k1}")
+    k1 = _start_slot(scheme, k1, variant)
+    bits, w = _synth_draws(rng, scheme, length, k1, np.sqrt(noise.variance / 2.0))
+    h = np.array([[channel.h0, channel.h1]], dtype=np.complex128)
+    return _received(scheme, bits[np.newaxis], np.array([k1]), h, w[np.newaxis], variant)[0]
+
+
+def synth_batch(
+    scheme: CodingScheme, snr_db: float, length: int, seeds, variant: str = "eq2"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
+    row per seed: the one synthesis path, for calibration and dataset bursts alike.
+
+    Each seed's generator draws, in this order, the channel (powers, phases), the
+    block offset k1, the bits and the noise, so a seed fully determines its row,
+    whatever the other seeds. Only the draws run per seed; the math runs once over
+    the block.
+    """
+    if length < 2:
+        raise ParameterError(f"length must be >= 2, got {length}")
+    n = len(seeds)
+    noise_std = np.sqrt(noise_variance_for_snr(snr_db).variance / 2.0)
+    slots = block_slots(scheme)
+    power, phase = np.empty((n, 2)), np.empty((n, 2))
+    k1 = np.empty(n, dtype=np.intp)
+    bits = np.zeros((n, _n_bits(scheme, length + slots - 1)), dtype=np.uint8)  # widest row
+    w = np.empty((n, 2, length))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        power[i], phase[i] = draw_fading(rng)
+        k1[i] = offset = _start_slot(scheme, int(rng.integers(0, slots)), variant)
+        row, w[i] = _synth_draws(rng, scheme, length, offset, noise_std)
+        bits[i, : row.size] = row
+    h = channel_gains(power, phase)
+    return h, _received(scheme, bits, k1, h, w, variant)
 
 
 def synth_with_channel(
     scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
 ) -> tuple[ChannelRealization, np.ndarray]:
-    """Draw a channel and a block offset from ``seed``, then a sequence received through them.
-
-    The one synthesis path: calibration sequences and dataset bursts both come
-    from here. Stream consumption order is fixed (channel, k1, bits, noise), so
-    a seed fully determines the bytes.
-    """
-    rng = np.random.default_rng(seed)
-    channel = draw_channel(rng)
-    k1 = int(rng.integers(0, block_slots(scheme)))
-    return channel, received_sequence(
-        scheme, length, rng, channel, noise_variance_for_snr(snr_db),
-        k1=k1, variant=variant,
-    )
+    """``synth_batch`` for one seed: its channel and its received sequence."""
+    h, r = synth_batch(scheme, snr_db, length, [seed], variant)
+    return ChannelRealization(h0=complex(h[0, 0]), h1=complex(h[0, 1])), r[0]
 
 
 def synth_sequence(
@@ -210,6 +245,11 @@ def calibrate_from_features(
     )
 
 
+def _trial_seed(seed: int, scheme: CodingScheme, trial: int) -> int:
+    ss = np.random.SeedSequence([seed & _MASK64, int(scheme), trial])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def calibrate_threshold(
     snr_db: float,
     seq_len: int,
@@ -229,18 +269,17 @@ def calibrate_threshold(
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
     feats = {}
     for scheme in (CodingScheme.AL, CodingScheme.SM):
-        seqs = np.empty((trials, seq_len), dtype=np.complex128)
-        for t in range(trials):
-            ss = np.random.SeedSequence([seed & _MASK64, int(scheme), t])
-            seqs[t] = synth_sequence(
-                scheme, snr_db, seq_len, int(ss.generate_state(1, np.uint64)[0]), variant
-            )
-        if normalize:
-            power = np.mean(np.abs(seqs) ** 2, axis=1)
-            if (power == 0.0).any():
-                raise ParameterError("cannot normalize a zero-power sequence")
-            seqs /= np.sqrt(power)[:, np.newaxis]
-        feats[scheme] = correlation_features(seqs)
+        feats[scheme] = np.empty(trials)
+        for start in range(0, trials, SYNTH_BLOCK):
+            seeds = [_trial_seed(seed, scheme, t)
+                     for t in range(start, min(start + SYNTH_BLOCK, trials))]
+            seqs = synth_batch(scheme, snr_db, seq_len, seeds, variant)[1]
+            if normalize:
+                power = np.mean(np.abs(seqs) ** 2, axis=1)
+                if (power == 0.0).any():
+                    raise ParameterError("cannot normalize a zero-power sequence")
+                seqs /= np.sqrt(power)[:, np.newaxis]
+            feats[scheme][start : start + len(seeds)] = correlation_features(seqs)
     return calibrate_from_features(feats[CodingScheme.AL], feats[CodingScheme.SM],
                                    snr_db=snr_db, seq_len=seq_len)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline_corr import synth_with_channel
+from .baseline_corr import synth_batch, synth_with_channel
 from .signal_model import (
     _MASK64,
     CodingScheme,
@@ -138,8 +138,9 @@ def derive_burst_seed(master_seed: int, scheme: CodingScheme, snr_db: float, bur
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> Burst:
     """Generate one burst: one channel, one block offset, fresh random bits.
 
-    The samples are ``baseline_corr.synth_sequence(scheme, snr_db, burst_len,
-    seed)``: one generator serves the dataset and the baseline's calibration.
+    The samples are row 0 of ``baseline_corr.synth_batch(scheme, snr_db,
+    burst_len, [seed])``: one generator serves the dataset and the baseline's
+    calibration.
     """
     if burst_len < FRAME_LEN:
         raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {burst_len}")
@@ -187,31 +188,38 @@ def to_iq(window, normalize: bool = True) -> np.ndarray:
     return _iq_frames(w[np.newaxis], normalize)[0]
 
 
+def _cell_frames(scheme: CodingScheme, snr_db: float, seeds, cfg: DatasetConfig) -> np.ndarray:
+    """Float64 frames of bursts synthesized in one batch, burst-major:
+    [len(seeds) * frames_per_burst, 2, FRAME_LEN]."""
+    samples = synth_batch(scheme, snr_db, cfg.burst_len, seeds)[1]
+    windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN, axis=1)[:, :: cfg.shift]
+    return _iq_frames(windows.reshape(-1, FRAME_LEN), cfg.normalize)
+
+
 def _burst_frames(scheme: CodingScheme, snr_db: float, seed: int, cfg: DatasetConfig) -> np.ndarray:
-    burst = synthesize_burst(scheme, snr_db, cfg.burst_len, seed)
-    windows = window_frames(burst.samples, FRAME_LEN, cfg.shift)
-    return _iq_frames(windows, cfg.normalize).astype(np.float32)
+    return _cell_frames(scheme, snr_db, [seed], cfg).astype(np.float32)
 
 
 def generate_dataset(cfg: DatasetConfig) -> FrameSet:
     """Build the full labeled frame set for every (snr, scheme) cell.
 
     Cell order is snr (grid order) x (SM, AL) x burst index; per-burst seeds
-    are derived from the master seed.
+    are derived from the master seed. Each cell's bursts come from one
+    ``synth_batch`` call and are windowed in one pass.
     """
-    jobs = []
-    for snr_db in cfg.snr_grid:
-        for scheme in (CodingScheme.SM, CodingScheme.AL):
-            for b in range(cfg.bursts_per_cell):
-                seed = derive_burst_seed(cfg.seed, scheme, snr_db, b)
-                jobs.append((scheme, snr_db, seed))
-    per_burst = [_burst_frames(*job, cfg) for job in jobs]
+    cells = [(snr_db, scheme) for snr_db in cfg.snr_grid
+             for scheme in (CodingScheme.SM, CodingScheme.AL)]
+    per_cell = cfg.bursts_per_cell * cfg.frames_per_burst
+    frames = np.empty((len(cells) * per_cell, 2, FRAME_LEN), dtype=np.float32)
+    for c, (snr_db, scheme) in enumerate(cells):
+        seeds = [derive_burst_seed(cfg.seed, scheme, snr_db, b)
+                 for b in range(cfg.bursts_per_cell)]
+        frames[c * per_cell : (c + 1) * per_cell] = _cell_frames(scheme, snr_db, seeds, cfg)
 
-    wpb = cfg.frames_per_burst
-    frames = np.concatenate(per_burst, axis=0)
-    schemes = np.repeat([int(job[0]) for job in jobs], wpb).astype(np.uint8)
-    snrs = np.repeat([job[1] for job in jobs], wpb).astype(np.float64)
-    burst_ids = np.repeat(np.arange(len(jobs), dtype=np.int64), wpb)
+    schemes = np.repeat([int(scheme) for _, scheme in cells], per_cell).astype(np.uint8)
+    snrs = np.repeat([snr_db for snr_db, _ in cells], per_cell).astype(np.float64)
+    burst_ids = np.repeat(np.arange(len(cells) * cfg.bursts_per_cell, dtype=np.int64),
+                          cfg.frames_per_burst)
     return FrameSet(frames=frames, schemes=schemes, snrs_db=snrs, burst_ids=burst_ids)
 
 
@@ -395,19 +403,33 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
                 raise DatasetFormatError(f"{path}: malformed manifest line {line!r}")
             k, v = line.split("=", 1)
             kv[k] = v
-    try:
-        if int(kv["manifest_version"]) != MANIFEST_VERSION:
-            raise VersionMismatchError(f"{path}: manifest version {kv['manifest_version']}")
-        if int(kv["window"]) != FRAME_LEN:
-            raise DatasetFormatError(f"{path}: window {kv['window']}, frames have {FRAME_LEN}")
-        cfg = DatasetConfig(
-            snr_grid=tuple(float(s) for s in kv["snr_grid"].split(",")),
-            bursts_per_cell=int(kv["bursts_per_cell"]),
-            burst_len=int(kv["burst_len"]),
-            shift=int(kv["shift"]),
-            seed=int(kv["seed"]),
-            normalize=bool(int(kv["normalize"])),
-        )
-        return cfg, int(kv["frames"])
-    except KeyError as e:
-        raise DatasetFormatError(f"{path}: manifest missing key {e}") from None
+
+    def value(key: str, parse=int):
+        if key not in kv:
+            raise DatasetFormatError(f"{path}: manifest missing key {key!r}")
+        try:
+            return parse(kv[key])
+        except ValueError:
+            raise DatasetFormatError(
+                f"{path}: manifest key {key!r} has a malformed value {kv[key]!r}") from None
+
+    if value("manifest_version") != MANIFEST_VERSION:
+        raise VersionMismatchError(f"{path}: manifest version {kv['manifest_version']}")
+    if value("window") != FRAME_LEN:
+        raise DatasetFormatError(f"{path}: window {kv['window']}, frames have {FRAME_LEN}")
+    cfg = DatasetConfig(
+        snr_grid=value("snr_grid", lambda v: tuple(float(s) for s in v.split(","))),
+        bursts_per_cell=value("bursts_per_cell"),
+        burst_len=value("burst_len"),
+        shift=value("shift"),
+        seed=value("seed"),
+        normalize=value("normalize", _flag),
+    )
+    return cfg, value("frames")
+
+
+def _flag(text: str) -> bool:
+    """A manifest boolean: exactly "0" or "1", as ``write_manifest`` writes it."""
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"

@@ -24,6 +24,10 @@ class CodingScheme(IntEnum):
 
 _MASK64 = (1 << 64) - 1  # seeds enter a SeedSequence as their low 64 bits
 
+# AL transmit layouts: "eq2" follows the Alamouti coding matrix; "paper-eq7"
+# sends the pair as the paper's eq. (7) prints it (see baseline_corr).
+GENERATOR_VARIANTS = ("eq2", "paper-eq7")
+
 # Gray-mapped unit-energy QPSK, indexed by bit pair (2*b0 + b1):
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2
 QPSK_CONSTELLATION = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -70,49 +74,60 @@ def block_slots(scheme: CodingScheme) -> int:
 
 
 def modulate_qpsk(bits) -> np.ndarray:
-    """Map a flat 0/1 bit sequence to Gray-coded unit-energy QPSK symbols."""
+    """Map 0/1 bits to Gray-coded unit-energy QPSK symbols, bit pairs along the last axis."""
     bits = np.asarray(bits)
-    if bits.ndim != 1 or bits.size % 2 != 0:
+    if bits.ndim == 0 or bits.shape[-1] % 2 != 0:
         raise ShapeError(f"bit count must be even, got shape {bits.shape}")
     if ((bits != 0) & (bits != 1)).any():
         raise ParameterError("bits must be 0 or 1")
-    idx = 2 * bits[0::2].astype(np.intp) + bits[1::2].astype(np.intp)
+    idx = 2 * bits[..., 0::2].astype(np.intp) + bits[..., 1::2].astype(np.intp)
     return QPSK_CONSTELLATION[idx]
 
 
-def encode(scheme: CodingScheme, symbols) -> np.ndarray:
+def encode(scheme: CodingScheme, symbols, variant: str = "eq2") -> np.ndarray:
     """Lay out symbols on the two transmit antennas.
 
     SM packs consecutive symbol pairs into single columns; AL emits two
-    columns per pair, the second carrying the conjugate pair (-x1*, x0*).
-    Returns a 2 x L complex matrix (antenna x time slot).
+    columns per pair, the second carrying the conjugate pair (-x1*, x0*), or
+    (-x0*, x1*) under the ``paper-eq7`` variant. Symbols [..., n] give a
+    [..., 2, L] complex array (antenna x time slot) over any leading axes.
     """
+    if variant not in GENERATOR_VARIANTS:
+        raise ParameterError(f"unknown generator variant {variant!r}")
     symbols = np.asarray(symbols, dtype=np.complex128)
-    if symbols.ndim != 1 or symbols.size % 2 != 0:
+    if symbols.ndim == 0 or symbols.shape[-1] % 2 != 0:
         raise ShapeError(f"symbol count must be even, got shape {symbols.shape}")
+    lead = symbols.shape[:-1]
     if scheme == CodingScheme.SM:
-        return np.ascontiguousarray(symbols.reshape(-1, 2).T)
-    x0, x1 = symbols[0::2], symbols[1::2]
-    tx = np.empty((2, symbols.size), dtype=np.complex128)
-    tx[0, 0::2] = x0
-    tx[1, 0::2] = x1
-    tx[0, 1::2] = -np.conj(x1)
-    tx[1, 1::2] = np.conj(x0)
+        return np.ascontiguousarray(np.swapaxes(symbols.reshape(*lead, -1, 2), -1, -2))
+    x0, x1 = symbols[..., 0::2], symbols[..., 1::2]
+    tx = np.empty((*lead, 2, symbols.shape[-1]), dtype=np.complex128)
+    tx[..., 0, 0::2] = x0
+    tx[..., 1, 0::2] = x1
+    negated, kept = (x0, x1) if variant == "paper-eq7" else (x1, x0)
+    tx[..., 0, 1::2] = -np.conj(negated)
+    tx[..., 1, 1::2] = np.conj(kept)
     return tx
 
 
-def draw_channel(rng: np.random.Generator, m: float = 3.0, omega: float = 1.0) -> ChannelRealization:
-    """Draw (h0, h1) with Nakagami-m magnitudes and independent uniform phases.
-
-    |h_i|^2 ~ Gamma(shape=m, scale=omega/m), so E[|h_i|^2] = omega.
-    """
+def draw_fading(rng: np.random.Generator, m: float = 3.0, omega: float = 1.0):
+    """The draws behind one channel: powers |h_i|^2 ~ Gamma(shape=m, scale=omega/m),
+    then phases ~ U[0, 2pi), two of each, so E[|h_i|^2] = omega."""
     if m < 0.5:
         raise ParameterError(f"Nakagami shape m must be >= 0.5, got {m}")
     if omega <= 0:
         raise ParameterError(f"omega must be positive, got {omega}")
-    power = rng.gamma(m, omega / m, size=2)
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    h = np.sqrt(power) * np.exp(1j * phase)
+    return rng.gamma(m, omega / m, size=2), rng.uniform(0.0, 2.0 * np.pi, size=2)
+
+
+def channel_gains(power, phase) -> np.ndarray:
+    """h = sqrt(power) * e^(j phase), elementwise."""
+    return np.sqrt(power) * np.exp(1j * phase)
+
+
+def draw_channel(rng: np.random.Generator, m: float = 3.0, omega: float = 1.0) -> ChannelRealization:
+    """Draw (h0, h1) with Nakagami-m magnitudes and independent uniform phases."""
+    h = channel_gains(*draw_fading(rng, m, omega))
     return ChannelRealization(h0=complex(h[0]), h1=complex(h[1]), m=m, omega=omega)
 
 
@@ -146,6 +161,13 @@ def receive(
             f"from {tx.shape[1]} transmit slots"
         )
     sl = slice(cfg.k1, cfg.k1 + cfg.length)
-    signal = ch.h0 * tx[0, sl] + ch.h1 * tx[1, sl]
     w = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(2, cfg.length))
-    return signal + w[0] + 1j * w[1]
+    return mix(tx[:, sl], np.array([ch.h0, ch.h1]), w)
+
+
+def mix(tx: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h0*tx[0] + h1*tx[1] + w[0] + 1j*w[1] over any leading axes: transmit
+    slots tx [..., 2, L], gains h [..., 2], real noise parts w [..., 2, L]."""
+    h = np.asarray(h)[..., np.newaxis]
+    signal = h[..., 0, :] * tx[..., 0, :] + h[..., 1, :] * tx[..., 1, :]
+    return signal + w[..., 0, :] + 1j * w[..., 1, :]

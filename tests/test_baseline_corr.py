@@ -1,5 +1,7 @@
 """Tests for the correlation statistic, threshold calibration, and both generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from stbcid.baseline_corr import (
     correlation_feature,
     correlation_features,
     received_sequence,
+    synth_batch,
     synth_sequence,
+    synth_with_channel,
 )
 from stbcid import baseline_corr
 from stbcid.errors import ParameterError, ShapeError
@@ -45,6 +49,77 @@ def scalar_calibration(snr_db, seq_len, trials, seed, variant, normalize):
             vals[t] = scalar_feature(seq)
         feats.append(vals)
     return calibrate_from_features(*feats, snr_db=snr_db, seq_len=seq_len)
+
+
+QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
+
+
+def scalar_synth(scheme, snr_db, length, seed, variant):
+    """Frozen per-sequence reference of the synthesis: one generator, one sequence,
+    draws in the order channel (gamma, uniform), k1, bits, noise."""
+    rng = np.random.default_rng(seed)
+    h = np.sqrt(rng.gamma(3.0, 1.0 / 3.0, size=2)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+    h0, h1 = complex(h[0]), complex(h[1])
+    k1 = int(rng.integers(0, 2 if scheme == CodingScheme.AL else 1))
+    std = np.sqrt(2.0 * 10.0 ** (-snr_db / 10.0) / 2.0)
+    if variant == "paper-eq7" and scheme == CodingScheme.AL:
+        n_pairs = (length + 1) // 2
+        bits = rng.integers(0, 2, size=4 * n_pairs)
+        x = QPSK[2 * bits[0::2] + bits[1::2]]
+        x0, x1 = x[0::2], x[1::2]
+        r = np.empty(2 * n_pairs, dtype=np.complex128)
+        r[0::2] = h0 * x0 + h1 * x1
+        r[1::2] = -h0 * np.conj(x0) + h1 * np.conj(x1)
+        w = rng.normal(0.0, std, size=(2, length))
+        return (h0, h1), r[:length] + w[0] + 1j * w[1]
+    n_cols = length + k1
+    n_sym = n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols
+    bits = rng.integers(0, 2, size=2 * n_sym)
+    x = QPSK[2 * bits[0::2] + bits[1::2]]
+    if scheme == CodingScheme.SM:
+        tx = x.reshape(-1, 2).T
+    else:
+        tx = np.empty((2, n_sym), dtype=np.complex128)
+        tx[0, 0::2], tx[1, 0::2] = x[0::2], x[1::2]
+        tx[0, 1::2], tx[1, 1::2] = -np.conj(x[1::2]), np.conj(x[0::2])
+    signal = h0 * tx[0, k1 : k1 + length] + h1 * tx[1, k1 : k1 + length]
+    w = rng.normal(0.0, std, size=(2, length))
+    return (h0, h1), signal + w[0] + 1j * w[1]
+
+
+class TestSynthBatch:
+    SEEDS = [0, 1, 7, 2**32 + 5, 2**63 + 11, (1 << 70) + 3, 123456789]
+
+    @pytest.mark.parametrize("length", [4, 5, 128, 301, 1024])
+    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    def test_rows_equal_one_row_calls(self, scheme, variant, length):
+        h, r = synth_batch(scheme, 3.0, length, self.SEEDS, variant)
+        assert h.shape == (len(self.SEEDS), 2) and r.shape == (len(self.SEEDS), length)
+        for i, seed in enumerate(self.SEEDS):
+            channel, seq = synth_with_channel(scheme, 3.0, length, seed, variant)
+            assert h[i].tobytes() == np.array([channel.h0, channel.h1]).tobytes()
+            assert r[i].tobytes() == seq.tobytes()
+            gains, frozen = scalar_synth(scheme, 3.0, length, seed, variant)
+            assert (channel.h0, channel.h1) == gains
+            assert seq.tobytes() == frozen.tobytes()
+
+    def test_row_does_not_depend_on_its_neighbours(self):
+        _, r = synth_batch(CodingScheme.AL, 0.0, 64, self.SEEDS)
+        _, reversed_rows = synth_batch(CodingScheme.AL, 0.0, 64, self.SEEDS[::-1])
+        assert r.tobytes() == reversed_rows[::-1].tobytes()
+
+    def test_calibration_memory_is_bounded_by_the_block(self):
+        # the peak stays below one up-front [trials, L] complex array (8.2 MB here)
+        trials, seq_len = 4000, 128
+        calibrate_threshold(10.0, seq_len, 100, normalize=True)  # first-call allocations
+        tracemalloc.start()
+        try:
+            calibrate_threshold(10.0, seq_len, trials, normalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trials * seq_len * 16
 
 
 class TestCorrelationFeature:
@@ -190,8 +265,10 @@ class TestCalibration:
                 ref.threshold, ref.achieved_error, ref.degenerate)
 
     def test_zero_power_sequence_rejected(self, monkeypatch):
-        monkeypatch.setattr(baseline_corr, "synth_sequence",
-                            lambda scheme, snr_db, length, seed, variant: np.zeros(length))
+        monkeypatch.setattr(
+            baseline_corr, "synth_batch",
+            lambda scheme, snr_db, length, seeds, variant: (
+                np.ones((len(seeds), 2), complex), np.zeros((len(seeds), length), complex)))
         with pytest.raises(ParameterError):
             calibrate_threshold(10.0, 64, trials=100, normalize=True)
 

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import pathlib
 import shutil
 
 import numpy as np
@@ -221,6 +222,28 @@ def test_frames_of_another_width_exit_one(tiny_dataset, tmp_path, capsys):
                       capsys, out)
     _assert_exits_one(["eval", "--dataset", binary, "--baseline", "corr", "-o", str(out),
                        "--calibrate-trials", "100"], capsys, out)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("bursts_per_cell", "three"),
+    ("snr_grid", "a,b"),
+    ("normalize", "2"),  # read as True once, so it would not round-trip
+    ("normalize", "true"),
+])
+def test_malformed_manifest_value_exits_one(tiny_dataset, tmp_path, capsys, key, value):
+    data = str(tmp_path / "d.bin")
+    shutil.copy(tiny_dataset, data)
+    lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+             for line in pathlib.Path(tiny_dataset + ".manifest").read_text().splitlines()]
+    pathlib.Path(data + ".manifest").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    for argv in (["train", "--dataset", data, "-o", str(out), "--epochs", "1"],
+                 ["eval", "--dataset", data, "--baseline", "corr", "-o", str(out),
+                  "--calibrate-trials", "100"]):
+        assert cli.main(argv) == 1  # returns: no traceback escapes
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(key) in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_classify_prints_each_frame_decision(tiny_dataset, tmp_path, capsys):

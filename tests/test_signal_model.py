@@ -72,6 +72,25 @@ class TestEncode:
         tx = encode(CodingScheme.AL, [1, 1j])
         np.testing.assert_allclose(tx, [[1, 1j], [1j, 1]], atol=1e-12)
 
+    def test_al_paper_eq7_block(self):
+        # the second slot sends (-x0*, x1*): r(2t+1) = -h0 x0* + h1 x1*
+        tx = encode(CodingScheme.AL, [1 + 1j, 1 - 1j], "paper-eq7")
+        np.testing.assert_array_equal(tx, [[1 + 1j, -1 + 1j], [1 - 1j, 1 + 1j]])
+
+    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    def test_rows_encode_like_one_sequence(self, scheme, variant):
+        rng = np.random.default_rng(4)
+        symbols = modulate_qpsk(rng.integers(0, 2, size=(3, 5, 12)))
+        tx = encode(scheme, symbols, variant)
+        assert tx.shape == (3, 5, 2, 3 if scheme == CodingScheme.SM else 6)
+        for i, j in np.ndindex(3, 5):
+            assert tx[i, j].tobytes() == encode(scheme, symbols[i, j], variant).tobytes()
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ParameterError):
+            encode(CodingScheme.AL, [1 + 0j, 1j], "eq9")
+
     def test_odd_symbol_count_rejected(self):
         with pytest.raises(ShapeError):
             encode(CodingScheme.AL, [1 + 0j])
