@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import seeding
 from .errors import ParameterError, ShapeError
 from .signal_model import (
     _MASK64,
@@ -165,24 +166,32 @@ def synth_batch(
     scheme: CodingScheme, snr_db: float, length: int, seeds, variant: str = "eq2"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
-    row per seed: the one synthesis path, for calibration and dataset bursts alike.
+    row per non-negative int seed, its row drawn by ``np.random.default_rng(seed)``."""
+    return synth_from_words(scheme, snr_db, length, seeding.rng_words(seeds), variant)
 
-    Each seed's generator draws, in this order, the channel (powers, phases), the
+
+def synth_from_words(
+    scheme: CodingScheme, snr_db: float, length: int, words: np.ndarray, variant: str = "eq2"
+) -> tuple[np.ndarray, np.ndarray]:
+    """``synth_batch`` of the seeds whose ``seeding.rng_words`` are ``words`` [n, 4]: the
+    one synthesis path, for calibration and dataset bursts alike.
+
+    Each row's generator draws, in this order, the channel (powers, phases), the
     block offset k1, the bits and the noise, so a seed fully determines its row,
-    whatever the other seeds. Only the draws run per seed; the math runs once over
+    whatever the other seeds. Only the draws run per row; the math runs once over
     the block.
     """
     if length < 2:
         raise ParameterError(f"length must be >= 2, got {length}")
-    n = len(seeds)
+    n = len(words)
     noise_std = np.sqrt(noise_variance_for_snr(snr_db).variance / 2.0)
     slots = block_slots(scheme)
     power, phase = np.empty((n, 2)), np.empty((n, 2))
     k1 = np.empty(n, dtype=np.intp)
     bits = np.zeros((n, _n_bits(scheme, length + slots - 1)), dtype=np.uint8)  # widest row
     w = np.empty((n, 2, length))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
+    for i in range(n):
+        rng = seeding.generator(words[i])
         power[i], phase[i] = draw_fading(rng)
         k1[i] = offset = _start_slot(scheme, int(rng.integers(0, slots)), variant)
         row, w[i] = _synth_draws(rng, scheme, length, offset, noise_std)
@@ -245,11 +254,6 @@ def calibrate_from_features(
     )
 
 
-def _trial_seed(seed: int, scheme: CodingScheme, trial: int) -> int:
-    ss = np.random.SeedSequence([seed & _MASK64, int(scheme), trial])
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def calibrate_threshold(
     snr_db: float,
     seq_len: int,
@@ -261,25 +265,31 @@ def calibrate_threshold(
     """Pick the error-minimizing threshold over fresh AL and SM feature samples.
 
     ``normalize`` scales each sequence to unit mean power first, matching how
-    dataset frames are stored.
+    dataset frames are stored. Trial t of a scheme is drawn from the seed
+    ``SeedSequence([seed mod 2**64, scheme, t]).generate_state(1, np.uint64)[0]``;
+    every trial's generator words are derived in one pass up front.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
     if seq_len < 4:
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
+    schemes = (CodingScheme.AL, CodingScheme.SM)
+    trial_seeds = seeding.generate_state(
+        [seed & _MASK64, np.repeat([int(scheme) for scheme in schemes], trials),
+         np.tile(np.arange(trials), len(schemes))], 1, np.uint64)[:, 0]
+    words = seeding.rng_words(trial_seeds).reshape(len(schemes), trials, 4)
     feats = {}
-    for scheme in (CodingScheme.AL, CodingScheme.SM):
+    for scheme, scheme_words in zip(schemes, words):
         feats[scheme] = np.empty(trials)
         for start in range(0, trials, SYNTH_BLOCK):
-            seeds = [_trial_seed(seed, scheme, t)
-                     for t in range(start, min(start + SYNTH_BLOCK, trials))]
-            seqs = synth_batch(scheme, snr_db, seq_len, seeds, variant)[1]
+            block = scheme_words[start : start + SYNTH_BLOCK]
+            seqs = synth_from_words(scheme, snr_db, seq_len, block, variant)[1]
             if normalize:
                 power = np.mean(np.abs(seqs) ** 2, axis=1)
                 if (power == 0.0).any():
                     raise ParameterError("cannot normalize a zero-power sequence")
                 seqs /= np.sqrt(power)[:, np.newaxis]
-            feats[scheme][start : start + len(seeds)] = correlation_features(seqs)
+            feats[scheme][start : start + len(block)] = correlation_features(seqs)
     return calibrate_from_features(feats[CodingScheme.AL], feats[CodingScheme.SM],
                                    snr_db=snr_db, seq_len=seq_len)
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baseline_corr import synth_batch, synth_with_channel
+from . import seeding
+from .baseline_corr import synth_from_words, synth_with_channel
 from .signal_model import (
     _MASK64,
     CodingScheme,
@@ -128,11 +129,21 @@ class FrameSet:
         )
 
 
+def _snr_key(snr_db: float) -> int:
+    """An SNR's word in a burst's seed entropy: centi-dB, offset by 2**15."""
+    return int(round(snr_db * 100.0)) + (1 << 15)
+
+
+def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarray:
+    """uint64 seed of each burst, from entropy columns (a scalar serves every burst)."""
+    return seeding.generate_state([master_seed & _MASK64, schemes, snr_keys, burst_indices],
+                                  1, np.uint64)[:, 0]
+
+
 def derive_burst_seed(master_seed: int, scheme: CodingScheme, snr_db: float, burst_index: int) -> int:
-    """Deterministic per-burst seed, stable across platforms and run order."""
-    snr_centi = int(round(snr_db * 100.0)) + (1 << 15)
-    ss = np.random.SeedSequence([master_seed & _MASK64, int(scheme), snr_centi, burst_index])
-    return int(ss.generate_state(1, np.uint64)[0])
+    """Deterministic per-burst seed, stable across platforms and run order: the first
+    uint64 of ``SeedSequence([master mod 2**64, scheme, snr key, burst_index])``."""
+    return int(_burst_seeds(master_seed, int(scheme), _snr_key(snr_db), burst_index)[0])
 
 
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> Burst:
@@ -188,38 +199,43 @@ def to_iq(window, normalize: bool = True) -> np.ndarray:
     return _iq_frames(w[np.newaxis], normalize)[0]
 
 
-def _cell_frames(scheme: CodingScheme, snr_db: float, seeds, cfg: DatasetConfig) -> np.ndarray:
-    """Float64 frames of bursts synthesized in one batch, burst-major:
-    [len(seeds) * frames_per_burst, 2, FRAME_LEN]."""
-    samples = synth_batch(scheme, snr_db, cfg.burst_len, seeds)[1]
+def _cell_frames(scheme: CodingScheme, snr_db: float, words: np.ndarray,
+                 cfg: DatasetConfig) -> np.ndarray:
+    """Float64 frames of bursts synthesized in one batch from their ``seeding.rng_words``,
+    burst-major: [len(words) * frames_per_burst, 2, FRAME_LEN]."""
+    samples = synth_from_words(scheme, snr_db, cfg.burst_len, words)[1]
     windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN, axis=1)[:, :: cfg.shift]
     return _iq_frames(windows.reshape(-1, FRAME_LEN), cfg.normalize)
 
 
 def _burst_frames(scheme: CodingScheme, snr_db: float, seed: int, cfg: DatasetConfig) -> np.ndarray:
-    return _cell_frames(scheme, snr_db, [seed], cfg).astype(np.float32)
+    return _cell_frames(scheme, snr_db, seeding.rng_words([seed]), cfg).astype(np.float32)
 
 
 def generate_dataset(cfg: DatasetConfig) -> FrameSet:
     """Build the full labeled frame set for every (snr, scheme) cell.
 
     Cell order is snr (grid order) x (SM, AL) x burst index; per-burst seeds
-    are derived from the master seed. Each cell's bursts come from one
-    ``synth_batch`` call and are windowed in one pass.
+    are derived from the master seed, all in one pass. Each cell's bursts come
+    from one ``synth_from_words`` call and are windowed in one pass.
     """
     cells = [(snr_db, scheme) for snr_db in cfg.snr_grid
              for scheme in (CodingScheme.SM, CodingScheme.AL)]
-    per_cell = cfg.bursts_per_cell * cfg.frames_per_burst
+    bpc = cfg.bursts_per_cell
+    scheme_ids = [int(scheme) for _, scheme in cells]
+    seeds = _burst_seeds(cfg.seed, np.repeat(scheme_ids, bpc),
+                         np.repeat([_snr_key(snr_db) for snr_db, _ in cells], bpc),
+                         np.tile(np.arange(bpc), len(cells)))
+    words = seeding.rng_words(seeds)
+    per_cell = bpc * cfg.frames_per_burst
     frames = np.empty((len(cells) * per_cell, 2, FRAME_LEN), dtype=np.float32)
     for c, (snr_db, scheme) in enumerate(cells):
-        seeds = [derive_burst_seed(cfg.seed, scheme, snr_db, b)
-                 for b in range(cfg.bursts_per_cell)]
-        frames[c * per_cell : (c + 1) * per_cell] = _cell_frames(scheme, snr_db, seeds, cfg)
+        frames[c * per_cell : (c + 1) * per_cell] = _cell_frames(
+            scheme, snr_db, words[c * bpc : (c + 1) * bpc], cfg)
 
-    schemes = np.repeat([int(scheme) for _, scheme in cells], per_cell).astype(np.uint8)
+    schemes = np.repeat(scheme_ids, per_cell).astype(np.uint8)
     snrs = np.repeat([snr_db for snr_db, _ in cells], per_cell).astype(np.float64)
-    burst_ids = np.repeat(np.arange(len(cells) * cfg.bursts_per_cell, dtype=np.int64),
-                          cfg.frames_per_burst)
+    burst_ids = np.repeat(np.arange(len(cells) * bpc, dtype=np.int64), cfg.frames_per_burst)
     return FrameSet(frames=frames, schemes=schemes, snrs_db=snrs, burst_ids=burst_ids)
 
 
@@ -374,13 +390,12 @@ def read_frames_csv(path) -> FrameSet:
 MANIFEST_VERSION = 1
 
 
-def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
-    """Text manifest recording everything needed to regenerate the dataset."""
-    lines = [
+def _manifest_lines(cfg: DatasetConfig, count: int) -> list[str]:
+    return [
         f"manifest_version={MANIFEST_VERSION}",
         f"format_version={DATASET_VERSION}",
         f"seed={cfg.seed}",
-        "snr_grid=" + ",".join(repr(s) for s in cfg.snr_grid),
+        "snr_grid=" + ",".join(repr(float(s)) for s in cfg.snr_grid),
         f"bursts_per_cell={cfg.bursts_per_cell}",
         f"burst_len={cfg.burst_len}",
         f"window={FRAME_LEN}",
@@ -388,11 +403,17 @@ def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
         f"normalize={int(cfg.normalize)}",
         f"frames={count}",
     ]
+
+
+def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
+    """Text manifest recording everything needed to regenerate the dataset."""
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join(_manifest_lines(cfg, count)) + "\n")
 
 
 def read_manifest(path) -> tuple[DatasetConfig, int]:
+    """The config and frame count of a manifest as ``write_manifest`` writes it: each key
+    once, each value in exactly the text it writes; anything else raises."""
     kv = {}
     with open(path) as f:
         for line in f:
@@ -402,6 +423,8 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
             if "=" not in line:
                 raise DatasetFormatError(f"{path}: malformed manifest line {line!r}")
             k, v = line.split("=", 1)
+            if k in kv:
+                raise DatasetFormatError(f"{path}: manifest key {k!r} appears more than once")
             kv[k] = v
 
     def value(key: str, parse=int):
@@ -423,13 +446,14 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
         burst_len=value("burst_len"),
         shift=value("shift"),
         seed=value("seed"),
-        normalize=value("normalize", _flag),
+        normalize=bool(value("normalize")),
     )
-    return cfg, value("frames")
-
-
-def _flag(text: str) -> bool:
-    """A manifest boolean: exactly "0" or "1", as ``write_manifest`` writes it."""
-    if text not in ("0", "1"):
-        raise ValueError(text)
-    return text == "1"
+    count = value("frames")
+    written = dict(line.split("=", 1) for line in _manifest_lines(cfg, count))
+    for k, v in kv.items():
+        if k not in written:
+            raise DatasetFormatError(f"{path}: unknown manifest key {k!r}")
+        if v != written[k]:  # e.g. int() reads "1_0" and " +3"
+            raise DatasetFormatError(f"{path}: manifest key {k!r} has {v!r}, which "
+                                     f"write_manifest writes as {written[k]!r}")
+    return cfg, count

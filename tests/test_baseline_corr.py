@@ -266,9 +266,9 @@ class TestCalibration:
 
     def test_zero_power_sequence_rejected(self, monkeypatch):
         monkeypatch.setattr(
-            baseline_corr, "synth_batch",
-            lambda scheme, snr_db, length, seeds, variant: (
-                np.ones((len(seeds), 2), complex), np.zeros((len(seeds), length), complex)))
+            baseline_corr, "synth_from_words",
+            lambda scheme, snr_db, length, words, variant: (
+                np.ones((len(words), 2), complex), np.zeros((len(words), length), complex)))
         with pytest.raises(ParameterError):
             calibrate_threshold(10.0, 64, trials=100, normalize=True)
 

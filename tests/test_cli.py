@@ -229,12 +229,32 @@ def test_frames_of_another_width_exit_one(tiny_dataset, tmp_path, capsys):
     ("snr_grid", "a,b"),
     ("normalize", "2"),  # read as True once, so it would not round-trip
     ("normalize", "true"),
+    ("bursts_per_cell", "0_2"),  # int() reads these as the written 2
+    ("bursts_per_cell", " +2"),
+    ("seed", "07"),
+    ("snr_grid", "0,10.0"),  # float() reads "0" as the written "0.0"
 ])
 def test_malformed_manifest_value_exits_one(tiny_dataset, tmp_path, capsys, key, value):
-    data = str(tmp_path / "d.bin")
-    shutil.copy(tiny_dataset, data)
     lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
              for line in pathlib.Path(tiny_dataset + ".manifest").read_text().splitlines()]
+    _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines, key)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("seed=9", "seed"),  # a repeated key would change the split
+    ("seed=7", "seed"),  # even with the written value
+    ("snr_step=2.0", "snr_step"),
+])
+def test_manifest_extra_key_exits_one(tiny_dataset, tmp_path, capsys, extra, key):
+    lines = pathlib.Path(tiny_dataset + ".manifest").read_text().splitlines()
+    assert "seed=7" in lines and not any(line.startswith("snr_step=") for line in lines)
+    _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines + [extra], key)
+
+
+def _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines, key):
+    """train and eval on the tiny dataset under these manifest lines exit 1 naming key."""
+    data = str(tmp_path / "d.bin")
+    shutil.copy(tiny_dataset, data)
     pathlib.Path(data + ".manifest").write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
     for argv in (["train", "--dataset", data, "-o", str(out), "--epochs", "1"],

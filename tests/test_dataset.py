@@ -390,6 +390,14 @@ class TestManifest:
         assert cfg2 == cfg
         assert count == len(frames)
 
+    def test_rewrites_the_text_it_reads(self, tmp_path):
+        cfg = small_config(snr_grid=(0, 10), seed=(1 << 64) + 3)  # int SNRs are written as floats
+        path = tmp_path / "d.manifest"
+        write_manifest(cfg, cfg.total_frames, path)
+        text = path.read_text()
+        write_manifest(*read_manifest(path), path)
+        assert path.read_text() == text and "snr_grid=0.0,10.0\n" in text
+
     def test_window_other_than_frame_len_rejected(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "d.manifest"
