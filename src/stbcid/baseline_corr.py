@@ -24,13 +24,14 @@ from . import seeding
 from .errors import ParameterError, ShapeError
 from .signal_model import (
     _MASK64,
+    NAKAGAMI_M,
     ChannelRealization,
     CodingScheme,
     NoiseSpec,
     block_slots,
     channel_gains,
-    draw_fading,
     encode,
+    fading_law,
     mix,
     modulate_qpsk,
     noise_variance_for_snr,
@@ -116,13 +117,6 @@ def _n_bits(scheme: CodingScheme, n_cols: int) -> int:
     return 2 * (n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols)
 
 
-def _synth_draws(rng: np.random.Generator, scheme: CodingScheme, length: int, k1: int,
-                 noise_std: float) -> tuple[np.ndarray, np.ndarray]:
-    """One sequence's bits (enough to fill slots k1 .. k1+length-1), then its noise."""
-    bits = rng.integers(0, 2, size=_n_bits(scheme, length + k1))
-    return bits, rng.normal(0.0, noise_std, size=(2, length))
-
-
 def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndarray,
               w: np.ndarray, variant: str) -> np.ndarray:
     """Sequences [n, L] from bits [n, B] (rows zero-padded past their own count),
@@ -146,8 +140,9 @@ def received_sequence(
     k1: int = 0,
     variant: str = "eq2",
 ) -> np.ndarray:
-    """One received sequence with an explicit channel (constant throughout),
-    drawn and mixed as one row of ``synth_batch``.
+    """One received sequence with an explicit channel (constant throughout): the
+    bits that fill slots k1 .. k1+length-1, then the noise, drawn from ``rng``
+    (any bit generator, in any state) and mixed as one row of ``synth_batch``.
 
     ``paper-eq7`` only changes AL synthesis; SM is the same two-stream model
     either way.
@@ -157,7 +152,8 @@ def received_sequence(
     if k1 < 0:
         raise ParameterError(f"k1 must be >= 0, got {k1}")
     k1 = _start_slot(scheme, k1, variant)
-    bits, w = _synth_draws(rng, scheme, length, k1, np.sqrt(noise.variance / 2.0))
+    bits = rng.integers(0, 2, size=_n_bits(scheme, length + k1))
+    w = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(2, length))
     h = np.array([[channel.h0, channel.h1]], dtype=np.complex128)
     return _received(scheme, bits[np.newaxis], np.array([k1]), h, w[np.newaxis], variant)[0]
 
@@ -176,27 +172,55 @@ def synth_from_words(
     """``synth_batch`` of the seeds whose ``seeding.rng_words`` are ``words`` [n, 4]: the
     one synthesis path, for calibration and dataset bursts alike.
 
-    Each row's generator draws, in this order, the channel (powers, phases), the
-    block offset k1, the bits and the noise, so a seed fully determines its row,
-    whatever the other seeds. Only the draws run per row; the math runs once over
-    the block.
+    Each row has its own PCG64 generator, so a seed fully determines its row,
+    whatever the other seeds. Only the draws run per row, each into the row of a
+    block array; the arithmetic runs once over the block. Every value is bit-equal
+    to what ``np.random.default_rng(seed)`` gives through numpy's distribution
+    calls, drawn in this order:
+
+    - channel: ``standard_gamma(m)`` twice, then ``random()`` twice, made powers
+      and phases by ``fading_law`` with ``rng.gamma``'s and ``rng.uniform``'s own
+      arithmetic;
+    - block offset k1 (AL only; SM's ``integers(0, 1)`` draws nothing): numpy's
+      Lemire draw for range 2 keeps the top bit of one 32-bit half-word, taken
+      low half first from one 64-bit word, so k1 is bit 31 of a ``random_raw``
+      word;
+    - bits: the same range-2 draw, so each bit is the top bit of the next
+      half-word, starting at the high half of k1's word for AL;
+    - noise: ``standard_normal`` into [2, length], made ``0.0 + std * z`` as
+      ``rng.normal`` computes it (the ``0.0 +`` turns a -0.0 into +0.0).
+
+    The half-words come from the raw words because a fresh PCG64 holds no
+    buffered half-word and the channel's draws take whole words; the half left
+    over after the bits is never read, since the noise takes whole words too.
     """
     if length < 2:
         raise ParameterError(f"length must be >= 2, got {length}")
     n = len(words)
     noise_std = np.sqrt(noise_variance_for_snr(snr_db).variance / 2.0)
-    slots = block_slots(scheme)
-    power, phase = np.empty((n, 2)), np.empty((n, 2))
-    k1 = np.empty(n, dtype=np.intp)
-    bits = np.zeros((n, _n_bits(scheme, length + slots - 1)), dtype=np.uint8)  # widest row
+    al = int(scheme == CodingScheme.AL)
+    width = _n_bits(scheme, length + block_slots(scheme) - 1)  # the widest row's bits
+    g, u = np.empty((n, 2)), np.empty((n, 2))
+    k1 = np.zeros(n, dtype=np.intp)
+    raw = np.zeros((n, al + width // 2), dtype="<u8")  # AL: k1's word, then the bits' words
     w = np.empty((n, 2, length))
     for i in range(n):
         rng = seeding.generator(words[i])
-        power[i], phase[i] = draw_fading(rng)
-        k1[i] = offset = _start_slot(scheme, int(rng.integers(0, slots)), variant)
-        row, w[i] = _synth_draws(rng, scheme, length, offset, noise_std)
-        bits[i, : row.size] = row
-    h = channel_gains(power, phase)
+        bitgen = rng.bit_generator
+        rng.standard_gamma(NAKAGAMI_M, out=g[i])
+        rng.random(out=u[i])
+        if al:
+            raw[i, 0] = word = bitgen.random_raw()
+            k1[i] = offset = _start_slot(scheme, word >> 31 & 1, variant)
+            count = _n_bits(scheme, length + offset) // 2
+            raw[i, 1 : 1 + count] = bitgen.random_raw(count)
+        else:
+            raw[i] = bitgen.random_raw(raw.shape[1])
+        rng.standard_normal(out=w[i])
+    bits = raw.view("<u4")[:, al : al + width] >> 31  # rows zero past their own count
+    w *= noise_std
+    w += 0.0  # rng.normal's loc + scale * z, with loc = 0.0
+    h = channel_gains(*fading_law(g, u))
     return h, _received(scheme, bits, k1, h, w, variant)
 
 

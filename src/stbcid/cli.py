@@ -259,7 +259,7 @@ def cmd_train(args) -> int:
 def _baseline_classifier(args, normalize: bool):
     snr_db = 10.0 if args.calibrate_snr is None else args.calibrate_snr
     trials = 2000 if args.calibrate_trials is None else args.calibrate_trials
-    with _flags(trials="--calibrate-trials"):
+    with _flags(trials="--calibrate-trials", snr_db="--calibrate-snr"):
         rule = baseline_corr.calibrate_threshold(
             snr_db, dataset.FRAME_LEN, trials, seed=args.seed, normalize=normalize,
         )

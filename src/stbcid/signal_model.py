@@ -7,6 +7,7 @@ elsewhere in the process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -28,6 +29,10 @@ _MASK64 = (1 << 64) - 1  # seeds enter a SeedSequence as their low 64 bits
 # sends the pair as the paper's eq. (7) prints it (see baseline_corr).
 GENERATOR_VARIANTS = ("eq2", "paper-eq7")
 
+# The channel every burst and calibration sequence sees: Nakagami-m fading,
+# shape m = 3, mean power omega = 1 per coefficient.
+NAKAGAMI_M, NAKAGAMI_OMEGA = 3.0, 1.0
+
 # Gray-mapped unit-energy QPSK, indexed by bit pair (2*b0 + b1):
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2
 QPSK_CONSTELLATION = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
@@ -39,8 +44,8 @@ class ChannelRealization:
 
     h0: complex
     h1: complex
-    m: float = 3.0
-    omega: float = 1.0
+    m: float = NAKAGAMI_M
+    omega: float = NAKAGAMI_OMEGA
 
 
 @dataclass(frozen=True)
@@ -110,14 +115,25 @@ def encode(scheme: CodingScheme, symbols, variant: str = "eq2") -> np.ndarray:
     return tx
 
 
-def draw_fading(rng: np.random.Generator, m: float = 3.0, omega: float = 1.0):
-    """The draws behind one channel: powers |h_i|^2 ~ Gamma(shape=m, scale=omega/m),
-    then phases ~ U[0, 2pi), two of each, so E[|h_i|^2] = omega."""
+def fading_law(g, u, m: float = NAKAGAMI_M, omega: float = NAKAGAMI_OMEGA):
+    """Powers |h_i|^2 ~ Gamma(shape=m, scale=omega/m) and phases ~ U[0, 2pi) from
+    standard gamma(m) variates ``g`` and standard uniforms ``u``, elementwise.
+
+    The arithmetic is numpy's own: ``rng.gamma`` returns ``scale * g`` and
+    ``rng.uniform`` returns ``low + range * u``, so the results are bit-equal
+    to those calls on the same generator.
+    """
+    return omega / m * g, 0.0 + 2.0 * np.pi * u
+
+
+def draw_fading(rng: np.random.Generator, m: float = NAKAGAMI_M, omega: float = NAKAGAMI_OMEGA):
+    """The draws behind one channel: two standard gamma(m) variates, then two
+    standard uniforms, through ``fading_law``, so E[|h_i|^2] = omega."""
     if m < 0.5:
         raise ParameterError(f"Nakagami shape m must be >= 0.5, got {m}")
     if omega <= 0:
         raise ParameterError(f"omega must be positive, got {omega}")
-    return rng.gamma(m, omega / m, size=2), rng.uniform(0.0, 2.0 * np.pi, size=2)
+    return fading_law(rng.standard_gamma(m, size=2), rng.random(2), m, omega)
 
 
 def channel_gains(power, phase) -> np.ndarray:
@@ -125,7 +141,8 @@ def channel_gains(power, phase) -> np.ndarray:
     return np.sqrt(power) * np.exp(1j * phase)
 
 
-def draw_channel(rng: np.random.Generator, m: float = 3.0, omega: float = 1.0) -> ChannelRealization:
+def draw_channel(rng: np.random.Generator, m: float = NAKAGAMI_M,
+                 omega: float = NAKAGAMI_OMEGA) -> ChannelRealization:
     """Draw (h0, h1) with Nakagami-m magnitudes and independent uniform phases."""
     h = channel_gains(*draw_fading(rng, m, omega))
     return ChannelRealization(h0=complex(h[0]), h1=complex(h[1]), m=m, omega=omega)
@@ -135,9 +152,17 @@ def noise_variance_for_snr(snr_db: float) -> NoiseSpec:
     """Total noise variance for a target SNR.
 
     Mean received power is 2 (unit-energy symbols, omega=1 per coefficient,
-    two antennas), so sigma_w^2 = 2 * 10^(-snr_db/10).
+    two antennas), so sigma_w^2 = 2 * 10^(-snr_db/10). An SNR that is not
+    finite, or so low that the variance overflows, raises ``ParameterError``.
     """
-    return NoiseSpec(variance=2.0 * 10.0 ** (-snr_db / 10.0))
+    snr_db = float(snr_db)
+    try:
+        variance = 2.0 * 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        variance = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(variance)):
+        raise ParameterError(f"snr_db must give a finite noise variance, got {snr_db:g} dB")
+    return NoiseSpec(variance=variance)
 
 
 def receive(

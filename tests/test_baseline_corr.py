@@ -54,14 +54,10 @@ def scalar_calibration(snr_db, seq_len, trials, seed, variant, normalize):
 QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def scalar_synth(scheme, snr_db, length, seed, variant):
-    """Frozen per-sequence reference of the synthesis: one generator, one sequence,
-    draws in the order channel (gamma, uniform), k1, bits, noise."""
-    rng = np.random.default_rng(seed)
-    h = np.sqrt(rng.gamma(3.0, 1.0 / 3.0, size=2)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
-    h0, h1 = complex(h[0]), complex(h[1])
-    k1 = int(rng.integers(0, 2 if scheme == CodingScheme.AL else 1))
-    std = np.sqrt(2.0 * 10.0 ** (-snr_db / 10.0) / 2.0)
+def scalar_received(scheme, length, rng, h0, h1, std, k1, variant):
+    """Frozen per-sequence reference of the bits, noise and mixing: ``rng.integers`` bits
+    that fill slots k1 .. k1+length-1 (pairs from r(0) under paper-eq7 AL), then
+    ``rng.normal`` noise."""
     if variant == "paper-eq7" and scheme == CodingScheme.AL:
         n_pairs = (length + 1) // 2
         bits = rng.integers(0, 2, size=4 * n_pairs)
@@ -71,7 +67,7 @@ def scalar_synth(scheme, snr_db, length, seed, variant):
         r[0::2] = h0 * x0 + h1 * x1
         r[1::2] = -h0 * np.conj(x0) + h1 * np.conj(x1)
         w = rng.normal(0.0, std, size=(2, length))
-        return (h0, h1), r[:length] + w[0] + 1j * w[1]
+        return r[:length] + w[0] + 1j * w[1]
     n_cols = length + k1
     n_sym = n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols
     bits = rng.integers(0, 2, size=2 * n_sym)
@@ -84,13 +80,28 @@ def scalar_synth(scheme, snr_db, length, seed, variant):
         tx[0, 1::2], tx[1, 1::2] = -np.conj(x[1::2]), np.conj(x[0::2])
     signal = h0 * tx[0, k1 : k1 + length] + h1 * tx[1, k1 : k1 + length]
     w = rng.normal(0.0, std, size=(2, length))
-    return (h0, h1), signal + w[0] + 1j * w[1]
+    return signal + w[0] + 1j * w[1]
+
+
+def scalar_channel_offset(scheme, rng):
+    """Frozen reference of a sequence's first draws: channel (gamma, uniform), then k1."""
+    h = np.sqrt(rng.gamma(3.0, 1.0 / 3.0, size=2)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 2))
+    return complex(h[0]), complex(h[1]), int(rng.integers(0, 2 if scheme == CodingScheme.AL else 1))
+
+
+def scalar_synth(scheme, snr_db, length, seed, variant):
+    """Frozen per-sequence reference of the synthesis: one generator, one sequence,
+    draws in the order channel (gamma, uniform), k1, bits, noise."""
+    rng = np.random.default_rng(seed)
+    h0, h1, k1 = scalar_channel_offset(scheme, rng)
+    std = np.sqrt(2.0 * 10.0 ** (-snr_db / 10.0) / 2.0)
+    return (h0, h1), scalar_received(scheme, length, rng, h0, h1, std, k1, variant)
 
 
 class TestSynthBatch:
     SEEDS = [0, 1, 7, 2**32 + 5, 2**63 + 11, (1 << 70) + 3, 123456789]
 
-    @pytest.mark.parametrize("length", [4, 5, 128, 301, 1024])
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 128, 301, 1024])
     @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
     @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
     def test_rows_equal_one_row_calls(self, scheme, variant, length):
@@ -103,6 +114,12 @@ class TestSynthBatch:
             gains, frozen = scalar_synth(scheme, 3.0, length, seed, variant)
             assert (channel.h0, channel.h1) == gains
             assert seq.tobytes() == frozen.tobytes()
+
+    def test_al_seeds_draw_both_offsets(self):
+        # so an AL block above holds rows of both bit counts
+        offsets = {scalar_channel_offset(CodingScheme.AL, np.random.default_rng(seed))[2]
+                   for seed in self.SEEDS}
+        assert offsets == {0, 1}
 
     def test_row_does_not_depend_on_its_neighbours(self):
         _, r = synth_batch(CodingScheme.AL, 0.0, 64, self.SEEDS)
@@ -193,6 +210,36 @@ class TestCorrelationFeatures:
     def test_bad_shape_rejected(self, shape):
         with pytest.raises(ShapeError):
             correlation_features(np.ones(shape, dtype=np.complex128))
+
+
+class TestReceivedSequence:
+    """``received_sequence`` draws from the caller's generator with numpy's own calls."""
+
+    CH = ChannelRealization(h0=0.6 - 0.2j, h1=1.2 + 0.4j)
+    NOISE = NoiseSpec(0.3)
+
+    @staticmethod
+    def _generator(case):
+        """A fresh PCG64, a PCG64 that holds a buffered half-word, or an MT19937."""
+        if case == "mt19937":
+            return np.random.Generator(np.random.MT19937(5))
+        rng = np.random.default_rng(11)
+        if case == "buffered":
+            rng.integers(0, 2)
+        return rng
+
+    @pytest.mark.parametrize("case", ["fresh", "buffered", "mt19937"])
+    @pytest.mark.parametrize("k1", [0, 1])
+    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    def test_equals_frozen_formula(self, scheme, variant, k1, case):
+        rng, ref_rng = self._generator(case), self._generator(case)
+        seq = received_sequence(scheme, 37, rng, self.CH, self.NOISE, k1=k1, variant=variant)
+        frozen = scalar_received(scheme, 37, ref_rng, self.CH.h0, self.CH.h1,
+                                 np.sqrt(self.NOISE.variance / 2.0), k1, variant)
+        assert seq.tobytes() == frozen.tobytes()
+        assert rng.integers(0, 2**32) == ref_rng.integers(0, 2**32)
+        assert rng.random() == ref_rng.random()
 
 
 class TestEq7Generator:

@@ -150,6 +150,8 @@ DATA, OUT = "<dataset>", "<out>"
     ["eval", "--dataset", DATA, "-o", OUT, "--checkpoint", "missing.stbcnn",
      "--calibrate-trials", "5", "--calibrate-snr", "99"],
     ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--checkpoint", "missing.stbcnn"],
+    # a finite SNR whose noise variance overflows
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--calibrate-snr", "-4000"],
 ])
 def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
     out = tmp_path / "out"

@@ -141,6 +141,11 @@ class TestNoiseVariance:
     def test_normalization(self, snr_db, expected):
         assert noise_variance_for_snr(snr_db).variance == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("snr_db", [-4000.0, -1e308, np.nan, np.inf, -np.inf])
+    def test_no_finite_variance_rejected(self, snr_db):
+        with pytest.raises(ParameterError, match="^snr_db "):
+            noise_variance_for_snr(snr_db)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ParameterError):
             NoiseSpec(variance=-1.0)
