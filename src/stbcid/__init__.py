@@ -5,14 +5,12 @@ from .signal_model import (
     CodingScheme,
     NoiseSpec,
     ReceiveConfig,
-    draw_channel,
     encode,
     modulate_qpsk,
     noise_variance_for_snr,
     receive,
 )
 from .dataset import (
-    Burst,
     DatasetConfig,
     FrameSet,
     deserialize_frames,
@@ -31,12 +29,10 @@ from .classifier import (
     build_cnn2,
     initialize,
     load_checkpoint,
-    predict,
     save_checkpoint,
     train,
 )
 from .baseline_corr import (
-    CorrelationFeature,
     ThresholdRule,
     calibrate_threshold,
     classify_corr,

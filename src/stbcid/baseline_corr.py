@@ -25,9 +25,7 @@ from .errors import ParameterError, ShapeError
 from .signal_model import (
     _MASK64,
     NAKAGAMI_M,
-    ChannelRealization,
     CodingScheme,
-    NoiseSpec,
     block_slots,
     channel_gains,
     encode,
@@ -48,16 +46,6 @@ CORR_BLOCK = 256
 # calibrate_threshold(10, 128, 4000) is ~1.4 MB at 64, ~5.1 MB at 256, and
 # ~16 MB with every trial in one block.
 SYNTH_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class CorrelationFeature:
-    """Lag-1 pair correlations at both alignments; feature is the larger magnitude."""
-
-    c_delta0: complex
-    c_delta1: complex
-    feature: float
-    n_pairs: int
 
 
 @dataclass(frozen=True)
@@ -93,23 +81,20 @@ def _larger_magnitude(c: np.ndarray) -> np.ndarray:
 
 def correlation_features(samples) -> np.ndarray:
     """Feature of each row of a complex [n, L] array; row i equals
-    ``correlation_feature(samples[i]).feature`` bit for bit."""
+    ``correlation_feature(samples[i])`` bit for bit."""
     r = np.asarray(samples, dtype=np.complex128)
     if r.ndim != 2 or r.shape[1] < 4:
         raise ShapeError(f"need an [n, L] array with L >= 4, got shape {r.shape}")
     return _larger_magnitude(_pair_correlations(r))
 
 
-def correlation_feature(samples) -> CorrelationFeature:
-    """Average r(2t+d)*r(2t+1+d) over all in-range t, for d in {0, 1}."""
+def correlation_feature(samples) -> float:
+    """The larger magnitude of the means of r(2t+d)*r(2t+1+d) over all in-range t,
+    d in {0, 1}, for one sequence."""
     r = np.asarray(samples, dtype=np.complex128)
     if r.ndim != 1 or r.size < 4:
         raise ShapeError(f"need a 1-D sequence of length >= 4, got shape {r.shape}")
-    c = _pair_correlations(r[np.newaxis])
-    return CorrelationFeature(
-        c_delta0=complex(c[0, 0]), c_delta1=complex(c[1, 0]),
-        feature=float(_larger_magnitude(c)[0]), n_pairs=r.size // 2,
-    )
+    return float(_larger_magnitude(_pair_correlations(r[np.newaxis]))[0])
 
 
 def _n_bits(scheme: CodingScheme, n_cols: int) -> int:
@@ -129,33 +114,6 @@ def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndar
 def _start_slot(scheme: CodingScheme, k1: int, variant: str) -> int:
     """The ``paper-eq7`` AL generator ignores the drawn offset: its pairs start at r(0)."""
     return 0 if variant == "paper-eq7" and scheme == CodingScheme.AL else k1
-
-
-def received_sequence(
-    scheme: CodingScheme,
-    length: int,
-    rng: np.random.Generator,
-    channel: ChannelRealization,
-    noise: NoiseSpec,
-    k1: int = 0,
-    variant: str = "eq2",
-) -> np.ndarray:
-    """One received sequence with an explicit channel (constant throughout): the
-    bits that fill slots k1 .. k1+length-1, then the noise, drawn from ``rng``
-    (any bit generator, in any state) and mixed as one row of ``synth_batch``.
-
-    ``paper-eq7`` only changes AL synthesis; SM is the same two-stream model
-    either way.
-    """
-    if length < 2:
-        raise ParameterError(f"length must be >= 2, got {length}")
-    if k1 < 0:
-        raise ParameterError(f"k1 must be >= 0, got {k1}")
-    k1 = _start_slot(scheme, k1, variant)
-    bits = rng.integers(0, 2, size=_n_bits(scheme, length + k1))
-    w = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(2, length))
-    h = np.array([[channel.h0, channel.h1]], dtype=np.complex128)
-    return _received(scheme, bits[np.newaxis], np.array([k1]), h, w[np.newaxis], variant)[0]
 
 
 def synth_batch(
@@ -224,19 +182,11 @@ def synth_from_words(
     return h, _received(scheme, bits, k1, h, w, variant)
 
 
-def synth_with_channel(
-    scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
-) -> tuple[ChannelRealization, np.ndarray]:
-    """``synth_batch`` for one seed: its channel and its received sequence."""
-    h, r = synth_batch(scheme, snr_db, length, [seed], variant)
-    return ChannelRealization(h0=complex(h[0, 0]), h1=complex(h[0, 1])), r[0]
-
-
 def synth_sequence(
     scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
 ) -> np.ndarray:
-    """Random-channel sequence for calibration: channel, offset, bits, noise per seed."""
-    return synth_with_channel(scheme, snr_db, length, seed, variant)[1]
+    """Row 0 of ``synth_batch`` for one seed: its random-channel received sequence."""
+    return synth_batch(scheme, snr_db, length, [seed], variant)[1][0]
 
 
 def _best_threshold(feat_al: np.ndarray, feat_sm: np.ndarray) -> tuple[float, float]:
@@ -323,15 +273,15 @@ def _decide(features, rule: ThresholdRule) -> np.ndarray:
     return (np.asarray(features) > rule.threshold).astype(np.int64)
 
 
-def classify_corr(feature, rule: ThresholdRule) -> CodingScheme:
+def classify_corr(feature: float, rule: ThresholdRule) -> CodingScheme:
     """One feature's class under ``rule``."""
-    value = feature.feature if isinstance(feature, CorrelationFeature) else float(feature)
-    return CodingScheme(int(_decide(value, rule)))
+    return CodingScheme(int(_decide(feature, rule)))
 
 
 def classify_frames(frames, rule: ThresholdRule) -> np.ndarray:
-    """Class of each IQ frame [N, 2, L] (rows I, Q) under ``rule``, ``CORR_BLOCK`` frames
-    per feature pass; frame i's equals ``classify_corr(correlation_feature(I + jQ), rule)``."""
+    """Class of each IQ frame [N, 2, L] (rows I, Q) under ``rule``, from ``CORR_BLOCK``
+    frames' ``correlation_features`` at a time; frame i's class equals
+    ``classify_corr(correlation_feature(I + jQ), rule)`` of its rows I and Q."""
     frames = np.asarray(frames)
     out = np.empty(frames.shape[0], dtype=np.int64)
     for start in range(0, frames.shape[0], CORR_BLOCK):

@@ -184,19 +184,6 @@ def decide(probs) -> np.ndarray:
     return (probs[:, 1] > probs[:, 0]).astype(np.int64)
 
 
-def predict(model: Model, frame: np.ndarray) -> tuple[float, float]:
-    """Probabilities (P_SM, P_AL) for one 2 x 128 frame; ``decide`` classifies them."""
-    frame = np.asarray(frame)
-    if frame.shape == (1, 2, FRAME_LEN):
-        frame = frame[0]
-    probs = predict_batch(model, frame[None])[0]
-    return float(probs[0]), float(probs[1])
-
-
-def classify(model: Model, frame: np.ndarray) -> int:
-    return int(decide([predict(model, frame)])[0])
-
-
 def _eval_metrics(model: Model, frames: FrameSet) -> tuple[float, float]:
     """Mean loss and accuracy of a frame set, scored by predict_batch."""
     probs = predict_batch(model, frames.frames)

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -47,6 +48,11 @@ def _finite_float(raw: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
     return value
+
+
+# Words argparse takes for a negative number, not a flag: its own pattern misses the
+# exponent form, so `--snr-min -2e1` would read as a missing value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master seed") -> None:
@@ -125,6 +131,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gc.set_defaults(func=cmd_gradcheck)
     by_name["gradcheck"] = gc
 
+    for sub in by_name.values():
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, by_name
 
 

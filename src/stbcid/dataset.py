@@ -15,11 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import seeding
-from .baseline_corr import synth_from_words, synth_with_channel
+from .baseline_corr import synth_batch, synth_from_words
 from .signal_model import (
     _MASK64,
     CodingScheme,
-    ChannelRealization,
     ParameterError,
     ShapeError,
     encode,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
@@ -59,17 +58,6 @@ class VersionMismatchError(DatasetFormatError):
 
 class TruncatedRecordError(DatasetFormatError):
     pass
-
-
-@dataclass(frozen=True)
-class Burst:
-    """One received sequence with its generation context."""
-
-    samples: np.ndarray  # complex128, length burst_len
-    scheme: CodingScheme
-    snr_db: float
-    channel: ChannelRealization
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -135,28 +123,22 @@ def _snr_key(snr_db: float) -> int:
 
 
 def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarray:
-    """uint64 seed of each burst, from entropy columns (a scalar serves every burst)."""
+    """uint64 seed of each burst, from entropy columns (a scalar serves every burst):
+    the first uint64 of ``SeedSequence([master mod 2**64, scheme, snr key, burst
+    index])``, stable across platforms and run order."""
     return seeding.generate_state([master_seed & _MASK64, schemes, snr_keys, burst_indices],
                                   1, np.uint64)[:, 0]
 
 
-def derive_burst_seed(master_seed: int, scheme: CodingScheme, snr_db: float, burst_index: int) -> int:
-    """Deterministic per-burst seed, stable across platforms and run order: the first
-    uint64 of ``SeedSequence([master mod 2**64, scheme, snr key, burst_index])``."""
-    return int(_burst_seeds(master_seed, int(scheme), _snr_key(snr_db), burst_index)[0])
+def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> np.ndarray:
+    """The complex samples of one burst: one channel, one block offset, fresh random bits.
 
-
-def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> Burst:
-    """Generate one burst: one channel, one block offset, fresh random bits.
-
-    The samples are row 0 of ``baseline_corr.synth_batch(scheme, snr_db,
-    burst_len, [seed])``: one generator serves the dataset and the baseline's
-    calibration.
+    They are row 0 of ``baseline_corr.synth_batch(scheme, snr_db, burst_len,
+    [seed])``: one generator serves the dataset and the baseline's calibration.
     """
     if burst_len < FRAME_LEN:
         raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {burst_len}")
-    channel, samples = synth_with_channel(scheme, snr_db, burst_len, seed)
-    return Burst(samples=samples, scheme=scheme, snr_db=snr_db, channel=channel, seed=seed)
+    return synth_batch(scheme, snr_db, burst_len, [seed])[1][0]
 
 
 def window_frames(samples, window: int, shift: int) -> np.ndarray:
@@ -206,10 +188,6 @@ def _cell_frames(scheme: CodingScheme, snr_db: float, words: np.ndarray,
     samples = synth_from_words(scheme, snr_db, cfg.burst_len, words)[1]
     windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN, axis=1)[:, :: cfg.shift]
     return _iq_frames(windows.reshape(-1, FRAME_LEN), cfg.normalize)
-
-
-def _burst_frames(scheme: CodingScheme, snr_db: float, seed: int, cfg: DatasetConfig) -> np.ndarray:
-    return _cell_frames(scheme, snr_db, seeding.rng_words([seed]), cfg).astype(np.float32)
 
 
 def generate_dataset(cfg: DatasetConfig) -> FrameSet:

@@ -91,6 +91,27 @@ def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
 # CSV
 
 
+def _read_rows(path, what: str, parse, *headers) -> list:
+    """``parse(cells)`` of each non-blank row of a CSV whose header is one of ``headers``;
+    a row of another width, or one whose cells ``parse`` rejects with a ``ValueError``,
+    raises ``ParameterError`` naming its line."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] not in headers:
+        raise ParameterError(f"{path}: not {what} CSV")
+    parsed = []
+    for lineno, cells in enumerate(rows[1:], start=2):
+        if not cells:
+            continue
+        try:
+            if len(cells) != len(rows[0]):
+                raise ValueError
+            parsed.append(parse(cells))
+        except ValueError:
+            raise ParameterError(f"{path}: malformed row at line {lineno}") from None
+    return parsed
+
+
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -100,13 +121,9 @@ def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
 
 
 def read_accuracy_csv(path) -> AccuracyCurve:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["snr_db", "accuracy", "n"]:
-        raise ParameterError(f"{path}: not an accuracy CSV")
-    return AccuracyCurve(
-        points=tuple((float(r[0]), float(r[1]), int(r[2])) for r in rows[1:] if r)
-    )
+    points = _read_rows(path, "an accuracy", lambda r: (float(r[0]), float(r[1]), int(r[2])),
+                        ["snr_db", "accuracy", "n"])
+    return AccuracyCurve(points=tuple(points))
 
 
 def write_confusion_csv(matrix: np.ndarray, path, snr_db: float | None = None) -> None:
@@ -125,21 +142,22 @@ def write_confusion_csv(matrix: np.ndarray, path, snr_db: float | None = None) -
 
 
 def read_confusion_csv(path) -> tuple[np.ndarray, float | None]:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] not in (["true", "pred", "count"], ["snr_db", "true", "pred", "count"]):
-        raise ParameterError(f"{path}: not a confusion CSV")
-    has_snr = rows[0][0] == "snr_db"
+    """The matrix and SNR of a confusion CSV, which must give each of the four cells once."""
+    def parse(r):
+        *snr, true, pred, count = r
+        cell = (CLASS_NAMES.index(true), CLASS_NAMES.index(pred))
+        return (float(snr[0]) if snr else None), cell, int(count)
+
+    rows = _read_rows(path, "a confusion", parse,
+                      ["true", "pred", "count"], ["snr_db", "true", "pred", "count"])
+    counts = {cell: count for _, cell, count in rows}
+    if len(rows) != 4 or len(counts) != 4:
+        raise ParameterError(f"{path}: need each of the 4 confusion cells once, "
+                             f"got {len(rows)} rows for {len(counts)} cells")
     cm = np.zeros((2, 2), dtype=np.int64)
-    snr = None
-    for r in rows[1:]:
-        if not r:
-            continue
-        off = 1 if has_snr else 0
-        if has_snr:
-            snr = float(r[0])
-        cm[CLASS_NAMES.index(r[off]), CLASS_NAMES.index(r[off + 1])] = int(r[off + 2])
-    return cm, snr
+    for cell, count in counts.items():
+        cm[cell] = count
+    return cm, rows[-1][0]
 
 
 def write_loss_csv(curve: LossCurve, path) -> None:
@@ -151,14 +169,9 @@ def write_loss_csv(curve: LossCurve, path) -> None:
 
 
 def read_loss_csv(path) -> LossCurve:
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != ["epoch", "train_loss", "val_loss"]:
-        raise ParameterError(f"{path}: not a loss CSV")
-    return LossCurve(
-        train_loss=tuple(float(r[1]) for r in rows[1:] if r),
-        val_loss=tuple(float(r[2]) for r in rows[1:] if r),
-    )
+    rows = _read_rows(path, "a loss", lambda r: (int(r[0]), float(r[1]), float(r[2])),
+                      ["epoch", "train_loss", "val_loss"])
+    return LossCurve(train_loss=tuple(r[1] for r in rows), val_loss=tuple(r[2] for r in rows))
 
 
 # ---------------------------------------------------------------------------

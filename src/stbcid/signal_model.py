@@ -44,8 +44,6 @@ class ChannelRealization:
 
     h0: complex
     h1: complex
-    m: float = NAKAGAMI_M
-    omega: float = NAKAGAMI_OMEGA
 
 
 @dataclass(frozen=True)
@@ -115,37 +113,21 @@ def encode(scheme: CodingScheme, symbols, variant: str = "eq2") -> np.ndarray:
     return tx
 
 
-def fading_law(g, u, m: float = NAKAGAMI_M, omega: float = NAKAGAMI_OMEGA):
-    """Powers |h_i|^2 ~ Gamma(shape=m, scale=omega/m) and phases ~ U[0, 2pi) from
-    standard gamma(m) variates ``g`` and standard uniforms ``u``, elementwise.
+def fading_law(g, u):
+    """Powers |h_i|^2 ~ Gamma(shape=NAKAGAMI_M, scale=NAKAGAMI_OMEGA/NAKAGAMI_M) and
+    phases ~ U[0, 2pi) from standard gamma(NAKAGAMI_M) variates ``g`` and standard
+    uniforms ``u``, elementwise, so E[|h_i|^2] = NAKAGAMI_OMEGA.
 
     The arithmetic is numpy's own: ``rng.gamma`` returns ``scale * g`` and
     ``rng.uniform`` returns ``low + range * u``, so the results are bit-equal
     to those calls on the same generator.
     """
-    return omega / m * g, 0.0 + 2.0 * np.pi * u
-
-
-def draw_fading(rng: np.random.Generator, m: float = NAKAGAMI_M, omega: float = NAKAGAMI_OMEGA):
-    """The draws behind one channel: two standard gamma(m) variates, then two
-    standard uniforms, through ``fading_law``, so E[|h_i|^2] = omega."""
-    if m < 0.5:
-        raise ParameterError(f"Nakagami shape m must be >= 0.5, got {m}")
-    if omega <= 0:
-        raise ParameterError(f"omega must be positive, got {omega}")
-    return fading_law(rng.standard_gamma(m, size=2), rng.random(2), m, omega)
+    return NAKAGAMI_OMEGA / NAKAGAMI_M * g, 0.0 + 2.0 * np.pi * u
 
 
 def channel_gains(power, phase) -> np.ndarray:
     """h = sqrt(power) * e^(j phase), elementwise."""
     return np.sqrt(power) * np.exp(1j * phase)
-
-
-def draw_channel(rng: np.random.Generator, m: float = NAKAGAMI_M,
-                 omega: float = NAKAGAMI_OMEGA) -> ChannelRealization:
-    """Draw (h0, h1) with Nakagami-m magnitudes and independent uniform phases."""
-    h = channel_gains(*draw_fading(rng, m, omega))
-    return ChannelRealization(h0=complex(h[0]), h1=complex(h[1]), m=m, omega=omega)
 
 
 def noise_variance_for_snr(snr_db: float) -> NoiseSpec:

@@ -16,11 +16,10 @@ from stbcid.classifier import (
     ModelSpec,
     TrainConfig,
     build_cnn2,
-    classify,
+    decide,
     initialize,
     load_checkpoint,
     parameter_counts,
-    predict,
     predict_batch,
     save_checkpoint,
     train,
@@ -68,15 +67,15 @@ class TestPredict:
         rng = np.random.default_rng(0)
         for _ in range(3):
             frame = rng.standard_normal((2, FRAME_LEN)).astype(np.float32)
-            p_sm, p_al = predict(model, frame)
+            p_sm, p_al = predict_batch(model, frame[None])[0]
             assert abs(p_sm + p_al - 1.0) < 1e-6
 
     def test_eval_mode_deterministic(self):
         model = initialize(build_cnn2(), seed=1)
         frame = np.random.default_rng(2).standard_normal((2, FRAME_LEN)).astype(np.float32)
-        first = predict(model, frame)
+        first = predict_batch(model, frame[None])
         for _ in range(3):
-            assert predict(model, frame) == first
+            assert predict_batch(model, frame[None]).tobytes() == first.tobytes()
 
     def test_shared_model_thread_safe(self):
         # a library caller may score with one model from several threads
@@ -104,8 +103,9 @@ class TestPredict:
         out_layer.w[...] = 0.0
         out_layer.b[...] = 0.0
         frame = np.random.default_rng(3).standard_normal((2, FRAME_LEN)).astype(np.float32)
-        assert predict(model, frame) == (0.5, 0.5)
-        assert classify(model, frame) == 0
+        probs = predict_batch(model, frame[None])
+        assert tuple(probs[0]) == (0.5, 0.5)
+        assert decide(probs)[0] == 0
 
 
 class TestStreaming:
@@ -218,7 +218,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         back = load_checkpoint(path)
         frame = np.random.default_rng(1).standard_normal((2, FRAME_LEN)).astype(np.float32)
-        assert predict(back, frame) == predict(model, frame)
+        assert predict_batch(back, frame[None]).tobytes() == predict_batch(model, frame[None]).tobytes()
 
     def test_round_trip_bytes(self, tmp_path):
         model = initialize(build_cnn2(), seed=4)
@@ -288,4 +288,4 @@ class TestCheckpoint:
         frames = np.random.default_rng(3).standard_normal((4, 2, FRAME_LEN)).astype(np.float32)
         batch = predict_batch(model, frames)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], predict(model, frames[i]), atol=1e-7)
+            np.testing.assert_allclose(batch[i], predict_batch(model, frames[i:i + 1])[0], atol=1e-7)

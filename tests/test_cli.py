@@ -109,7 +109,7 @@ def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):
     rule = baseline_corr.calibrate_threshold(10.0, 128, 150, seed=4, normalize=True)
     assert eval_csv("corr") == expected_csv(rule)
     # a threshold equal to one frame's feature: the tie goes to SM
-    tie = dataclasses.replace(rule, threshold=feats[300].feature)
+    tie = dataclasses.replace(rule, threshold=feats[300])
     monkeypatch.setattr(baseline_corr, "calibrate_threshold", lambda *args, **kwargs: tie)
     assert eval_csv("tie") == expected_csv(tie)
 
@@ -130,6 +130,7 @@ DATA, OUT = "<dataset>", "<out>"
     ["train", "--dataset", DATA, "-o", OUT, "--bogus"],
     ["gradcheck", "--nets", "0"],
     ["train", "--dataset", DATA, "-o", OUT, "--lr", "-1"],
+    ["train", "--dataset", DATA, "-o", OUT, "--lr", "-1e-3"],  # parsed as a number
     ["train", "--dataset", DATA, "-o", OUT, "--dropout", "1.0"],
     ["train", "--dataset", DATA, "-o", OUT, "--patience", "-1"],
     ["train", "--dataset", DATA, "-o", OUT, "--epochs", "0"],
@@ -347,6 +348,19 @@ def test_non_finite_float_flags_exit_two(tmp_path, capsys, bad):
         config.write_text(f"{key}={bad}\n")
         assert cli.main(argv + ["--config", str(config)]) == 2, f"{command} {key}"
         assert repr(key) in capsys.readouterr().err
+
+
+def test_negative_numbers_in_exponent_form_parse(tmp_path):
+    for command, sub, action in _float_actions():  # as a separate word, on every subcommand
+        args = sub.parse_args([*_required_flags(sub), action.option_strings[-1], "-2.5E-1"])
+        assert getattr(args, action.dest) == -0.25, f"{command} {action.option_strings[-1]}"
+    written = []
+    for value in ("-2e1", "-20"):
+        data = tmp_path / f"grid{value}.bin"
+        assert cli.main(["generate", "--snr-min", value, "--snr-max", "0", "--snr-step", "10",
+                         "--bursts", "2", "--burst-len", "256", "-o", str(data)]) == 0
+        written.append((data.read_bytes(), pathlib.Path(f"{data}.manifest").read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "eval", "classify", "gradcheck"])

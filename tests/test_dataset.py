@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stbcid.baseline_corr import synth_sequence
+from stbcid import seeding
+from stbcid.baseline_corr import synth_batch, synth_sequence
 from stbcid.dataset import (
     BadMagicError,
     DatasetConfig,
@@ -14,7 +15,7 @@ from stbcid.dataset import (
     FrameSet,
     TruncatedRecordError,
     VersionMismatchError,
-    _burst_frames,
+    _cell_frames,
     assign_burst_ids,
     deserialize_frames,
     export_frames_csv,
@@ -132,25 +133,24 @@ class TestSynthesizeBurst:
     def test_deterministic(self):
         a = synthesize_burst(CodingScheme.AL, 10.0, 1024, seed=1)
         b = synthesize_burst(CodingScheme.AL, 10.0, 1024, seed=1)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        assert a.channel == b.channel
+        np.testing.assert_array_equal(a, b)
+        channels = synth_batch(CodingScheme.AL, 10.0, 1024, [1, 1])[0]
+        assert channels[0].tobytes() == channels[1].tobytes()
 
     def test_too_short_rejected(self):
         with pytest.raises(ParameterError):
             synthesize_burst(CodingScheme.SM, 0.0, 64, seed=0)
 
-    def test_label_fields(self):
+    def test_returns_the_samples(self):
         b = synthesize_burst(CodingScheme.SM, -4.0, 256, seed=9)
-        assert b.scheme == CodingScheme.SM
-        assert b.snr_db == -4.0
-        assert b.samples.shape == (256,)
+        assert b.shape == (256,) and b.dtype == np.complex128
 
     @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
     @pytest.mark.parametrize("length", [128, 301, 1024])
     def test_same_bytes_as_calibration_sequences(self, scheme, length):
         for seed in range(5):
             burst = synthesize_burst(scheme, 4.0, length, seed)
-            assert burst.samples.tobytes() == synth_sequence(scheme, 4.0, length, seed).tobytes()
+            assert burst.tobytes() == synth_sequence(scheme, 4.0, length, seed).tobytes()
 
     def test_mean_power_oracle_at_0db(self):
         # E|r|^2 = E(|h0|^2 + |h1|^2) + sigma_w^2 = 2 + 2; 1e6 samples spread over
@@ -158,8 +158,8 @@ class TestSynthesizeBurst:
         total, count = 0.0, 0
         for seed in range(4000):
             b = synthesize_burst(CodingScheme.SM, 0.0, 250, seed=seed)
-            total += float(np.sum(np.abs(b.samples) ** 2))
-            count += b.samples.size
+            total += float(np.sum(np.abs(b) ** 2))
+            count += b.size
         assert count == 1_000_000
         assert abs(total / count - 4.0) / 4.0 < 0.02
 
@@ -208,8 +208,8 @@ class TestBurstFrames:
     def test_bit_equal_to_one_window_at_a_time(self, normalize):
         cfg = small_config(burst_len=700, shift=50, normalize=normalize)
         for scheme in (CodingScheme.SM, CodingScheme.AL):
-            frames = _burst_frames(scheme, 0.0, 11, cfg)
-            windows = window_frames(synthesize_burst(scheme, 0.0, 700, 11).samples, 128, 50)
+            frames = _cell_frames(scheme, 0.0, seeding.rng_words([11]), cfg).astype(np.float32)
+            windows = window_frames(synthesize_burst(scheme, 0.0, 700, 11), 128, 50)
             stacked = np.stack([to_iq(w, normalize) for w in windows]).astype(np.float32)
             frozen = np.stack([scalar_to_iq(w, normalize) for w in windows]).astype(np.float32)
             assert frames.shape == (cfg.frames_per_burst, 2, FRAME_LEN)

@@ -116,6 +116,31 @@ class TestCsvRoundTrips:
         np.testing.assert_array_equal(back, cm)
         assert snr == -5.0
 
+    @pytest.mark.parametrize("read, header, rows, line", [
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,abc,3"], 2),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["-2.0,0.5,3", "", "1,0.5"], 4),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,3,9"], 2),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.5"], 2),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.7,0.71", "two,0.5,0.52"], 3),
+        (read_confusion_csv, "true,pred,count", ["SM,XX,3"], 2),
+        (read_confusion_csv, "snr_db,true,pred,count", ["0.0,SM,SM"], 2),
+        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,x", "AL,AL,4"], 4),
+        # each of the four cells exactly once
+        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3"], None),
+        (read_confusion_csv, "true,pred,count",
+         ["SM,SM,1", "SM,AL,2", "AL,SM,3", "AL,AL,4", "SM,AL,5"], None),
+        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3", "SM,SM,4"],
+         None),
+    ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "cm-class",
+            "cm-short", "cm-count", "cm-missing", "cm-five-rows", "cm-repeated"])
+    def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ParameterError) as err:
+            read(path)
+        assert str(path) in str(err.value)
+        assert line is None or f"line {line}" in str(err.value)
+
     def test_loss_csv(self, tmp_path):
         curve = LossCurve(train_loss=(0.7, 0.5, 0.4), val_loss=(0.71, 0.52, 0.45))
         path = tmp_path / "loss.csv"

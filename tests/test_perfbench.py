@@ -2,12 +2,15 @@
 
 A removal that drops a traced name (say the ``encode``/``receive`` imports that
 ``dataset`` keeps for tracing) fails here, not only in a traced benchmark run.
+So does a library change that breaks a workload's commands or output checks.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 import numpy as np
+import pytest
 
 from stbcid import classifier
 
@@ -54,3 +57,18 @@ def test_layer_spans_recorded():
                 for kind in ("fwd", "infer_fwd")}
     expected |= {f"tensor_nn.{name}.bwd" for name in spans.CNN2_LAYERS[1:-1]}  # conv1..dense2
     assert expected <= recorded, sorted(expected - recorded)
+
+
+@pytest.mark.parametrize("name", ["train", "infer", "baseline"])
+def test_tiny_workload_passes_its_checks(name, tmp_path, monkeypatch):
+    path = SPANS.with_name("workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+
+    workload = workloads.WORKLOADS[name](seed=1, tiny=True)
+    workload.setup(str(tmp_path / name))
+    results = [workloads.run_cli(cmd.argv) for cmd in workload.commands()]
+    assert [r.rc for r in results] == [0] * len(results), [r.stderr for r in results]
+    assert workload.check(results) == []

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stbcid.baseline_corr import synth_batch
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import (
     ChannelRealization,
     CodingScheme,
     NoiseSpec,
     ReceiveConfig,
+    NAKAGAMI_M,
     block_slots,
-    draw_channel,
+    channel_gains,
     encode,
+    fading_law,
     modulate_qpsk,
     noise_variance_for_snr,
     receive,
@@ -113,10 +116,13 @@ class TestEncode:
 
 
 class TestDrawChannel:
+    """The channel law that synthesis draws each row's (h0, h1) from: m = 3, omega = 1."""
+
     def test_channel_moments(self):
         rng = np.random.default_rng(5)
-        draws = [draw_channel(rng, m=3.0, omega=1.0) for _ in range(50_000)]
-        h2 = np.array([abs(c.h0) ** 2 for c in draws] + [abs(c.h1) ** 2 for c in draws])
+        h = channel_gains(*fading_law(rng.standard_gamma(NAKAGAMI_M, size=(50_000, 2)),
+                                      rng.random((50_000, 2))))
+        h2 = np.abs(h.T.ravel()) ** 2
         assert abs(h2.mean() - 1.0) < 0.01
         # Gamma(m, omega/m) variance is omega^2/m = 1/3
         assert abs(h2.var() - 1.0 / 3.0) / (1.0 / 3.0) < 0.05
@@ -125,15 +131,9 @@ class TestDrawChannel:
         assert abs(ratio - (1 + 1 / 3.0)) < 0.05
 
     def test_same_seed_bit_identical(self):
-        a = draw_channel(np.random.default_rng(42))
-        b = draw_channel(np.random.default_rng(42))
-        assert a.h0 == b.h0 and a.h1 == b.h1
-
-    def test_invalid_shape_rejected(self):
-        with pytest.raises(ParameterError):
-            draw_channel(np.random.default_rng(0), m=0.4)
-        with pytest.raises(ParameterError):
-            draw_channel(np.random.default_rng(0), omega=0.0)
+        a = synth_batch(CodingScheme.AL, 0.0, 4, [42])[0]
+        b = synth_batch(CodingScheme.SM, 10.0, 8, [42])[0]  # the channel is drawn first
+        assert a.tobytes() == b.tobytes()
 
 
 class TestNoiseVariance:
