@@ -51,8 +51,10 @@ def _finite_float(raw: str) -> float:
 
 
 # Words argparse takes for a negative number, not a flag: its own pattern misses the
-# exponent form, so `--snr-min -2e1` would read as a missing value.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# exponent form and -inf/-nan, so `--snr-min -2e1` would read as a missing value and
+# `--snr-min -inf` would not reach _finite_float's message.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master seed") -> None:

@@ -123,7 +123,10 @@ def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
 def read_accuracy_csv(path) -> AccuracyCurve:
     points = _read_rows(path, "an accuracy", lambda r: (float(r[0]), float(r[1]), int(r[2])),
                         ["snr_db", "accuracy", "n"])
-    return AccuracyCurve(points=tuple(points))
+    try:
+        return AccuracyCurve(points=tuple(points))
+    except ParameterError as err:
+        raise ParameterError(f"{path}: {err}") from None
 
 
 def write_confusion_csv(matrix: np.ndarray, path, snr_db: float | None = None) -> None:
@@ -142,7 +145,8 @@ def write_confusion_csv(matrix: np.ndarray, path, snr_db: float | None = None) -
 
 
 def read_confusion_csv(path) -> tuple[np.ndarray, float | None]:
-    """The matrix and SNR of a confusion CSV, which must give each of the four cells once."""
+    """The matrix and SNR of a confusion CSV, which must give each of the four cells once
+    and, with an snr_db column, one SNR on every row."""
     def parse(r):
         *snr, true, pred, count = r
         cell = (CLASS_NAMES.index(true), CLASS_NAMES.index(pred))
@@ -154,6 +158,8 @@ def read_confusion_csv(path) -> tuple[np.ndarray, float | None]:
     if len(rows) != 4 or len(counts) != 4:
         raise ParameterError(f"{path}: need each of the 4 confusion cells once, "
                              f"got {len(rows)} rows for {len(counts)} cells")
+    if len({snr for snr, _, _ in rows}) != 1:
+        raise ParameterError(f"{path}: rows give different snr_db values")
     cm = np.zeros((2, 2), dtype=np.int64)
     for cell, count in counts.items():
         cm[cell] = count

@@ -178,7 +178,9 @@ class Conv2D(_Weighted):
     [B, W, G, kw, F] array whose slot j holds it j - pad columns over, clipped
     the same way, so the weight gradient is one GEMM (input^T @ shifted
     gradient) and the unpadded input gradient another (shifted gradient @
-    weights^T), both with kw*F on the shared side.
+    weights^T), both with kw*F on the shared side. The stored input is dead
+    once the weight gradient is formed, so the input gradient is written over
+    it (the windowed path below stores patches instead and allocates it).
 
     When a kw-wide window of K values is no larger than the F outputs it feeds
     (conv1 of CNN2), forward instead pads the tiny input and builds its window
@@ -256,7 +258,9 @@ class Conv2D(_Weighted):
         self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
         if not input_grad:
             return None
-        dx = shifted @ self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T
+        # a windowed x holds patches; otherwise it is the input, dead now and owned by this layer
+        dx = np.empty((b * w, k), dtype=grad.dtype) if self._windowed else x.reshape(-1, k)
+        np.matmul(shifted, self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T, out=dx)
         return dx.reshape(b, w, kh * g, c)
 
 
@@ -275,7 +279,7 @@ class Dense(_Weighted):
 
     def backward(self, grad, input_grad=True):
         x, self._x = self._x, None
-        self.gw[...] = grad.T @ x
+        np.matmul(grad.T, x, out=self.gw)
         self.gb[...] = grad.sum(axis=0)
         return grad @ self.w if input_grad else None
 
@@ -628,34 +632,48 @@ def adam_init(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999
     )
 
 
+ADAM_BLOCK = 65536  # elements per block of adam_step's two scratch arrays
+
+
 def adam_step(params, grads, state: OptimizerState):
     """One bias-corrected Adam update, in place; returns (params, state).
 
     Bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, through two scratch arrays
-    per parameter instead of a temporary per operation.
+    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``. Each parameter is updated in
+    flat blocks of ``ADAM_BLOCK`` elements through two block-sized scratch
+    arrays (256 KB each in float32), not a temporary per operation; every
+    operation is elementwise, so the blocking changes no value. Parameters and
+    the state's m and v are updated through flat views, so they must be
+    C-contiguous.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads, and optimizer state must align")
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        if p.shape != g.shape:
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
+        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
+            raise ShapeError("adam_step updates C-contiguous parameters and state only")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        step, denom = np.empty_like(p), np.empty_like(p)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=step)
-        v *= state.beta2
-        np.multiply(g, g, out=step)
-        v += np.multiply(step, 1.0 - state.beta2, out=step)
-        np.divide(m, bc1, out=step)
-        step *= state.lr
-        np.divide(v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        step /= denom
-        p -= step
+        p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+        scratch = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=p.dtype)
+        for lo in range(0, p.size, ADAM_BLOCK):
+            pb, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in (p, g, m, v))
+            step, denom = scratch[:, :pb.size]
+            mb *= state.beta1
+            mb += np.multiply(gb, 1.0 - state.beta1, out=step)
+            vb *= state.beta2
+            np.multiply(gb, gb, out=step)
+            vb += np.multiply(step, 1.0 - state.beta2, out=step)
+            np.divide(mb, bc1, out=step)
+            step *= state.lr
+            np.divide(vb, bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            step /= denom
+            pb -= step
     return params, state
 
 

@@ -2,8 +2,11 @@
 
 import argparse
 import dataclasses
+import os
 import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +17,16 @@ from stbcid import baseline_corr, classifier, cli, dataset, evaluation, tensor_n
 def test_gradcheck_exits_zero(capsys):
     assert cli.main(["gradcheck", "--nets", "3"]) == 0
     assert "all gradients within tolerance" in capsys.readouterr().out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    run = subprocess.run([sys.executable, "-m", "stbcid", "gradcheck", "--nets", "2"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "all gradients within tolerance" in run.stdout
 
 
 def test_generate_train_eval(tmp_path, monkeypatch, capsys):
@@ -361,6 +374,15 @@ def test_negative_numbers_in_exponent_form_parse(tmp_path):
                          "--bursts", "2", "--burst-len", "256", "-o", str(data)]) == 0
         written.append((data.read_bytes(), pathlib.Path(f"{data}.manifest").read_bytes()))
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-NaN"])
+def test_non_finite_negative_word_gets_the_finite_message(capsys, bad):
+    for command, sub, action in _float_actions():  # as a separate word, not --flag=value
+        flag = action.option_strings[-1]
+        assert cli.main([command, *_required_flags(sub), flag, bad]) == 2, f"{command} {flag}"
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a finite number, got {bad!r}" in err, err
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "eval", "classify", "gradcheck"])

@@ -131,8 +131,15 @@ class TestCsvRoundTrips:
          ["SM,SM,1", "SM,AL,2", "AL,SM,3", "AL,AL,4", "SM,AL,5"], None),
         (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3", "SM,SM,4"],
          None),
+        # one SNR per file
+        (read_confusion_csv, "snr_db,true,pred,count",
+         ["0.0,SM,SM,1", "0.0,SM,AL,2", "5.0,AL,SM,3", "9.0,AL,AL,4"], None),
+        # rows that parse but do not make an AccuracyCurve
+        (read_accuracy_csv, "snr_db,accuracy,n", ["5.0,0.5,3", "0.0,0.5,3"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,1.5,3"], None),
     ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "cm-class",
-            "cm-short", "cm-count", "cm-missing", "cm-five-rows", "cm-repeated"])
+            "cm-short", "cm-count", "cm-missing", "cm-five-rows", "cm-repeated",
+            "cm-snr-conflict", "acc-unsorted", "acc-range"])
     def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([header, *rows]) + "\n")

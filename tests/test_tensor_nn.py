@@ -1,6 +1,7 @@
 """Tests for the network engine: forward ops, backprop vs finite differences, Adam."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stbcid.classifier import (
 from stbcid.dataset import FRAME_LEN
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.tensor_nn import (
+    ADAM_BLOCK,
     LAYER_KINDS,
     Dropout,
     Network,
@@ -233,7 +235,8 @@ class TestBackprop:
 class TestAdam:
     def test_bit_equal_to_textbook_expression(self):
         rng = np.random.default_rng(6)
-        shapes = [(7, 3), (5,)]
+        # the long ones end mid-block: 2 blocks + 123 flat, and 300 x 500 = 2 blocks + 18928
+        shapes = [(7, 3), (5,), (2 * ADAM_BLOCK + 123,), (300, 500)]
         params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
         ref = [p.copy() for p in params]
         state = adam_init(params, lr=1e-2)
@@ -251,6 +254,27 @@ class TestAdam:
                 np.testing.assert_array_equal(p, q)
                 np.testing.assert_array_equal(ms, mi)
                 np.testing.assert_array_equal(vs, vi)
+
+    def test_peak_memory(self):
+        # CNN2's step peaked at 21.5 MB with full-size scratch; block scratch measured 0.53 MB
+        model = initialize(build_cnn2(), seed=2)
+        params = model.net.parameters()
+        grads = [np.ones_like(p) for p in params]
+        state = adam_init(params)
+        tracemalloc.start()
+        try:
+            adam_step(params, grads, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"adam_step peaked at {peak / 1e6:.2f} MB"
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = [np.zeros((4, 3)).T]
+        state = adam_init([np.zeros((3, 4))])
+        with pytest.raises(ShapeError):
+            adam_step(params, [np.ones((3, 4))], state)
+        assert state.t == 0
 
     def test_zero_gradient_fixed_point(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
@@ -577,6 +601,19 @@ class TestCallContracts:
         x64 = rng.standard_normal((3, 1, 2, 8))
         report = grad_check(net64, x64, np.eye(2)[[0, 1, 1]], step=1e-5, tolerance=1e-4)
         assert report.passed, f"max rel error {report.max_rel_error}"
+
+    def test_training_step_peak_memory(self):
+        # one B=32 CNN2 step measured 19.1 MB (27.6 MB when conv2's input gradient
+        # and dense1's weight gradient were fresh arrays); conv1's output alone is 8.5 MB
+        model = initialize(build_cnn2(), seed=2)
+        x, onehot = _cnn2_batch(32, seed=1)
+        tracemalloc.start()
+        try:
+            model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 21e6, f"loss_and_grads peaked at {peak / 1e6:.1f} MB"
 
     def test_batch_sizes_do_not_leak_between_calls(self):
         # 128 -> 118 -> 128 on one model: each call equals the same call on a fresh model
