@@ -63,7 +63,8 @@ def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master se
     p.add_argument("--threads", type=int, default=1, choices=(1,),
                    help="only 1 is accepted; set OPENBLAS_NUM_THREADS to parallelize BLAS")
     p.add_argument("--config", metavar="FILE",
-                   help="key=value defaults; explicit flags win")
+                   help="one key=value per line: the key is a long flag without its --, and "
+                        "a switch takes 1/true/0/false; explicit flags win")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -138,45 +139,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, by_name
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    pairs = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            k, v = line.split("=", 1)
-            pairs[k.strip()] = v.strip()
-    return pairs
+def _config_words(path: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The command-line words that a ``--config`` file of ``sub``'s flags stands for.
 
-
-def _apply_config(sub: argparse.ArgumentParser, path: str) -> None:
-    actions = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            if opt.startswith("--"):
-                actions[opt[2:]] = action
-    for key, raw in _parse_config_file(path).items():
-        if key == "config" or key not in actions:
-            raise UsageError(f"unknown config key {key!r}")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            if raw not in ("0", "1", "true", "false"):
-                raise UsageError(f"config key {key!r} wants a boolean, got {raw!r}")
-            value = raw in ("1", "true")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise UsageError(f"config key {key!r}: cannot parse {raw!r}") from None
-        else:
-            value = raw
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config key {key!r}: {raw!r} is not one of "
-                             f"{', '.join(map(str, action.choices))}")
-        sub.set_defaults(**{action.dest: value})
+    A line ``key=value`` becomes ``--key=value``; for a switch, ``1``/``true``
+    becomes ``--key`` and ``0``/``false`` nothing, while any other value stays
+    ``--key=value`` for argparse to reject. The key must be one of ``sub``'s long
+    flags exactly, not ``help`` or ``config``; a later line overrides an earlier one.
+    A file that cannot be read is a usage error, like any other bad flag value.
+    """
+    switch_of = {opt[2:]: action.nargs == 0 for action in sub._actions
+                 for opt in action.option_strings
+                 if opt.startswith("--") and action.dest not in ("help", "config")}
+    try:
+        with open(path) as f:
+            lines = f.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"--config: {e}") from None
+    values = {}
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in switch_of:
+            raise UsageError(f"{path}:{lineno}: unknown config key --{key}")
+        values[key] = value
+    return [f"--{key}" if switch_of[key] and value in ("1", "true") else f"--{key}={value}"
+            for key, value in values.items()
+            if not (switch_of[key] and value in ("0", "false"))]
 
 
 def _snr_grid(args) -> tuple[float, ...]:
@@ -375,21 +368,28 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _with_config(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -> list[str]:
+    """argv with the words of its ``--config`` file right after the subcommand, so explicit flags win."""
+    sub = by_name.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    finder.add_argument("--config")  # abbreviations too, as the full parse reads them
+    try:
+        path = finder.parse_known_args(argv[1:])[0].config
+    except argparse.ArgumentError:  # --config without a file: the full parse reports it
+        return argv
+    return [argv[0], *_config_words(path, sub), *argv[1:]] if path else argv
+
+
 def main(argv=None) -> int:
     parser, by_name = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            _apply_config(by_name[args.command], args.config)
-            args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
-    try:
+        args = parser.parse_args(_with_config(argv, by_name))
         return args.func(args)
+    except SystemExit as e:  # argparse: 2 on a usage error, 0 after --help
+        return int(e.code or 0)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -10,9 +10,10 @@ padding, inverted dropout, softmax + cross-entropy fused in the backward
 pass. A ``zeropad`` must come directly before a ``conv2d``, which owns that
 padding: ``Network`` hands the conv the pad width, the conv reads its unpadded
 input as if zero columns flanked it (no padded copy is made), and the ZeroPad
-layer passes activations and gradients through. The single-sample functional
-forms (``conv2d_forward``, ``relu``, ...) are channel-first float64
-references that the tests compare the layers with.
+layer passes activations and gradients through. Besides the batch loss
+``batch_cross_entropy``, the functional section holds only the references that
+the tests compare the layers with: single-sample, channel-first float64
+``conv2d_forward``, ``dense_forward``, ``relu`` and ``softmax``.
 
 Three rules keep the layers lean and let a library caller run one shared model
 in eval mode from several threads:
@@ -514,7 +515,7 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# single-sample functional surface
+# functional references and the batch loss
 
 
 def conv2d_forward(x, weights, bias) -> np.ndarray:
@@ -564,83 +565,49 @@ def _check_onehot(onehot) -> None:
         raise ParameterError("target must be one-hot (exactly one 1 per row)")
 
 
-def cross_entropy_loss(probs, onehot) -> float:
-    """-sum(y * ln(max(p, 1e-12))) for a single probability vector."""
-    probs = np.asarray(probs, dtype=np.float64)
-    onehot = np.asarray(onehot, dtype=np.float64)
-    if probs.shape != onehot.shape or probs.ndim != 1:
-        raise ShapeError(f"shapes {probs.shape} and {onehot.shape} must match (1-D)")
-    _check_onehot(onehot)
-    return float(-(onehot * np.log(np.maximum(probs, LOSS_CLAMP))).sum())
-
-
 def batch_cross_entropy(probs, onehot) -> float:
-    """Mean clamped cross-entropy over a [B, k] batch."""
+    """Mean clamped cross-entropy, -mean(sum(y * ln(max(p, 1e-12)))), over a [B, k] batch."""
     probs = np.asarray(probs, dtype=np.float64)
     onehot = np.asarray(onehot, dtype=np.float64)
+    if probs.shape != onehot.shape or probs.ndim != 2:
+        raise ShapeError(f"shapes {probs.shape} and {onehot.shape} must match ([B, k])")
     _check_onehot(onehot)
     per = -(onehot * np.log(np.maximum(probs, LOSS_CLAMP))).sum(axis=-1)
     return float(per.mean())
-
-
-def dropout(x, rate: float, mode: str, rng=None) -> np.ndarray:
-    """Inverted dropout on an arbitrary tensor; mode is 'train' or 'eval'."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must lie in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ParameterError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(x)
-    if mode == "eval" or rate == 0.0:
-        return x.copy()
-    if rng is None:
-        raise ParameterError("train-mode dropout needs an rng")
-    keep = rng.random(x.shape) >= rate
-    return np.where(keep, x / (1.0 - rate), 0.0)
-
-
-def backprop(network: Network, x, onehot):
-    """Single-sample loss and exact gradients w.r.t. every parameter."""
-    x = np.asarray(x)
-    onehot = np.asarray(onehot)
-    loss, grads = network.loss_and_grads(x[None], onehot[None])
-    return loss, [g.copy() for g in grads]
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+ADAM_BLOCK = 65536  # elements per block of adam_step's two scratch arrays
+
+
 @dataclass
 class OptimizerState:
     """Adam accumulators; shapes mirror the parameter list."""
 
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     t: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def adam_init(params, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> OptimizerState:
-    return OptimizerState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
-
-
-ADAM_BLOCK = 65536  # elements per block of adam_step's two scratch arrays
+def adam_init(params, lr: float) -> OptimizerState:
+    return OptimizerState(lr=lr, m=[np.zeros_like(p) for p in params],
+                          v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, state: OptimizerState):
     """One bias-corrected Adam update, in place; returns (params, state).
 
     Bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
-    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``. Each parameter is updated in
-    flat blocks of ``ADAM_BLOCK`` elements through two block-sized scratch
+    ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, where b1, b2 and eps are
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. Each parameter is updated
+    in flat blocks of ``ADAM_BLOCK`` elements through two block-sized scratch
     arrays (256 KB each in float32), not a temporary per operation; every
     operation is elementwise, so the blocking changes no value. Parameters and
     the state's m and v are updated through flat views, so they must be
@@ -654,24 +621,24 @@ def adam_step(params, grads, state: OptimizerState):
         if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
             raise ShapeError("adam_step updates C-contiguous parameters and state only")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
         scratch = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=p.dtype)
         for lo in range(0, p.size, ADAM_BLOCK):
             pb, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in (p, g, m, v))
             step, denom = scratch[:, :pb.size]
-            mb *= state.beta1
-            mb += np.multiply(gb, 1.0 - state.beta1, out=step)
-            vb *= state.beta2
+            mb *= ADAM_BETA1
+            mb += np.multiply(gb, 1.0 - ADAM_BETA1, out=step)
+            vb *= ADAM_BETA2
             np.multiply(gb, gb, out=step)
-            vb += np.multiply(step, 1.0 - state.beta2, out=step)
+            vb += np.multiply(step, 1.0 - ADAM_BETA2, out=step)
             np.divide(mb, bc1, out=step)
             step *= state.lr
             np.divide(vb, bc2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += state.eps
+            denom += ADAM_EPS
             step /= denom
             pb -= step
     return params, state

@@ -360,7 +360,7 @@ def test_non_finite_float_flags_exit_two(tmp_path, capsys, bad):
         config = tmp_path / "bad.cfg"
         config.write_text(f"{key}={bad}\n")
         assert cli.main(argv + ["--config", str(config)]) == 2, f"{command} {key}"
-        assert repr(key) in capsys.readouterr().err
+        assert f"--{key}" in capsys.readouterr().err
 
 
 def test_negative_numbers_in_exponent_form_parse(tmp_path):
@@ -395,7 +395,7 @@ def test_threads_other_than_one_exit_two(tmp_path, capsys, command):
     config = tmp_path / "threads.cfg"
     config.write_text("threads=2\n")
     assert cli.main(argv + ["--config", str(config)]) == 2
-    assert "'threads'" in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("split", "bogus"), ("baseline", "nonsense")])
@@ -405,5 +405,80 @@ def test_config_values_obey_choices(tmp_path, capsys, key, value):
     argv = ["eval", "--dataset", str(tmp_path / "missing.bin"), "-o", str(tmp_path / "out"),
             "--config", str(config)]
     assert cli.main(argv) == 2
-    assert repr(key) in capsys.readouterr().err
+    assert f"--{key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _generate_with_config(tmp_path, lines, *flags) -> int:
+    """Exit code of generate on a small grid with a --config file of ``lines``."""
+    config = tmp_path / "gen.cfg"
+    config.write_text("".join(f"{line}\n" for line in lines))
+    return cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "1", "--burst-len", "256", *flags, "--config", str(config)])
+
+
+def test_config_supplies_a_required_flag(tmp_path):
+    data = tmp_path / "grid.bin"
+    assert _generate_with_config(tmp_path, [f"out={data}"]) == 0
+    assert data.exists() and pathlib.Path(f"{data}.manifest").exists()
+
+
+@pytest.mark.parametrize("value, normalize", [("1", "0"), ("true", "0"), ("0", "1"),
+                                              ("false", "1")])
+def test_config_switch_lines(tmp_path, value, normalize):
+    data = tmp_path / "grid.bin"
+    assert _generate_with_config(tmp_path, [f"no-normalize={value}"], "-o", str(data)) == 0
+    assert f"normalize={normalize}" in pathlib.Path(f"{data}.manifest").read_text().split()
+
+
+def test_explicit_flag_beats_config(tmp_path):
+    data = tmp_path / "grid.bin"
+    assert _generate_with_config(tmp_path, ["seed=3"], "--seed", "5", "-o", str(data)) == 0
+    assert "seed=5" in pathlib.Path(f"{data}.manifest").read_text().split()
+
+
+# help would print the usage and exit 0, and argparse would read see as --seed
+@pytest.mark.parametrize("key", ["help", "see", "config", "o", "--seed"])
+def test_config_key_must_name_a_long_flag_exactly(tmp_path, capsys, key):
+    data = tmp_path / "grid.bin"
+    assert _generate_with_config(tmp_path, [f"{key}=5"], "-o", str(data)) == 2
+    assert f"unknown config key --{key}" in capsys.readouterr().err
+    assert not data.exists()
+
+
+# --c is ambiguous in eval: an argv that is a usage error either way still exits 2
+@pytest.mark.parametrize("words", [["--config"], ["--bogus", "--config"], ["--c"]])
+def test_unreadable_config_file_exits_two(tmp_path, capsys, words):
+    missing, binary = tmp_path / "missing.cfg", tmp_path / "binary.cfg"
+    binary.write_bytes(b"seed=\xff\n")
+    for path in (missing, binary):
+        assert cli.main(["eval", "--dataset", "d", "-o", "o", *words, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "usage error: --config:" in err and "Traceback" not in err
+
+
+def _valued_flags(sub: argparse.ArgumentParser) -> dict[str, str]:
+    """A value that parses for each of a subcommand's long flags that takes one, by flag name."""
+    values = {}
+    for action in sub._actions:
+        if action.nargs == 0 or action.dest == "config":
+            continue
+        value = {int: "3", cli._finite_float: "-0.5", None: "x"}[action.type]
+        values[action.option_strings[-1][2:]] = str(action.choices[-1]) if action.choices else value
+    return values
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "classify", "gradcheck"])
+def test_config_parses_like_the_command_line(tmp_path, monkeypatch, command):
+    _, by_name = cli.build_parser()
+    flags = _valued_flags(by_name[command])
+    assert len(flags) >= 3
+    parsed = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(vars(args)) or 0)
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key}={value}\n" for key, value in flags.items()))
+    assert cli.main([command, "--config", str(config)]) == 0
+    assert cli.main([command, *(f"--{key}={value}" for key, value in flags.items())]) == 0
+    from_file, from_argv = parsed
+    assert from_file.pop("config") == str(config) and from_argv.pop("config") is None
+    assert from_file == from_argv

@@ -20,19 +20,20 @@ from stbcid.classifier import (
 from stbcid.dataset import FRAME_LEN
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.tensor_nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_BLOCK,
+    ADAM_EPS,
     LAYER_KINDS,
     Dropout,
     Network,
     adam_init,
     adam_step,
-    backprop,
+    batch_cross_entropy,
     conv2d_forward,
     conv_spec,
-    cross_entropy_loss,
     dense_forward,
     dense_spec,
-    dropout,
     dropout_spec,
     flatten_spec,
     grad_check,
@@ -144,43 +145,29 @@ class TestReluSoftmaxLoss:
             assert np.all(p < 1.0)
 
     def test_cross_entropy_examples(self):
-        assert cross_entropy_loss([0.5, 0.5], [1, 0]) == pytest.approx(np.log(2.0), rel=1e-9)
-        assert cross_entropy_loss([1.0, 0.0], [1, 0]) == pytest.approx(0.0, abs=1e-12)
-        assert cross_entropy_loss([0.25, 0.75], [0, 1]) == pytest.approx(-np.log(0.75), rel=1e-9)
+        assert batch_cross_entropy([[0.5, 0.5]], [[1, 0]]) == pytest.approx(np.log(2.0), rel=1e-9)
+        assert batch_cross_entropy([[1.0, 0.0]], [[1, 0]]) == pytest.approx(0.0, abs=1e-12)
+        assert batch_cross_entropy([[0.25, 0.75]], [[0, 1]]) == pytest.approx(-np.log(0.75),
+                                                                              rel=1e-9)
 
     def test_cross_entropy_clamps_zero(self):
         # ln(1e-12) rather than -inf
-        assert cross_entropy_loss([0.0, 1.0], [1, 0]) == pytest.approx(-np.log(1e-12))
+        assert batch_cross_entropy([[0.0, 1.0]], [[1, 0]]) == pytest.approx(-np.log(1e-12))
 
     def test_malformed_onehot_rejected(self):
         with pytest.raises(ParameterError):
-            cross_entropy_loss([0.5, 0.5], [1, 1])
+            batch_cross_entropy([[0.5, 0.5]], [[1, 1]])
         with pytest.raises(ParameterError):
-            cross_entropy_loss([0.5, 0.5], [0.3, 0.7])
+            batch_cross_entropy([[0.5, 0.5]], [[0.3, 0.7]])
 
-
-class TestDropout:
-    def test_eval_identity(self):
-        x = np.arange(10.0)
-        np.testing.assert_array_equal(dropout(x, 0.9, "eval"), x)
-
-    def test_rate_zero_identity(self):
-        x = np.arange(10.0)
-        np.testing.assert_array_equal(dropout(x, 0.0, "train", np.random.default_rng(0)), x)
-
-    def test_survivors_scaled_and_mean_preserved(self):
-        rng = np.random.default_rng(1)
-        x = np.full(100_000, 3.0)
-        out = dropout(x, 0.5, "train", rng)
-        kept = out[out != 0.0]
-        np.testing.assert_allclose(kept, 6.0, atol=1e-12)  # exactly 2x survivors
-        assert abs(out.mean() - 3.0) / 3.0 < 0.02
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ParameterError):
-            dropout(np.zeros(3), 1.0, "train", np.random.default_rng(0))
-        with pytest.raises(ParameterError):
-            dropout(np.zeros(3), 0.5, "test", np.random.default_rng(0))
+    @pytest.mark.parametrize("probs, onehot", [
+        (np.full((3, 2), 0.5), [1, 0]),  # one row would be broadcast over the batch: ln 2
+        (np.full((3, 2), 0.5), np.eye(3)),  # numpy would raise its own ValueError
+        ([0.5, 0.5], [1, 0]),  # an unbatched row
+    ])
+    def test_cross_entropy_shapes_must_match(self, probs, onehot):
+        with pytest.raises(ShapeError):
+            batch_cross_entropy(probs, onehot)
 
 
 def _single_dense_net(weights, bias):
@@ -199,7 +186,7 @@ class TestBackprop:
     def test_saturated_prediction_zero_gradient(self):
         # logits with huge margin make p == onehot to double precision
         net = _single_dense_net(np.array([[100.0, 0.0], [-100.0, 0.0]]), np.zeros(2))
-        _, grads = backprop(net, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        _, grads = net.loss_and_grads(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]]))
         for g in grads:
             assert np.all(np.abs(g) < 1e-12)
 
@@ -210,7 +197,7 @@ class TestBackprop:
         x = rng.standard_normal(3)
         onehot = np.array([0.0, 1.0])
         net = _single_dense_net(w, b)
-        loss, grads = backprop(net, x, onehot)
+        loss, grads = net.loss_and_grads(x[None], onehot[None])
         p = softmax(w @ x + b)
         np.testing.assert_allclose(grads[0], np.outer(p - onehot, x), atol=1e-12)
         np.testing.assert_allclose(grads[1], p - onehot, atol=1e-12)
@@ -242,7 +229,7 @@ class TestAdam:
         state = adam_init(params, lr=1e-2)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
-        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.lr, ADAM_EPS
         for t in range(1, 6):
             grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
             adam_step(params, grads, state)
@@ -260,7 +247,7 @@ class TestAdam:
         model = initialize(build_cnn2(), seed=2)
         params = model.net.parameters()
         grads = [np.ones_like(p) for p in params]
-        state = adam_init(params)
+        state = adam_init(params, lr=1e-3)
         tracemalloc.start()
         try:
             adam_step(params, grads, state)
@@ -271,7 +258,7 @@ class TestAdam:
 
     def test_non_contiguous_parameter_rejected(self):
         params = [np.zeros((4, 3)).T]
-        state = adam_init([np.zeros((3, 4))])
+        state = adam_init([np.zeros((3, 4))], lr=1e-3)
         with pytest.raises(ShapeError):
             adam_step(params, [np.ones((3, 4))], state)
         assert state.t == 0
@@ -279,7 +266,7 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
         before = [p.copy() for p in params]
-        state = adam_init(params)
+        state = adam_init(params, lr=1e-3)
         adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
         for p, q in zip(params, before):
             np.testing.assert_array_equal(p, q)
@@ -302,7 +289,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         params = [np.zeros(2)]
-        state = adam_init(params)
+        state = adam_init(params, lr=1e-3)
         with pytest.raises(ShapeError):
             adam_step(params, [np.zeros(3)], state)
 
