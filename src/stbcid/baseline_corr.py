@@ -6,12 +6,16 @@ takes the larger magnitude. The threshold has no analytic form -- the
 population value of the statistic depends on the channel -- so it is
 calibrated empirically by error minimization over synthetic sequences.
 
-Two AL generators exist: the default follows the Alamouti coding matrix; the
-``paper-eq7`` variant emits pairs r(2t) = h0*x0 + h1*x1, r(2t+1) =
--h0*conj(x0) + h1*conj(x1), whose population statistic at alignment 0 is
-h1^2 - h0^2 for unit-energy symbols. Under the coding-matrix generator both
-classes have population statistic 0 for proper QPSK, so near-chance
-separation there is expected, not a defect.
+AL follows the Alamouti coding matrix: r(2t) = h0*x0 + h1*x1 and r(2t+1) =
+-h0*conj(x1) + h1*conj(x0). The pair product r(2t)*r(2t+1) is then
+h0*h1*(|x0|^2 - |x1|^2), which is 0 for constant-modulus QPSK, plus terms in
+x0*conj(x1) and x1*conj(x0) that average to 0; products across blocks average
+to 0 for proper QPSK. So both classes have population statistic 0, and
+near-chance separation is expected, not a defect. The pairs as the paper's
+eq. (7) prints them, r(2t+1) = -h0*conj(x0) + h1*conj(x1), would put
+-h0^2*|x0|^2 + h1^2*|x1|^2 into the product instead, so the statistic would be
+h1^2 - h0^2 at alignment 0; that layout is not an orthogonal code, and the
+synthesis does not offer it.
 """
 
 from __future__ import annotations
@@ -103,30 +107,23 @@ def _n_bits(scheme: CodingScheme, n_cols: int) -> int:
 
 
 def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndarray,
-              w: np.ndarray, variant: str) -> np.ndarray:
+              w: np.ndarray) -> np.ndarray:
     """Sequences [n, L] from bits [n, B] (rows zero-padded past their own count),
     offsets k1 [n], gains h [n, 2] and noise w [n, 2, L]: encode, slice at k1, mix."""
-    tx = encode(scheme, modulate_qpsk(bits), variant)
+    tx = encode(scheme, modulate_qpsk(bits))
     windows = np.lib.stride_tricks.sliding_window_view(tx, w.shape[-1], axis=2)
     return mix(windows[np.arange(k1.size), :, k1], h, w)  # row i's window starts at k1[i]
 
 
-def _start_slot(scheme: CodingScheme, k1: int, variant: str) -> int:
-    """The ``paper-eq7`` AL generator ignores the drawn offset: its pairs start at r(0)."""
-    return 0 if variant == "paper-eq7" and scheme == CodingScheme.AL else k1
-
-
-def synth_batch(
-    scheme: CodingScheme, snr_db: float, length: int, seeds, variant: str = "eq2"
-) -> tuple[np.ndarray, np.ndarray]:
+def synth_batch(scheme: CodingScheme, snr_db: float, length: int,
+                seeds) -> tuple[np.ndarray, np.ndarray]:
     """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
     row per non-negative int seed, its row drawn by ``np.random.default_rng(seed)``."""
-    return synth_from_words(scheme, snr_db, length, seeding.rng_words(seeds), variant)
+    return synth_from_words(scheme, snr_db, length, seeding.rng_words(seeds))
 
 
-def synth_from_words(
-    scheme: CodingScheme, snr_db: float, length: int, words: np.ndarray, variant: str = "eq2"
-) -> tuple[np.ndarray, np.ndarray]:
+def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
+                     words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``synth_batch`` of the seeds whose ``seeding.rng_words`` are ``words`` [n, 4]: the
     one synthesis path, for calibration and dataset bursts alike.
 
@@ -169,7 +166,7 @@ def synth_from_words(
         rng.random(out=u[i])
         if al:
             raw[i, 0] = word = bitgen.random_raw()
-            k1[i] = offset = _start_slot(scheme, word >> 31 & 1, variant)
+            k1[i] = offset = word >> 31 & 1
             count = _n_bits(scheme, length + offset) // 2
             raw[i, 1 : 1 + count] = bitgen.random_raw(count)
         else:
@@ -179,14 +176,12 @@ def synth_from_words(
     w *= noise_std
     w += 0.0  # rng.normal's loc + scale * z, with loc = 0.0
     h = channel_gains(*fading_law(g, u))
-    return h, _received(scheme, bits, k1, h, w, variant)
+    return h, _received(scheme, bits, k1, h, w)
 
 
-def synth_sequence(
-    scheme: CodingScheme, snr_db: float, length: int, seed: int, variant: str = "eq2"
-) -> np.ndarray:
+def synth_sequence(scheme: CodingScheme, snr_db: float, length: int, seed: int) -> np.ndarray:
     """Row 0 of ``synth_batch`` for one seed: its random-channel received sequence."""
-    return synth_batch(scheme, snr_db, length, [seed], variant)[1][0]
+    return synth_batch(scheme, snr_db, length, [seed])[1][0]
 
 
 def _best_threshold(feat_al: np.ndarray, feat_sm: np.ndarray) -> tuple[float, float]:
@@ -233,7 +228,6 @@ def calibrate_threshold(
     seq_len: int,
     trials: int,
     seed: int = 0,
-    variant: str = "eq2",
     normalize: bool = False,
 ) -> ThresholdRule:
     """Pick the error-minimizing threshold over fresh AL and SM feature samples.
@@ -250,14 +244,14 @@ def calibrate_threshold(
     schemes = (CodingScheme.AL, CodingScheme.SM)
     trial_seeds = seeding.generate_state(
         [seed & _MASK64, np.repeat([int(scheme) for scheme in schemes], trials),
-         np.tile(np.arange(trials), len(schemes))], 1, np.uint64)[:, 0]
+         np.tile(np.arange(trials), len(schemes))], 1)[:, 0]
     words = seeding.rng_words(trial_seeds).reshape(len(schemes), trials, 4)
     feats = {}
     for scheme, scheme_words in zip(schemes, words):
         feats[scheme] = np.empty(trials)
         for start in range(0, trials, SYNTH_BLOCK):
             block = scheme_words[start : start + SYNTH_BLOCK]
-            seqs = synth_from_words(scheme, snr_db, seq_len, block, variant)[1]
+            seqs = synth_from_words(scheme, snr_db, seq_len, block)[1]
             if normalize:
                 power = np.mean(np.abs(seqs) ** 2, axis=1)
                 if (power == 0.0).any():

@@ -152,29 +152,27 @@ def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:
     return frames[:, None, :, :].astype(dtype, copy=False)  # Network.forward copies
 
 
-def predict_batch(model: Model, frames: np.ndarray, batch_size: int = INFER_BLOCK) -> np.ndarray:
+def predict_batch(model: Model, frames: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities, shape [N, 2] (columns P_SM, P_AL).
 
-    Frames stream through the network ``batch_size`` at a time. At the default
-    32, conv1's output, the largest activation (32 x 129 x 2 x 256 float32 =
+    Frames stream through the network ``INFER_BLOCK`` at a time. At 32,
+    conv1's output, the largest activation (32 x 129 x 2 x 256 float32 =
     8.5 MB), stays below glibc's 32 MiB mmap threshold and near cache size:
     each block's arrays come back from the heap instead of being mapped and
     page-faulted in afresh, as the 70 MB arrays of a 256-frame block were.
-    A short last block is zero-filled to ``batch_size`` frames, so every frame
+    A short last block is zero-filled to ``INFER_BLOCK`` frames, so every frame
     meets the same GEMM shapes and its probabilities do not depend on how many
     frames came with it (BLAS picks other kernels for a few rows).
     """
-    if batch_size < 1:
-        raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     x = _as_batch(np.asarray(frames), model.net.dtype)
     n = x.shape[0]
     out = np.empty((n, 2), dtype=np.float64)
-    for start in range(0, n, batch_size):
-        block = x[start:start + batch_size]
-        if block.shape[0] < batch_size:
-            fill = np.zeros((batch_size - block.shape[0],) + block.shape[1:], dtype=block.dtype)
+    for start in range(0, n, INFER_BLOCK):
+        block = x[start:start + INFER_BLOCK]
+        if block.shape[0] < INFER_BLOCK:
+            fill = np.zeros((INFER_BLOCK - block.shape[0],) + block.shape[1:], dtype=block.dtype)
             block = np.concatenate([block, fill])
-        out[start:start + batch_size] = model.net.forward(block)[:n - start]
+        out[start:start + INFER_BLOCK] = model.net.forward(block)[:n - start]
     return out
 
 
@@ -197,7 +195,8 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
 
     Tracks validation loss each epoch, stops early after ``patience`` epochs
     without improvement, and restores the best-validation parameters before
-    returning.
+    returning. An epoch whose train or validation loss is not finite raises
+    ``ParameterError`` naming it.
     """
     if len(train_set) == 0 or len(val_set) == 0:
         raise ParameterError("train and validation sets must be non-empty")
@@ -225,6 +224,9 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
             running += loss * idx.size
         train_loss = running / n
         val_loss, val_acc = _eval_metrics(model, val_set)
+        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+            raise ParameterError(f"epoch {epoch}: loss is not finite (train {train_loss}, "
+                                 f"val {val_loss}); the learning rate may be too high")
         history.train_loss.append(train_loss)
         history.val_loss.append(val_loss)
         history.val_accuracy.append(val_acc)
@@ -347,7 +349,7 @@ def load_checkpoint(path) -> Model:
         raise DescriptorMismatchError(
             f"{path}: {n_tensors} stored tensors, architecture has {len(params)}"
         )
-    for p in params:
+    for i, p in enumerate(params):
         (tnd,) = struct.unpack("<B", r.take(1))
         tshape = struct.unpack(f"<{tnd}I", r.take(4 * tnd))
         if tshape != p.shape:
@@ -356,6 +358,8 @@ def load_checkpoint(path) -> Model:
             )
         raw = r.take(4 * int(np.prod(tshape)))
         p[...] = np.frombuffer(raw, dtype="<f4").reshape(tshape)
+        if not np.isfinite(p.sum(dtype=np.float64)):  # as in dataset.deserialize_frames
+            raise CorruptCheckpointError(f"{path}: non-finite values in tensor {i}")
     if r.pos != len(r.data):
         raise CorruptCheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
     return Model(spec=ModelSpec(layers=specs, input_shape=input_shape), net=net)

@@ -127,7 +127,7 @@ def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarr
     the first uint64 of ``SeedSequence([master mod 2**64, scheme, snr key, burst
     index])``, stable across platforms and run order."""
     return seeding.generate_state([master_seed & _MASK64, schemes, snr_keys, burst_indices],
-                                  1, np.uint64)[:, 0]
+                                  1)[:, 0]
 
 
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> np.ndarray:
@@ -304,6 +304,11 @@ def deserialize_frames(path) -> FrameSet:
     rec = np.frombuffer(payload, dtype=dtype)
     if rec.size and not np.isin(rec["scheme"], (0, 1)).all():
         raise DatasetFormatError(f"{path}: invalid scheme byte")
+    # a float64 sum of float32 values cannot overflow, so it is finite iff every value is;
+    # unlike np.isfinite it leaves no IQ-sized temporary to raise the peak RSS
+    finite = np.isfinite(rec["iq"].sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        raise DatasetFormatError(f"{path}: non-finite IQ in record {np.argmin(finite)}")
     return FrameSet(
         frames=rec["iq"].reshape(count, 2, window).copy(),
         schemes=rec["scheme"].copy(),
@@ -347,10 +352,14 @@ def read_frames_csv(path) -> FrameSet:
                 if scheme not in (0, 1) or len(row) != 2 + 2 * window:
                     raise ValueError
                 snrs.append(float(row[1]))
-                frames.append(np.array([float(v) for v in row[2:]], dtype=np.float32))
+                with np.errstate(over="ignore"):  # beyond float32's range reads as inf
+                    iq = np.array([float(v) for v in row[2:]], dtype=np.float32)
                 schemes.append(scheme)
             except (ValueError, IndexError):
                 raise DatasetFormatError(f"{path}: malformed frame row at line {lineno}") from None
+            if not np.isfinite(iq).all():
+                raise DatasetFormatError(f"{path}: non-finite IQ at line {lineno}")
+            frames.append(iq)
     n = len(frames)
     arr = (
         np.stack(frames).reshape(n, 2, window)

@@ -91,13 +91,13 @@ def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
 # CSV
 
 
-def _read_rows(path, what: str, parse, *headers) -> list:
-    """``parse(cells)`` of each non-blank row of a CSV whose header is one of ``headers``;
+def _read_rows(path, what: str, parse, header: list[str]) -> list:
+    """``parse(cells)`` of each non-blank row of a CSV whose first row is ``header``;
     a row of another width, or one whose cells ``parse`` rejects with a ``ValueError``,
     raises ``ParameterError`` naming its line."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
-    if not rows or rows[0] not in headers:
+    if not rows or rows[0] != header:
         raise ParameterError(f"{path}: not {what} CSV")
     parsed = []
     for lineno, cells in enumerate(rows[1:], start=2):
@@ -129,31 +129,27 @@ def read_accuracy_csv(path) -> AccuracyCurve:
         raise ParameterError(f"{path}: {err}") from None
 
 
-def write_confusion_csv(matrix: np.ndarray, path, snr_db: float | None = None) -> None:
-    """Four data rows; an snr_db column is prepended when the bucket is known."""
+def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
+    """Four data rows (snr_db, true, pred, count), one per cell."""
     matrix = np.asarray(matrix)
     if matrix.shape != (2, 2):
         raise ShapeError(f"confusion matrix must be 2x2, got {matrix.shape}")
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        head = ["true", "pred", "count"]
-        w.writerow((["snr_db"] + head) if snr_db is not None else head)
+        w.writerow(["snr_db", "true", "pred", "count"])
         for i in range(2):
             for j in range(2):
-                row = [CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])]
-                w.writerow(([repr(snr_db)] + row) if snr_db is not None else row)
+                w.writerow([repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])])
 
 
-def read_confusion_csv(path) -> tuple[np.ndarray, float | None]:
+def read_confusion_csv(path) -> tuple[np.ndarray, float]:
     """The matrix and SNR of a confusion CSV, which must give each of the four cells once
-    and, with an snr_db column, one SNR on every row."""
+    and one SNR on every row."""
     def parse(r):
-        *snr, true, pred, count = r
-        cell = (CLASS_NAMES.index(true), CLASS_NAMES.index(pred))
-        return (float(snr[0]) if snr else None), cell, int(count)
+        snr, true, pred, count = r
+        return float(snr), (CLASS_NAMES.index(true), CLASS_NAMES.index(pred)), int(count)
 
-    rows = _read_rows(path, "a confusion", parse,
-                      ["true", "pred", "count"], ["snr_db", "true", "pred", "count"])
+    rows = _read_rows(path, "a confusion", parse, ["snr_db", "true", "pred", "count"])
     counts = {cell: count for _, cell, count in rows}
     if len(rows) != 4 or len(counts) != 4:
         raise ParameterError(f"{path}: need each of the 4 confusion cells once, "
@@ -293,14 +289,14 @@ def render_loss_svg(curve: LossCurve, path) -> None:
         f.write(svg)
 
 
-def render_confusion_svg(matrix: np.ndarray, path, snr_db: float | None = None) -> None:
+def render_confusion_svg(matrix: np.ndarray, path, snr_db: float) -> None:
     matrix = np.asarray(matrix)
     if matrix.shape != (2, 2):
         raise ShapeError(f"confusion matrix must be 2x2, got {matrix.shape}")
     total = max(int(matrix.sum()), 1)
     cell = 130
     x0, y0 = 150, 70
-    title = "Confusion matrix" + (f" at {snr_db:g} dB" if snr_db is not None else "")
+    title = f"Confusion matrix at {snr_db:g} dB"
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="480" height="420" viewBox="0 0 480 420">',
         '<rect width="480" height="420" fill="white"/>',

@@ -93,29 +93,23 @@ def pool(columns) -> np.ndarray:
     return np.stack(mixer, axis=1)
 
 
-def generate_state(columns, n_words: int, dtype=np.uint32) -> np.ndarray:
-    """``SeedSequence(entropy_i).generate_state(n_words, dtype)`` of each row:
-    [n, n_words] of uint32 or uint64."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.uint32), np.dtype(np.uint64)):
-        raise ParameterError(f"only uint32 and uint64 state can be generated, got {dtype}")
-    n_words32 = n_words * (dtype.itemsize // 4)
+def generate_state(columns, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy_i).generate_state(n_words, np.uint64)`` of each row:
+    uint64 [n, n_words]."""
     src = pool(columns)
     hash_const = _INIT_B
-    state = np.empty((src.shape[0], n_words32), dtype=np.uint32)
-    for i in range(n_words32):
+    state = np.empty((src.shape[0], 2 * n_words), dtype=np.uint32)  # two words per uint64
+    for i in range(state.shape[1]):
         value = src[:, i % POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state[:, i] = value ^ (value >> _XSHIFT)
-    if dtype.itemsize == 4:
-        return state
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def rng_words(seeds) -> np.ndarray:
     """uint64 [n, 4]: the words ``np.random.default_rng(seed)`` seeds PCG64 with, per seed."""
-    return generate_state([seeds], 4, np.uint64)
+    return generate_state([seeds], 4)
 
 
 class _Words(ISeedSequence):

@@ -25,10 +25,6 @@ class CodingScheme(IntEnum):
 
 _MASK64 = (1 << 64) - 1  # seeds enter a SeedSequence as their low 64 bits
 
-# AL transmit layouts: "eq2" follows the Alamouti coding matrix; "paper-eq7"
-# sends the pair as the paper's eq. (7) prints it (see baseline_corr).
-GENERATOR_VARIANTS = ("eq2", "paper-eq7")
-
 # The channel every burst and calibration sequence sees: Nakagami-m fading,
 # shape m = 3, mean power omega = 1 per coefficient.
 NAKAGAMI_M, NAKAGAMI_OMEGA = 3.0, 1.0
@@ -87,16 +83,14 @@ def modulate_qpsk(bits) -> np.ndarray:
     return QPSK_CONSTELLATION[idx]
 
 
-def encode(scheme: CodingScheme, symbols, variant: str = "eq2") -> np.ndarray:
+def encode(scheme: CodingScheme, symbols) -> np.ndarray:
     """Lay out symbols on the two transmit antennas.
 
     SM packs consecutive symbol pairs into single columns; AL emits two
-    columns per pair, the second carrying the conjugate pair (-x1*, x0*), or
-    (-x0*, x1*) under the ``paper-eq7`` variant. Symbols [..., n] give a
-    [..., 2, L] complex array (antenna x time slot) over any leading axes.
+    columns per pair as the Alamouti coding matrix does, the second carrying
+    the conjugate pair (-x1*, x0*). Symbols [..., n] give a [..., 2, L]
+    complex array (antenna x time slot) over any leading axes.
     """
-    if variant not in GENERATOR_VARIANTS:
-        raise ParameterError(f"unknown generator variant {variant!r}")
     symbols = np.asarray(symbols, dtype=np.complex128)
     if symbols.ndim == 0 or symbols.shape[-1] % 2 != 0:
         raise ShapeError(f"symbol count must be even, got shape {symbols.shape}")
@@ -107,9 +101,8 @@ def encode(scheme: CodingScheme, symbols, variant: str = "eq2") -> np.ndarray:
     tx = np.empty((*lead, 2, symbols.shape[-1]), dtype=np.complex128)
     tx[..., 0, 0::2] = x0
     tx[..., 1, 0::2] = x1
-    negated, kept = (x0, x1) if variant == "paper-eq7" else (x1, x0)
-    tx[..., 0, 1::2] = -np.conj(negated)
-    tx[..., 1, 1::2] = np.conj(kept)
+    tx[..., 0, 1::2] = -np.conj(x1)
+    tx[..., 1, 1::2] = np.conj(x0)
     return tx
 
 

@@ -647,6 +647,8 @@ def adam_step(params, grads, state: OptimizerState):
 # ---------------------------------------------------------------------------
 # gradient checking
 
+GRAD_ZERO_TOL = 1e-8  # below this gradient magnitude grad_check counts a coordinate as exact
+
 
 @dataclass
 class GradCheckReport:
@@ -665,7 +667,7 @@ def _signs_differ(a, b) -> bool:
 
 
 def grad_check(network: Network, x, onehot, step: float = 1e-5,
-               tolerance: float = 1e-4, zero_tol: float = 1e-8) -> GradCheckReport:
+               tolerance: float = 1e-4) -> GradCheckReport:
     """Compare backprop against central finite differences, one parameter at a time.
 
     Coordinates whose perturbation flips any ReLU activation pattern sit on a
@@ -706,7 +708,7 @@ def grad_check(network: Network, x, onehot, step: float = 1e-5,
             fd = (hi - lo) / (2.0 * step)
             bp = float(gflat[k])
             denom = max(abs(fd), abs(bp))
-            rel = 0.0 if denom < zero_tol else abs(fd - bp) / denom
+            rel = 0.0 if denom < GRAD_ZERO_TOL else abs(fd - bp) / denom
             n_checked += 1
             per_param_max[pi] = max(per_param_max[pi], rel)
             if rel > max_rel:

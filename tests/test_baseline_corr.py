@@ -1,4 +1,4 @@
-"""Tests for the correlation statistic, threshold calibration, and both generators."""
+"""Tests for the correlation statistic, threshold calibration, and the synthesis."""
 
 import tracemalloc
 
@@ -32,16 +32,14 @@ def scalar_feature(seq) -> float:
     return max(abs(c[0]), abs(c[1]))
 
 
-def scalar_calibration(snr_db, seq_len, trials, seed, variant, normalize):
+def scalar_calibration(snr_db, seq_len, trials, seed, normalize):
     """Frozen scalar reference of calibrate_threshold: one sequence at a time."""
     feats = []
     for scheme in (CodingScheme.AL, CodingScheme.SM):
         vals = np.empty(trials)
         for t in range(trials):
             ss = np.random.SeedSequence([seed & _MASK64, int(scheme), t])
-            seq = synth_sequence(
-                scheme, snr_db, seq_len, int(ss.generate_state(1, np.uint64)[0]), variant
-            )
+            seq = synth_sequence(scheme, snr_db, seq_len, int(ss.generate_state(1, np.uint64)[0]))
             if normalize:
                 seq = seq / np.sqrt(float(np.mean(np.abs(seq) ** 2)))
             vals[t] = scalar_feature(seq)
@@ -52,20 +50,9 @@ def scalar_calibration(snr_db, seq_len, trials, seed, variant, normalize):
 QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
-def scalar_received(scheme, length, rng, h0, h1, std, k1, variant):
+def scalar_received(scheme, length, rng, h0, h1, std, k1):
     """Frozen per-sequence reference of the bits, noise and mixing: ``rng.integers`` bits
-    that fill slots k1 .. k1+length-1 (pairs from r(0) under paper-eq7 AL), then
-    ``rng.normal`` noise."""
-    if variant == "paper-eq7" and scheme == CodingScheme.AL:
-        n_pairs = (length + 1) // 2
-        bits = rng.integers(0, 2, size=4 * n_pairs)
-        x = QPSK[2 * bits[0::2] + bits[1::2]]
-        x0, x1 = x[0::2], x[1::2]
-        r = np.empty(2 * n_pairs, dtype=np.complex128)
-        r[0::2] = h0 * x0 + h1 * x1
-        r[1::2] = -h0 * np.conj(x0) + h1 * np.conj(x1)
-        w = rng.normal(0.0, std, size=(2, length))
-        return r[:length] + w[0] + 1j * w[1]
+    that fill slots k1 .. k1+length-1, then ``rng.normal`` noise."""
     n_cols = length + k1
     n_sym = n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols
     bits = rng.integers(0, 2, size=2 * n_sym)
@@ -87,13 +74,13 @@ def scalar_channel_offset(scheme, rng):
     return complex(h[0]), complex(h[1]), int(rng.integers(0, 2 if scheme == CodingScheme.AL else 1))
 
 
-def scalar_synth(scheme, snr_db, length, seed, variant):
+def scalar_synth(scheme, snr_db, length, seed):
     """Frozen per-sequence reference of the synthesis: one generator, one sequence,
     draws in the order channel (gamma, uniform), k1, bits, noise."""
     rng = np.random.default_rng(seed)
     h0, h1, k1 = scalar_channel_offset(scheme, rng)
     std = np.sqrt(2.0 * 10.0 ** (-snr_db / 10.0) / 2.0)
-    return (h0, h1), scalar_received(scheme, length, rng, h0, h1, std, k1, variant)
+    return (h0, h1), scalar_received(scheme, length, rng, h0, h1, std, k1)
 
 
 def pair_correlations(r) -> np.ndarray:
@@ -105,17 +92,16 @@ class TestSynthBatch:
     SEEDS = [0, 1, 7, 2**32 + 5, 2**63 + 11, (1 << 70) + 3, 123456789]
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5, 128, 301, 1024])
-    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
     @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
-    def test_rows_equal_one_row_calls(self, scheme, variant, length):
-        h, r = synth_batch(scheme, 3.0, length, self.SEEDS, variant)
+    def test_rows_equal_one_row_calls(self, scheme, length):
+        h, r = synth_batch(scheme, 3.0, length, self.SEEDS)
         assert h.shape == (len(self.SEEDS), 2) and r.shape == (len(self.SEEDS), length)
         for i, seed in enumerate(self.SEEDS):
-            gains, seqs = synth_batch(scheme, 3.0, length, [seed], variant)
+            gains, seqs = synth_batch(scheme, 3.0, length, [seed])
             assert h[i].tobytes() == gains[0].tobytes()
             assert r[i].tobytes() == seqs[0].tobytes()
-            assert synth_sequence(scheme, 3.0, length, seed, variant).tobytes() == r[i].tobytes()
-            frozen_gains, frozen = scalar_synth(scheme, 3.0, length, seed, variant)
+            assert synth_sequence(scheme, 3.0, length, seed).tobytes() == r[i].tobytes()
+            frozen_gains, frozen = scalar_synth(scheme, 3.0, length, seed)
             assert tuple(gains[0]) == frozen_gains
             assert r[i].tobytes() == frozen.tobytes()
 
@@ -217,37 +203,27 @@ class TestCorrelationFeatures:
             correlation_features(np.ones(shape, dtype=np.complex128))
 
 
-class TestEq7Generator:
+class TestPopulationStatistic:
     CH = ChannelRealization(h0=0.6, h1=1.2 + 0.4j)
 
-    def _noiseless(self, scheme, length, seed, variant="eq2"):
+    def _noiseless(self, scheme, length, seed):
         """A sequence through CH without noise, mixed by the block path from the bits of
         ``default_rng(seed)``, its pairs starting at r(0)."""
         bits = np.random.default_rng(seed).integers(
             0, 2, size=(1, baseline_corr._n_bits(scheme, length)))
         return baseline_corr._received(
             scheme, bits, np.zeros(1, dtype=np.intp), np.array([[self.CH.h0, self.CH.h1]]),
-            np.zeros((1, 2, length)), variant)[0]
+            np.zeros((1, 2, length)))[0]
 
-    def test_population_value_matches_channel_difference(self):
-        seq = self._noiseless(CodingScheme.AL, 200_000, 0, variant="paper-eq7")
-        target = self.CH.h1**2 - self.CH.h0**2
-        assert abs(pair_correlations(seq)[0] - target) / abs(target) < 0.02
+    def test_al_population_value_is_zero(self):
+        # h0*h1*(|x0|^2 - |x1|^2) vanishes for QPSK, the rest averages out; the pairs as
+        # eq. (7) prints them would give h1^2 - h0^2 at alignment 0 (|.| ~ 1.3 for CH)
+        seq = self._noiseless(CodingScheme.AL, 200_000, 0)
+        assert np.all(np.abs(pair_correlations(seq)) < 0.03)
 
     def test_sm_population_value_is_zero(self):
         seq = self._noiseless(CodingScheme.SM, 200_000, 1)
         assert abs(pair_correlations(seq)[0]) < 0.03
-
-    def test_eq7_only_changes_al(self):
-        seeds = TestSynthBatch.SEEDS
-        eq2 = synth_batch(CodingScheme.SM, 3.0, 64, seeds, variant="eq2")
-        eq7 = synth_batch(CodingScheme.SM, 3.0, 64, seeds, variant="paper-eq7")
-        for a, b in zip(eq2, eq7):
-            np.testing.assert_array_equal(a, b)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ParameterError):
-            synth_batch(CodingScheme.AL, 0.0, 64, [0], variant="eq9")
 
 
 class TestCalibration:
@@ -271,25 +247,19 @@ class TestCalibration:
         rule = calibrate_threshold(10.0, 1024, trials=400, seed=0)
         assert rule.achieved_error > 0.4
 
-    def test_eq7_generator_separates(self):
-        rule = calibrate_threshold(10.0, 1024, trials=200, seed=0, variant="paper-eq7")
-        assert rule.achieved_error < 0.25
-        assert not rule.degenerate
-
-    @pytest.mark.parametrize("variant", ["eq2", "paper-eq7"])
     @pytest.mark.parametrize("normalize", [False, True])
-    def test_equals_scalar_reference(self, variant, normalize):
+    def test_equals_scalar_reference(self, normalize):
         for snr_db, seq_len, seed in ((10.0, 128, 7), (-6.0, 37, 2)):
-            rule = calibrate_threshold(snr_db, seq_len, trials=120, seed=seed, variant=variant,
+            rule = calibrate_threshold(snr_db, seq_len, trials=120, seed=seed,
                                        normalize=normalize)
-            ref = scalar_calibration(snr_db, seq_len, 120, seed, variant, normalize)
+            ref = scalar_calibration(snr_db, seq_len, 120, seed, normalize)
             assert (rule.threshold, rule.achieved_error, rule.degenerate) == (
                 ref.threshold, ref.achieved_error, ref.degenerate)
 
     def test_zero_power_sequence_rejected(self, monkeypatch):
         monkeypatch.setattr(
             baseline_corr, "synth_from_words",
-            lambda scheme, snr_db, length, words, variant: (
+            lambda scheme, snr_db, length, words: (
                 np.ones((len(words), 2), complex), np.zeros((len(words), length), complex)))
         with pytest.raises(ParameterError):
             calibrate_threshold(10.0, 64, trials=100, normalize=True)

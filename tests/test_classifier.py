@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from stbcid import classifier
 from stbcid.classifier import (
     INFER_BLOCK,
     CheckpointVersionError,
@@ -77,11 +78,12 @@ class TestPredict:
         for _ in range(3):
             assert predict_batch(model, frame[None]).tobytes() == first.tobytes()
 
-    def test_shared_model_thread_safe(self):
+    def test_shared_model_thread_safe(self, monkeypatch):
         # a library caller may score with one model from several threads
+        monkeypatch.setattr(classifier, "INFER_BLOCK", 2)  # many forward calls per chunk
         model = initialize(build_cnn2(), seed=1)
         frames = np.random.default_rng(5).standard_normal((96, 2, FRAME_LEN)).astype(np.float32)
-        sequential = predict_batch(model, frames, batch_size=2)
+        sequential = predict_batch(model, frames)
         assert np.unique(sequential[:, 1]).size > 48  # predictions vary across frames
         chunks = [np.arange(start, start + 32) % 96 for start in range(0, 96 * 4, 24)]
         interval = sys.getswitchinterval()
@@ -89,7 +91,7 @@ class TestPredict:
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
                 results = list(pool.map(
-                    lambda idx: predict_batch(model, frames[idx], batch_size=2), chunks,
+                    lambda idx: predict_batch(model, frames[idx]), chunks,
                     timeout=120))
         finally:
             sys.setswitchinterval(interval)
@@ -239,6 +241,15 @@ class TestCheckpoint:
         path = tmp_path / "m.stbcnn"
         path.write_bytes(b"WRONG!" + b"\x00" * 64)
         with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, tmp_path, bad):
+        model = initialize(build_cnn2(), seed=4)
+        model.net.parameters()[2].reshape(-1)[7] = bad  # conv2's kernel
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(model, path)
+        with pytest.raises(CorruptCheckpointError, match="non-finite values in tensor 2"):
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):

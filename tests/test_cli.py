@@ -208,6 +208,15 @@ def _assert_exits_one(argv, capsys, out=None):
     assert out is None or not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging step overflows on purpose
+def test_diverging_training_exits_one_without_a_checkpoint(tiny_dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--dataset", tiny_dataset, "-o", str(out), "--epochs", "3",
+                     "--batch-size", "8", "--lr", "1e20"]) == 1
+    assert "epoch 1: loss is not finite" in capsys.readouterr().err
+    assert not (out / "checkpoint.stbcnn").exists()
+
+
 @pytest.mark.parametrize("units, width", [(1, dataset.FRAME_LEN), (4, dataset.FRAME_LEN), (2, 64)])
 def test_checkpoint_that_is_not_a_frame_classifier_exits_one(tiny_dataset, tmp_path, capsys,
                                                               units, width):

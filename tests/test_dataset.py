@@ -356,6 +356,16 @@ class TestSerialization:
         with pytest.raises(TruncatedRecordError):
             deserialize_frames(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iq_rejected(self, tmp_path, bad):
+        frames = generate_dataset(small_config())
+        frames.frames[5, 1, 17] = bad
+        path = tmp_path / "d.stbc"
+        serialize_frames(frames, path)
+        with pytest.raises(DatasetFormatError, match="non-finite IQ in record 5") as err:
+            deserialize_frames(path)
+        assert str(path) in str(err.value)
+
 
 class TestCsv:
     def test_header_and_round_trip(self, tmp_path):
@@ -378,6 +388,20 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="line 3"):
             read_frames_csv(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39"])  # 1e39 overflows float32
+    def test_non_finite_iq_names_line(self, tmp_path, bad):
+        frames = generate_dataset(small_config())
+        path = tmp_path / "d.csv"
+        export_frames_csv(frames, path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[40] = bad
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="non-finite IQ at line 4") as err:
+            read_frames_csv(path)
+        assert str(path) in str(err.value)
 
 
 class TestManifest:

@@ -89,6 +89,9 @@ class TestAccuracyVsSnr:
             accuracy_vs_snr(lambda f: SM, _frames([], []))
 
 
+CM_HEAD = "snr_db,true,pred,count"
+
+
 class TestCsvRoundTrips:
     def test_accuracy_csv(self, tmp_path):
         curve = AccuracyCurve(points=((-5.0, 0.5, 100), (0.0, 0.75, 100), (5.0, 1.0, 100)))
@@ -100,13 +103,13 @@ class TestCsvRoundTrips:
     def test_confusion_csv(self, tmp_path):
         cm = np.array([[48, 2], [5, 45]])
         path = tmp_path / "cm.csv"
-        write_confusion_csv(cm, path)
+        write_confusion_csv(cm, path, snr_db=0.1)
         lines = path.read_text().splitlines()
-        assert lines[0] == "true,pred,count"
-        assert len(lines) == 5
+        assert lines == ["snr_db,true,pred,count", "0.1,SM,SM,48", "0.1,SM,AL,2",
+                         "0.1,AL,SM,5", "0.1,AL,AL,45"]
         back, snr = read_confusion_csv(path)
         np.testing.assert_array_equal(back, cm)
-        assert snr is None
+        assert snr == 0.1
 
     def test_confusion_csv_with_snr(self, tmp_path):
         cm = np.array([[10, 0], [0, 10]])
@@ -122,23 +125,27 @@ class TestCsvRoundTrips:
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,3,9"], 2),
         (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.5"], 2),
         (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.7,0.71", "two,0.5,0.52"], 3),
-        (read_confusion_csv, "true,pred,count", ["SM,XX,3"], 2),
-        (read_confusion_csv, "snr_db,true,pred,count", ["0.0,SM,SM"], 2),
-        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,x", "AL,AL,4"], 4),
-        # each of the four cells exactly once
-        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3"], None),
-        (read_confusion_csv, "true,pred,count",
-         ["SM,SM,1", "SM,AL,2", "AL,SM,3", "AL,AL,4", "SM,AL,5"], None),
-        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3", "SM,SM,4"],
+        (read_confusion_csv, CM_HEAD, ["0.0,SM,XX,3"], 2),
+        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM"], 2),
+        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,x",
+                                       "0.0,AL,AL,4"], 4),
+        # the SNR column is required
+        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3", "AL,AL,4"],
          None),
+        # each of the four cells exactly once
+        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3"], None),
+        (read_confusion_csv, CM_HEAD,
+         ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3", "0.0,AL,AL,4", "0.0,SM,AL,5"], None),
+        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3",
+                                       "0.0,SM,SM,4"], None),
         # one SNR per file
-        (read_confusion_csv, "snr_db,true,pred,count",
+        (read_confusion_csv, CM_HEAD,
          ["0.0,SM,SM,1", "0.0,SM,AL,2", "5.0,AL,SM,3", "9.0,AL,AL,4"], None),
         # rows that parse but do not make an AccuracyCurve
         (read_accuracy_csv, "snr_db,accuracy,n", ["5.0,0.5,3", "0.0,0.5,3"], None),
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,1.5,3"], None),
     ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "cm-class",
-            "cm-short", "cm-count", "cm-missing", "cm-five-rows", "cm-repeated",
+            "cm-short", "cm-count", "cm-no-snr", "cm-missing", "cm-five-rows", "cm-repeated",
             "cm-snr-conflict", "acc-unsorted", "acc-range"])
     def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
         path = tmp_path / "bad.csv"
@@ -181,9 +188,10 @@ class TestSvg:
 
     def test_confusion_svg_diagonal_labels(self, tmp_path):
         path = tmp_path / "cm.svg"
-        render_confusion_svg(np.array([[100, 0], [0, 100]]), path)
+        render_confusion_svg(np.array([[100, 0], [0, 100]]), path, snr_db=-4.0)
         root = ET.parse(path).getroot()
         labels = [t.text for t in root.findall(".//{http://www.w3.org/2000/svg}text")]
+        assert "Confusion matrix at -4 dB" in labels
         assert labels.count("100") == 2
         assert "SM" in labels and "AL" in labels
 

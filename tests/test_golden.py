@@ -30,24 +30,19 @@ def test_dataset_bytes(tmp_path, cfg, digest):
     assert _sha256(path) == digest
 
 
-# (seed, variant, normalize) -> (threshold.hex(), achieved_error.hex()) at 10 dB, L=128, 200 trials
+# (seed, normalize) -> (threshold.hex(), achieved_error.hex()) at 10 dB, L=128, 200 trials
 THRESHOLDS = {
-    (4, "eq2", False): ("0x1.6b95bc76c87b0p-2", "0x1.d47ae147ae148p-2"),
-    (4, "eq2", True): ("0x1.ff0a76389cdd4p-5", "0x1.ee147ae147ae1p-2"),
-    (4, "paper-eq7", False): ("0x1.2520ac09edbc0p-1", "0x1.0000000000000p-4"),
-    (4, "paper-eq7", True): ("0x1.32542bbedeafcp-2", "0x1.0a3d70a3d70a4p-5"),
-    ((1 << 70) + 12345, "eq2", False): ("0x1.d6a138e70b4acp-5", "0x1.fd70a3d70a3d7p-2"),
-    ((1 << 70) + 12345, "eq2", True): ("0x1.00b3ef9af1cdcp-5", "0x1.fae147ae147aep-2"),
-    ((1 << 70) + 12345, "paper-eq7", False): ("0x1.3f7001f450e62p-1", "0x1.d70a3d70a3d71p-4"),
-    ((1 << 70) + 12345, "paper-eq7", True): ("0x1.09b5a27482b0ap-2", "0x1.c28f5c28f5c29p-5"),
+    (4, False): ("0x1.6b95bc76c87b0p-2", "0x1.d47ae147ae148p-2"),
+    (4, True): ("0x1.ff0a76389cdd4p-5", "0x1.ee147ae147ae1p-2"),
+    ((1 << 70) + 12345, False): ("0x1.d6a138e70b4acp-5", "0x1.fd70a3d70a3d7p-2"),
+    ((1 << 70) + 12345, True): ("0x1.00b3ef9af1cdcp-5", "0x1.fae147ae147aep-2"),
 }
 
 
-@pytest.mark.parametrize("seed, variant, normalize", list(THRESHOLDS))
-def test_calibrated_threshold(seed, variant, normalize):
-    rule = baseline_corr.calibrate_threshold(10.0, 128, 200, seed=seed, variant=variant,
-                                             normalize=normalize)
-    assert (rule.threshold.hex(), rule.achieved_error.hex()) == THRESHOLDS[seed, variant, normalize]
+@pytest.mark.parametrize("seed, normalize", list(THRESHOLDS))
+def test_calibrated_threshold(seed, normalize):
+    rule = baseline_corr.calibrate_threshold(10.0, 128, 200, seed=seed, normalize=normalize)
+    assert (rule.threshold.hex(), rule.achieved_error.hex()) == THRESHOLDS[seed, normalize]
 
 
 def test_generate_then_eval_corr_bytes(tmp_path):
