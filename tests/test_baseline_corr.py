@@ -47,6 +47,9 @@ def scalar_calibration(snr_db, seq_len, trials, seed, normalize):
     return calibrate_from_features(*feats, snr_db=snr_db, seq_len=seq_len)
 
 
+# Test ids name the AL layout the references hold for: eq2, Alamouti's coding matrix.
+SCHEME_IDS = ["0-eq2", "1-eq2"]
+
 QPSK = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
 
@@ -92,7 +95,7 @@ class TestSynthBatch:
     SEEDS = [0, 1, 7, 2**32 + 5, 2**63 + 11, (1 << 70) + 3, 123456789]
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5, 128, 301, 1024])
-    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL], ids=SCHEME_IDS)
     def test_rows_equal_one_row_calls(self, scheme, length):
         h, r = synth_batch(scheme, 3.0, length, self.SEEDS)
         assert h.shape == (len(self.SEEDS), 2) and r.shape == (len(self.SEEDS), length)
@@ -247,7 +250,7 @@ class TestCalibration:
         rule = calibrate_threshold(10.0, 1024, trials=400, seed=0)
         assert rule.achieved_error > 0.4
 
-    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("normalize", [False, True], ids=["False-eq2", "True-eq2"])
     def test_equals_scalar_reference(self, normalize):
         for snr_db, seq_len, seed in ((10.0, 128, 7), (-6.0, 37, 2)):
             rule = calibrate_threshold(snr_db, seq_len, trials=120, seed=seed,

@@ -39,7 +39,9 @@ THRESHOLDS = {
 }
 
 
-@pytest.mark.parametrize("seed, normalize", list(THRESHOLDS))
+# the ids name the AL layout, eq2 (Alamouti's coding matrix), that the values hold for
+@pytest.mark.parametrize("seed, normalize", list(THRESHOLDS),
+                         ids=[f"{seed}-eq2-{normalize}" for seed, normalize in THRESHOLDS])
 def test_calibrated_threshold(seed, normalize):
     rule = baseline_corr.calibrate_threshold(10.0, 128, 200, seed=seed, normalize=normalize)
     assert (rule.threshold.hex(), rule.achieved_error.hex()) == THRESHOLDS[seed, normalize]

@@ -75,7 +75,8 @@ class TestEncode:
         tx = encode(CodingScheme.AL, [1, 1j])
         np.testing.assert_allclose(tx, [[1, 1j], [1j, 1]], atol=1e-12)
 
-    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL])
+    # ids name the AL layout: eq2, Alamouti's coding matrix
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL], ids=["0-eq2", "1-eq2"])
     def test_rows_encode_like_one_sequence(self, scheme):
         rng = np.random.default_rng(4)
         symbols = modulate_qpsk(rng.integers(0, 2, size=(3, 5, 12)))
