@@ -107,7 +107,9 @@ def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
     """The reconstructed four-layer CNN (two conv, two dense) over 1 x 2 x 128 input.
 
     ``dropout_rate`` applies to all three dropout layers and is stored in the
-    checkpoint descriptors; a rate outside [0, 1) raises ``ParameterError``.
+    checkpoint descriptors as float32, which ``load_checkpoint`` reads back to
+    6 decimals; a rate outside [0, 1), or one that would not read back as
+    itself, raises ``ParameterError``.
     """
     layers = (
         zeropad_spec(2),
@@ -125,6 +127,8 @@ def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
         dense_spec(2),
         softmax_spec(),
     )
+    if round(float(np.float32(dropout_rate)), 6) != dropout_rate:  # as _spec_from_descriptor
+        raise ParameterError(f"dropout rate {dropout_rate} would not read back as itself")
     return ModelSpec(layers=layers, input_shape=(1, 2, FRAME_LEN))
 
 
@@ -211,7 +215,7 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
 
     history = TrainHistory()
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best_params = None  # epoch 1's finite val_loss always beats inf and sets it
     bad_epochs = 0
     n = x_train.shape[0]
     for epoch in range(1, cfg.epochs + 1):
@@ -330,10 +334,13 @@ def load_checkpoint(path) -> Model:
     (ndim,) = struct.unpack("<B", r.take(1))
     input_shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
     (n_layers,) = struct.unpack("<I", r.take(4))
+    raw = [r.take(_DESC.size) for _ in range(n_layers)]
     try:
-        specs = tuple(_spec_from_descriptor(r.take(_DESC.size)) for _ in range(n_layers))
+        specs = tuple(map(_spec_from_descriptor, raw))
     except ParameterError as e:
         raise CorruptCheckpointError(f"{path}: invalid layer descriptor ({e})") from None
+    if list(map(_layer_descriptor, specs)) != raw:  # junk in an unused field, or a rate it rounds
+        raise CorruptCheckpointError(f"{path}: a layer descriptor does not re-encode as stored")
     try:
         net = Network(specs, input_shape, None, dtype=np.float32)  # zeros, filled below
     except (ParameterError, ShapeError) as e:

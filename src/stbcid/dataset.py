@@ -4,6 +4,10 @@ A burst is a contiguous received sequence sharing one channel draw and one
 block offset. Frames are 128-sample windows (64-sample shift) converted to
 2 x 128 I/Q matrices. Train/validation splitting is burst-granular so the
 overlapping windows of one burst can never straddle the split.
+
+A manifest reads back exactly or raises ``DatasetFormatError``:
+``read_manifest`` writes back the values it parsed and refuses a file that
+is not line for line that text, whatever differs.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 
 import numpy as np
 
@@ -304,6 +309,9 @@ def deserialize_frames(path) -> FrameSet:
     rec = np.frombuffer(payload, dtype=dtype)
     if rec.size and not np.isin(rec["scheme"], (0, 1)).all():
         raise DatasetFormatError(f"{path}: invalid scheme byte")
+    unwritable = rec["snr"] == -_SNR_CENTI_MAX - 1  # -327.68 dB, which _snr_centi_db refuses
+    if unwritable.any():
+        raise DatasetFormatError(f"{path}: SNR -327.68 dB in record {np.argmax(unwritable)}")
     # a float64 sum of float32 values cannot overflow, so it is finite iff every value is;
     # unlike np.isfinite it leaves no IQ-sized temporary to raise the peak RSS
     finite = np.isfinite(rec["iq"].sum(axis=1, dtype=np.float64))
@@ -357,6 +365,8 @@ def read_frames_csv(path) -> FrameSet:
                 schemes.append(scheme)
             except (ValueError, IndexError):
                 raise DatasetFormatError(f"{path}: malformed frame row at line {lineno}") from None
+            if not np.isfinite(snrs[-1]):
+                raise DatasetFormatError(f"{path}: non-finite SNR at line {lineno}")
             if not np.isfinite(iq).all():
                 raise DatasetFormatError(f"{path}: non-finite IQ at line {lineno}")
             frames.append(iq)
@@ -399,20 +409,11 @@ def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
 
 
 def read_manifest(path) -> tuple[DatasetConfig, int]:
-    """The config and frame count of a manifest as ``write_manifest`` writes it: each key
-    once, each value in exactly the text it writes; anything else raises."""
-    kv = {}
+    """The config and frame count of a manifest, which must be line for line what
+    ``write_manifest`` writes for them (blank and ``#`` lines aside); anything else raises."""
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DatasetFormatError(f"{path}: malformed manifest line {line!r}")
-            k, v = line.split("=", 1)
-            if k in kv:
-                raise DatasetFormatError(f"{path}: manifest key {k!r} appears more than once")
-            kv[k] = v
+        lines = [(n, s) for n, s in enumerate(map(str.strip, f), start=1) if s and s[0] != "#"]
+    kv = dict(line.partition("=")[::2] for _, line in lines)  # a line without "=" never matches
 
     def value(key: str, parse=int):
         if key not in kv:
@@ -425,8 +426,6 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
 
     if value("manifest_version") != MANIFEST_VERSION:
         raise VersionMismatchError(f"{path}: manifest version {kv['manifest_version']}")
-    if value("window") != FRAME_LEN:
-        raise DatasetFormatError(f"{path}: window {kv['window']}, frames have {FRAME_LEN}")
     cfg = DatasetConfig(
         snr_grid=value("snr_grid", lambda v: tuple(float(s) for s in v.split(","))),
         bursts_per_cell=value("bursts_per_cell"),
@@ -436,11 +435,9 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
         normalize=bool(value("normalize")),
     )
     count = value("frames")
-    written = dict(line.split("=", 1) for line in _manifest_lines(cfg, count))
-    for k, v in kv.items():
-        if k not in written:
-            raise DatasetFormatError(f"{path}: unknown manifest key {k!r}")
-        if v != written[k]:  # e.g. int() reads "1_0" and " +3"
-            raise DatasetFormatError(f"{path}: manifest key {k!r} has {v!r}, which "
-                                     f"write_manifest writes as {written[k]!r}")
+    # the file has a frames= line, the last one written, so it never runs out first
+    for (n, line), written in zip_longest(lines, _manifest_lines(cfg, count)):
+        if line != written:  # e.g. a reordered or repeated line, or int() reading "1_0" as 10
+            raise DatasetFormatError(f"{path}: manifest line {n} (key {line.partition('=')[0]!r}) "
+                                     f"is {line!r}; write_manifest writes {written!r}")
     return cfg, count

@@ -3,6 +3,10 @@
 SVG output is hand-rolled rather than delegated to a plotting stack: the files
 are self-contained, deterministic, and cheap to assert on in tests (one
 ``<polyline>`` element per series).
+
+The accuracy and loss CSVs read back exactly or raise ``ParameterError``: each
+reader renders the curve it parsed with the writer's row renderer and refuses
+a file whose rows are not that text, whatever differs.
 """
 
 from __future__ import annotations
@@ -91,42 +95,57 @@ def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
 # CSV
 
 
-def _read_rows(path, what: str, parse, header: list[str]) -> list:
-    """``parse(cells)`` of each non-blank row of a CSV whose first row is ``header``;
-    a row of another width, or one whose cells ``parse`` rejects with a ``ValueError``,
-    raises ``ParameterError`` naming its line."""
+def _write_rows(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows([header, *rows])
+
+
+def _accuracy_rows(curve: AccuracyCurve) -> list[list[str]]:
+    return [[repr(snr), repr(acc), str(n)] for snr, acc, n in curve.points]
+
+
+def _loss_rows(curve: LossCurve) -> list[list[str]]:
+    return [[str(e), repr(tl), repr(vl)]
+            for e, tl, vl in zip(curve.epochs, curve.train_loss, curve.val_loss)]
+
+
+def _read_rows(path, what: str, header: list[str], parse, build, render):
+    """``build`` of the ``parse(cells)`` of each non-blank row of a CSV under ``header``,
+    which ``render`` must write back as the same rows. A row of another width, one that
+    ``parse`` rejects with a ``ValueError``, or one written back as other text raises
+    ``ParameterError`` naming its line."""
     with open(path, newline="") as f:
         rows = list(csv.reader(f))
     if not rows or rows[0] != header:
         raise ParameterError(f"{path}: not {what} CSV")
+    data = [(lineno, cells) for lineno, cells in enumerate(rows[1:], start=2) if cells]
     parsed = []
-    for lineno, cells in enumerate(rows[1:], start=2):
-        if not cells:
-            continue
+    for lineno, cells in data:
         try:
-            if len(cells) != len(rows[0]):
+            if len(cells) != len(header):
                 raise ValueError
             parsed.append(parse(cells))
         except ValueError:
             raise ParameterError(f"{path}: malformed row at line {lineno}") from None
-    return parsed
+    try:
+        curve = build(parsed)
+    except ParameterError as err:
+        raise ParameterError(f"{path}: {err}") from None
+    for (lineno, cells), written in zip(data, render(curve)):
+        if cells != written:  # e.g. an SNR of "5", or epochs out of order
+            raise ParameterError(f"{path}: line {lineno} reads {','.join(cells)!r}, "
+                                 f"which is written as {','.join(written)!r}")
+    return curve
 
 
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["snr_db", "accuracy", "n"])
-        for snr, acc, n in curve.points:
-            w.writerow([repr(snr), repr(acc), n])
+    _write_rows(path, ["snr_db", "accuracy", "n"], _accuracy_rows(curve))
 
 
 def read_accuracy_csv(path) -> AccuracyCurve:
-    points = _read_rows(path, "an accuracy", lambda r: (float(r[0]), float(r[1]), int(r[2])),
-                        ["snr_db", "accuracy", "n"])
-    try:
-        return AccuracyCurve(points=tuple(points))
-    except ParameterError as err:
-        raise ParameterError(f"{path}: {err}") from None
+    return _read_rows(path, "an accuracy", ["snr_db", "accuracy", "n"],
+                      lambda r: (float(r[0]), float(r[1]), int(r[2])),
+                      lambda points: AccuracyCurve(points=tuple(points)), _accuracy_rows)
 
 
 def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
@@ -134,46 +153,20 @@ def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
     matrix = np.asarray(matrix)
     if matrix.shape != (2, 2):
         raise ShapeError(f"confusion matrix must be 2x2, got {matrix.shape}")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["snr_db", "true", "pred", "count"])
-        for i in range(2):
-            for j in range(2):
-                w.writerow([repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])])
-
-
-def read_confusion_csv(path) -> tuple[np.ndarray, float]:
-    """The matrix and SNR of a confusion CSV, which must give each of the four cells once
-    and one SNR on every row."""
-    def parse(r):
-        snr, true, pred, count = r
-        return float(snr), (CLASS_NAMES.index(true), CLASS_NAMES.index(pred)), int(count)
-
-    rows = _read_rows(path, "a confusion", parse, ["snr_db", "true", "pred", "count"])
-    counts = {cell: count for _, cell, count in rows}
-    if len(rows) != 4 or len(counts) != 4:
-        raise ParameterError(f"{path}: need each of the 4 confusion cells once, "
-                             f"got {len(rows)} rows for {len(counts)} cells")
-    if len({snr for snr, _, _ in rows}) != 1:
-        raise ParameterError(f"{path}: rows give different snr_db values")
-    cm = np.zeros((2, 2), dtype=np.int64)
-    for cell, count in counts.items():
-        cm[cell] = count
-    return cm, rows[-1][0]
+    _write_rows(path, ["snr_db", "true", "pred", "count"],
+                [[repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])]
+                 for i in range(2) for j in range(2)])
 
 
 def write_loss_csv(curve: LossCurve, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "train_loss", "val_loss"])
-        for e, (tl, vl) in zip(curve.epochs, zip(curve.train_loss, curve.val_loss)):
-            w.writerow([e, repr(tl), repr(vl)])
+    _write_rows(path, ["epoch", "train_loss", "val_loss"], _loss_rows(curve))
 
 
 def read_loss_csv(path) -> LossCurve:
-    rows = _read_rows(path, "a loss", lambda r: (int(r[0]), float(r[1]), float(r[2])),
-                      ["epoch", "train_loss", "val_loss"])
-    return LossCurve(train_loss=tuple(r[1] for r in rows), val_loss=tuple(r[2] for r in rows))
+    return _read_rows(path, "a loss", ["epoch", "train_loss", "val_loss"],
+                      lambda r: (float(r[1]), float(r[2])),
+                      lambda rows: LossCurve(tuple(r[0] for r in rows), tuple(r[1] for r in rows)),
+                      _loss_rows)
 
 
 # ---------------------------------------------------------------------------

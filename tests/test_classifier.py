@@ -1,5 +1,6 @@
 """Tests for the CNN architecture contract, training behavior, and checkpoints."""
 
+import struct
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -211,6 +212,8 @@ class TestTrain:
         TrainConfig(learning_rate=0.0)  # frozen parameters stay legal
         with pytest.raises(ParameterError):
             build_cnn2(dropout_rate=1.0)
+        with pytest.raises(ParameterError, match="read back"):
+            build_cnn2(dropout_rate=0.1234567)  # a checkpoint would load it as 0.123457
 
 
 class TestCheckpoint:
@@ -280,6 +283,34 @@ class TestCheckpoint:
         spec = ModelSpec(layers=(flatten_spec(), dense_spec(2), softmax_spec()))
         save_checkpoint(initialize(spec), path)
         assert load_checkpoint(path).spec == spec
+
+    def test_rate_with_six_decimals_round_trips(self, tmp_path):
+        spec = build_cnn2(dropout_rate=0.3)  # stored as float32(0.3) = 0.30000001192...
+        p1, p2 = tmp_path / "a.stbcnn", tmp_path / "b.stbcnn"
+        save_checkpoint(initialize(spec, seed=4), p1)
+        back = load_checkpoint(p1)
+        assert back.spec == spec
+        save_checkpoint(back, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    # header: magic, version, ndim, the three input dims, the layer count
+    DESC0 = len(classifier.CHECKPOINT_MAGIC) + 2 + 1 + 3 * 4 + 4
+
+    @pytest.mark.parametrize("layer, offset, field", [
+        (2, 1, struct.pack("<I", 5)),  # relu1 with a filter count
+        (2, 13, struct.pack("<f", 0.5)),  # relu1 with a rate
+        (0, 5, struct.pack("<I", 1)),  # pad1 with a kernel height
+        (3, 13, struct.pack("<f", 0.1234567)),  # drop1 with a rate it would load as 0.123457
+    ], ids=["relu-filters", "relu-rate", "pad-kernel", "dropout-7-decimals"])
+    def test_descriptor_that_does_not_re_encode_rejected(self, tmp_path, layer, offset, field):
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        raw = bytearray(path.read_bytes())
+        at = self.DESC0 + classifier._DESC.size * layer + offset
+        raw[at:at + len(field)] = field
+        path.write_bytes(raw)
+        with pytest.raises(CorruptCheckpointError, match="does not re-encode"):
+            load_checkpoint(path)
 
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         model = initialize(build_cnn2(), seed=4)

@@ -148,6 +148,8 @@ DATA, OUT = "<dataset>", "<out>"
     ["train", "--dataset", DATA, "-o", OUT, "--patience", "-1"],
     ["train", "--dataset", DATA, "-o", OUT, "--epochs", "0"],
     ["train", "--dataset", DATA, "-o", OUT, "--batch-size", "0"],
+    # a checkpoint stores the rate as float32 and reads it back to 6 decimals
+    ["train", "--dataset", DATA, "-o", OUT, "--dropout", "0.1234567"],
     ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--val-fraction", "1.5"],
     ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--calibrate-trials", "5"],
     ["gradcheck", "--step", "0"],
@@ -268,6 +270,7 @@ def test_malformed_manifest_value_exits_one(tiny_dataset, tmp_path, capsys, key,
 @pytest.mark.parametrize("extra, key", [
     ("seed=9", "seed"),  # a repeated key would change the split
     ("seed=7", "seed"),  # even with the written value
+    ("manifest_version=1", "manifest_version"),  # a duplicated line
     ("snr_step=2.0", "snr_step"),
 ])
 def test_manifest_extra_key_exits_one(tiny_dataset, tmp_path, capsys, extra, key):

@@ -324,6 +324,17 @@ class TestSerialization:
         serialize_frames(empty, path)
         assert len(deserialize_frames(path)) == 0
 
+    def test_snr_the_writer_refuses_rejected(self, tmp_path):
+        frames = generate_dataset(small_config())
+        path = tmp_path / "d.stbc"
+        serialize_frames(frames, path)
+        raw = bytearray(path.read_bytes())
+        at = 18 + 5 * (1 + 2 + 4 * 2 * FRAME_LEN) + 1  # header, 5 records, scheme byte
+        raw[at:at + 2] = (-32768).to_bytes(2, "little", signed=True)  # -327.68 dB
+        path.write_bytes(raw)
+        with pytest.raises(DatasetFormatError, match="-327.68 dB in record 5"):
+            deserialize_frames(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "d.stbc"
         serialize_frames(generate_dataset(small_config()), path)
@@ -389,17 +400,24 @@ class TestCsv:
         with pytest.raises(DatasetFormatError, match="line 3"):
             read_frames_csv(path)
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e39"])  # 1e39 overflows float32
-    def test_non_finite_iq_names_line(self, tmp_path, bad):
+    @pytest.mark.parametrize("cell, bad, what", [
+        pytest.param(40, "nan", "IQ", id="nan"),
+        pytest.param(40, "inf", "IQ", id="inf"),
+        pytest.param(40, "-inf", "IQ", id="-inf"),
+        pytest.param(40, "1e39", "IQ", id="1e39"),  # overflows float32
+        pytest.param(1, "nan", "SNR", id="snr-nan"),
+        pytest.param(1, "-inf", "SNR", id="snr-inf"),
+    ])
+    def test_non_finite_iq_names_line(self, tmp_path, cell, bad, what):
         frames = generate_dataset(small_config())
         path = tmp_path / "d.csv"
         export_frames_csv(frames, path)
         lines = path.read_text().splitlines()
         cells = lines[3].split(",")
-        cells[40] = bad
+        cells[cell] = bad
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="non-finite IQ at line 4") as err:
+        with pytest.raises(DatasetFormatError, match=f"non-finite {what} at line 4") as err:
             read_frames_csv(path)
         assert str(path) in str(err.value)
 
@@ -430,6 +448,20 @@ class TestManifest:
         assert f"window={FRAME_LEN}\n" in text
         path.write_text(text.replace(f"window={FRAME_LEN}\n", "window=64\n"))
         with pytest.raises(DatasetFormatError, match="window"):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("edit, line, key", [
+        # line 1 is a comment; then manifest_version, format_version, seed, snr_grid, ...
+        (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]], 3, "seed"),  # reordered
+        (lambda lines: [*lines[:5], lines[4], *lines[5:]], 6, "snr_grid"),  # duplicated
+    ], ids=["reordered", "duplicated"])
+    def test_lines_other_than_written_rejected(self, tmp_path, edit, line, key):
+        cfg = small_config()
+        path = tmp_path / "d.manifest"
+        write_manifest(cfg, cfg.total_frames, path)
+        lines = edit(["# comment", *path.read_text().splitlines()])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line {line} .*'{key}'"):
             read_manifest(path)
 
     def test_burst_id_reconstruction(self, tmp_path):

@@ -13,7 +13,6 @@ from stbcid.evaluation import (
     accuracy_vs_snr,
     confusion_matrix,
     read_accuracy_csv,
-    read_confusion_csv,
     read_loss_csv,
     render_accuracy_svg,
     render_confusion_svg,
@@ -107,17 +106,13 @@ class TestCsvRoundTrips:
         lines = path.read_text().splitlines()
         assert lines == ["snr_db,true,pred,count", "0.1,SM,SM,48", "0.1,SM,AL,2",
                          "0.1,AL,SM,5", "0.1,AL,AL,45"]
-        back, snr = read_confusion_csv(path)
-        np.testing.assert_array_equal(back, cm)
-        assert snr == 0.1
 
     def test_confusion_csv_with_snr(self, tmp_path):
         cm = np.array([[10, 0], [0, 10]])
         path = tmp_path / "cm.csv"
         write_confusion_csv(cm, path, snr_db=-5.0)
-        back, snr = read_confusion_csv(path)
-        np.testing.assert_array_equal(back, cm)
-        assert snr == -5.0
+        assert path.read_text().splitlines() == [CM_HEAD, "-5.0,SM,SM,10", "-5.0,SM,AL,0",
+                                                 "-5.0,AL,SM,0", "-5.0,AL,AL,10"]
 
     @pytest.mark.parametrize("read, header, rows, line", [
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,abc,3"], 2),
@@ -125,28 +120,14 @@ class TestCsvRoundTrips:
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,3,9"], 2),
         (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.5"], 2),
         (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.7,0.71", "two,0.5,0.52"], 3),
-        (read_confusion_csv, CM_HEAD, ["0.0,SM,XX,3"], 2),
-        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM"], 2),
-        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,x",
-                                       "0.0,AL,AL,4"], 4),
-        # the SNR column is required
-        (read_confusion_csv, "true,pred,count", ["SM,SM,1", "SM,AL,2", "AL,SM,3", "AL,AL,4"],
-         None),
-        # each of the four cells exactly once
-        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3"], None),
-        (read_confusion_csv, CM_HEAD,
-         ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3", "0.0,AL,AL,4", "0.0,SM,AL,5"], None),
-        (read_confusion_csv, CM_HEAD, ["0.0,SM,SM,1", "0.0,SM,AL,2", "0.0,AL,SM,3",
-                                       "0.0,SM,SM,4"], None),
-        # one SNR per file
-        (read_confusion_csv, CM_HEAD,
-         ["0.0,SM,SM,1", "0.0,SM,AL,2", "5.0,AL,SM,3", "9.0,AL,AL,4"], None),
         # rows that parse but do not make an AccuracyCurve
         (read_accuracy_csv, "snr_db,accuracy,n", ["5.0,0.5,3", "0.0,0.5,3"], None),
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,1.5,3"], None),
-    ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "cm-class",
-            "cm-short", "cm-count", "cm-no-snr", "cm-missing", "cm-five-rows", "cm-repeated",
-            "cm-snr-conflict", "acc-unsorted", "acc-range"])
+        # rows that parse but are not the text the writer gives their values
+        (read_accuracy_csv, "snr_db,accuracy,n", ["-2.0,0.5,3", "5,0.5,3"], 3),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["7,0.7,0.71", "3,0.5,0.52"], 2),
+    ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "acc-unsorted",
+            "acc-range", "acc-snr-int", "loss-epoch-order"])
     def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([header, *rows]) + "\n")
