@@ -34,6 +34,7 @@ from .tensor_nn import (
     flatten_spec,
     relu_spec,
     softmax_spec,
+    trace_shapes,
     zeropad_spec,
 )
 
@@ -142,12 +143,12 @@ def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
 
 
 def parameter_counts(model_or_spec) -> list[int]:
-    """Trainable parameter count per parameterized layer, in stack order."""
-    if isinstance(model_or_spec, Model):
-        net = model_or_spec.net
-    else:  # zero weights: nothing is drawn
-        net = Network(model_or_spec.layers, model_or_spec.input_shape, None)
-    return [sum(p.size for p in layer.params()) for layer in net.layers if layer.params()]
+    """Trainable parameter count per parameterized layer, in stack order, from the shapes alone."""
+    spec = model_or_spec.spec if isinstance(model_or_spec, Model) else model_or_spec
+    inputs = (spec.input_shape, *trace_shapes(spec.layers, spec.input_shape))
+    return [ls.filters * (inp[0] * ls.kernel[0] * ls.kernel[1] + 1) if ls.kind == "conv2d"
+            else ls.units * (inp[0] + 1)
+            for ls, inp in zip(spec.layers, inputs) if ls.kind in ("conv2d", "dense")]
 
 
 def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:
@@ -341,7 +342,10 @@ def load_checkpoint(path) -> Model:
         raise CorruptCheckpointError(f"{path}: invalid layer descriptor ({e})") from None
     if list(map(_layer_descriptor, specs)) != raw:  # junk in an unused field, or a rate it rounds
         raise CorruptCheckpointError(f"{path}: a layer descriptor does not re-encode as stored")
+    spec = ModelSpec(layers=specs, input_shape=input_shape)
     try:
+        if 4 * sum(parameter_counts(spec)) > len(r.data) - r.pos:  # allocate nothing more
+            raise CorruptCheckpointError(f"{path}: descriptors ask for more parameters than it has")
         net = Network(specs, input_shape, None, dtype=np.float32)  # zeros, filled below
     except (ParameterError, ShapeError) as e:
         raise CorruptCheckpointError(f"{path}: descriptors do not form a network ({e})") from None
@@ -369,4 +373,4 @@ def load_checkpoint(path) -> Model:
             raise CorruptCheckpointError(f"{path}: non-finite values in tensor {i}")
     if r.pos != len(r.data):
         raise CorruptCheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
-    return Model(spec=ModelSpec(layers=specs, input_shape=input_shape), net=net)
+    return Model(spec=spec, net=net)

@@ -18,6 +18,8 @@ import numpy as np
 from . import baseline_corr, classifier, dataset, evaluation, tensor_nn
 from .errors import ParameterError, ShapeError
 
+CALIBRATE_SNR_DB = 10.0  # eval --baseline corr calibrates its threshold at this SNR
+
 
 class UsageError(Exception):
     """Semantically invalid flags (exit code 2)."""
@@ -107,10 +109,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="which side of the dataset's own burst split to score (default val)")
     e.add_argument("--baseline", choices=("corr",),
                    help="score the correlation baseline instead of the CNN")
-    e.add_argument("--calibrate-snr", type=_finite_float,
-                   help="--baseline corr only: calibration SNR in dB (default 10)")
     e.add_argument("--calibrate-trials", type=int,
-                   help="--baseline corr only: sequences per class (default 2000)")
+                   help="--baseline corr only: sequences per class at 10 dB (default 2000)")
     _common_flags(e, "seeds the --baseline corr calibration")
     e.set_defaults(func=cmd_eval)
     by_name["eval"] = e
@@ -122,14 +122,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     c.set_defaults(func=cmd_classify)
     by_name["classify"] = c
 
-    gc = subs.add_parser("gradcheck", help="finite-difference check of backpropagation")
-    gc.add_argument("--tolerance", type=_finite_float, default=1e-4)
-    gc.add_argument("--linear-only", action="store_true",
-                    help="check ReLU-free stacks (finite differences are near-exact)")
+    about = (f"finite-difference check of backpropagation: central differences of step "
+             f"{tensor_nn.GRAD_STEP:g} agree within relative error {tensor_nn.GRAD_TOLERANCE:g}")
+    gc = subs.add_parser("gradcheck", help=about, description=about)
     gc.add_argument("--nets", type=int, default=20, help="number of random micro-networks")
-    gc.add_argument("--step", type=_finite_float, default=None,
-                    help="finite-difference step (default 1e-5, or 1e-4 with --linear-only "
-                         "where roundoff dominates truncation)")
     _common_flags(gc)
     gc.set_defaults(func=cmd_gradcheck)
     by_name["gradcheck"] = gc
@@ -260,11 +256,10 @@ def cmd_train(args) -> int:
 
 
 def _baseline_classifier(args, normalize: bool):
-    snr_db = 10.0 if args.calibrate_snr is None else args.calibrate_snr
     trials = 2000 if args.calibrate_trials is None else args.calibrate_trials
-    with _flags(trials="--calibrate-trials", snr_db="--calibrate-snr"):
+    with _flags(trials="--calibrate-trials"):
         rule = baseline_corr.calibrate_threshold(
-            snr_db, dataset.FRAME_LEN, trials, seed=args.seed, normalize=normalize,
+            CALIBRATE_SNR_DB, dataset.FRAME_LEN, trials, seed=args.seed, normalize=normalize,
         )
     print(f"calibrated threshold {rule.threshold:.5f} at {rule.snr_db:g} dB "
           f"(training error {rule.achieved_error:.3f}"
@@ -281,12 +276,11 @@ def cmd_eval(args) -> int:
     if args.baseline is None and not args.checkpoint:
         raise UsageError("--checkpoint is required unless --baseline corr is given")
     # a flag that the chosen path does not read is a usage error naming it
-    unread = (("--checkpoint", args.checkpoint),) if args.baseline else (
-        ("--calibrate-trials", args.calibrate_trials), ("--calibrate-snr", args.calibrate_snr))
-    given = [flag for flag, value in unread if value is not None]
-    if given:
+    flag, value = (("--checkpoint", args.checkpoint) if args.baseline
+                   else ("--calibrate-trials", args.calibrate_trials))
+    if value is not None:
         path = "with --baseline corr" if args.baseline else "without --baseline"
-        raise UsageError(f"{', '.join(given)}: not read by eval {path}")
+        raise UsageError(f"{flag}: not read by eval {path}")
     frames, data_cfg = _load_dataset(args.dataset)
     if args.split != "all":
         train_side, val_side = dataset.split_train_val(frames, seed=data_cfg.seed)
@@ -333,16 +327,12 @@ def cmd_classify(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.nets < 1:
         raise UsageError(f"--nets must be >= 1, got {args.nets}")
-    step = args.step if args.step is not None else (1e-4 if args.linear_only else 1e-5)
     worst_by_kind: dict[str, float] = {}
     failures = []
     total_kinks = 0
     for i in range(args.nets):
-        net, x, onehot = tensor_nn.random_micro_network(
-            seed=args.seed + i, linear_only=args.linear_only
-        )
-        with _flags(step="--step", tolerance="--tolerance"):
-            report = tensor_nn.grad_check(net, x, onehot, step=step, tolerance=args.tolerance)
+        net, x, onehot = tensor_nn.random_micro_network(seed=args.seed + i)
+        report = tensor_nn.grad_check(net, x, onehot)
         total_kinks += report.n_kink_skipped
         owners = [
             layer.spec.kind for layer in net.layers for _ in layer.params()
@@ -360,11 +350,11 @@ def cmd_gradcheck(args) -> int:
             pi, k = report.worst_param
             print(
                 f"FAIL net {i}: max relative error {report.max_rel_error:.3e} "
-                f"(tolerance {report.tolerance:g}) at parameter tensor {pi}, element {k}",
+                f"(tolerance {tensor_nn.GRAD_TOLERANCE:g}) at parameter tensor {pi}, element {k}",
                 file=sys.stderr,
             )
         return 1
-    print(f"all gradients within tolerance {args.tolerance:g}")
+    print(f"all gradients within tolerance {tensor_nn.GRAD_TOLERANCE:g}")
     return 0
 
 

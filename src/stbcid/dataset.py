@@ -13,6 +13,7 @@ is not line for line that text, whatever differs.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, replace
 from itertools import zip_longest
@@ -299,14 +300,16 @@ def deserialize_frames(path) -> FrameSet:
             raise BadMagicError(f"{path}: bad magic {magic!r}")
         if version != DATASET_VERSION:
             raise VersionMismatchError(f"{path}: version {version}, expected {DATASET_VERSION}")
-        dtype = _record_dtype(window)
-        payload = f.read(count * dtype.itemsize + 1)
-    if len(payload) != count * dtype.itemsize:
-        raise TruncatedRecordError(
-            f"{path}: expected {count} records ({count * dtype.itemsize} bytes), "
-            f"got {len(payload)} bytes"
-        )
-    rec = np.frombuffer(payload, dtype=dtype)
+        size = count * (3 + 8 * window)  # Python ints: no claim overflows, nothing is sized
+        left = os.fstat(f.fileno()).st_size - _HEADER.size
+        if size != left:
+            raise TruncatedRecordError(
+                f"{path}: expected {count} records ({size} bytes), got {left} bytes")
+        try:
+            dtype = _record_dtype(window)
+        except ValueError:  # numpy caps a record below 2 GiB
+            raise DatasetFormatError(f"{path}: window {window} is too large") from None
+        rec = np.frombuffer(f.read(size), dtype=dtype)
     if rec.size and not np.isin(rec["scheme"], (0, 1)).all():
         raise DatasetFormatError(f"{path}: invalid scheme byte")
     unwritable = rec["snr"] == -_SNR_CENTI_MAX - 1  # -327.68 dB, which _snr_centi_db refuses
@@ -365,8 +368,10 @@ def read_frames_csv(path) -> FrameSet:
                 schemes.append(scheme)
             except (ValueError, IndexError):
                 raise DatasetFormatError(f"{path}: malformed frame row at line {lineno}") from None
-            if not np.isfinite(snrs[-1]):
-                raise DatasetFormatError(f"{path}: non-finite SNR at line {lineno}")
+            try:
+                _snr_centi_db(snrs[-1])  # an SNR the binary format could store
+            except ParameterError as e:
+                raise DatasetFormatError(f"{path}: {e} at line {lineno}") from None
             if not np.isfinite(iq).all():
                 raise DatasetFormatError(f"{path}: non-finite IQ at line {lineno}")
             frames.append(iq)

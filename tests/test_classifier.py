@@ -312,6 +312,22 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="does not re-encode"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("units", [2 ** 20, 2 ** 32 - 1])  # 40.9 GiB, 164 TiB of dense1
+    def test_parameters_the_file_cannot_hold_rejected(self, tmp_path, monkeypatch, units):
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        raw = bytearray(path.read_bytes())
+        at = self.DESC0 + classifier._DESC.size * 9 + 1  # dense1's unit count
+        raw[at:at + 4] = struct.pack("<I", units)
+        path.write_bytes(raw)
+
+        def no_network(*args, **kwargs):
+            raise AssertionError("load_checkpoint allocated the parameters")
+
+        monkeypatch.setattr(classifier, "Network", no_network)
+        with pytest.raises(CorruptCheckpointError, match="more parameters than it has"):
+            load_checkpoint(path)
+
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         model = initialize(build_cnn2(), seed=4)
         path = tmp_path / "m.stbcnn"

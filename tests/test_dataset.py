@@ -1,5 +1,7 @@
 """Tests for burst synthesis, windowing, splits, and dataset serialization."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,6 +363,17 @@ class TestSerialization:
         with pytest.raises(TruncatedRecordError):
             deserialize_frames(path)
 
+    @pytest.mark.parametrize("window, count", [
+        (FRAME_LEN, 2 ** 40), (FRAME_LEN, 2 ** 64 - 1), (2 ** 31, 5), (2 ** 31, 0),
+    ], ids=["2^40-records", "2^64-1-records", "window-2^31", "window-2^31-no-records"])
+    def test_header_claiming_more_than_the_file_rejected(self, tmp_path, window, count):
+        path = tmp_path / "d.stbc"
+        serialize_frames(generate_dataset(small_config()), path)
+        records = path.read_bytes()[18:] if count else b""
+        path.write_bytes(struct.pack("<4sHIQ", b"STBC", 1, window, count) + records)
+        with pytest.raises(DatasetFormatError, match=str(path)):
+            deserialize_frames(path)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "d.stbc"
         path.write_bytes(b"STB")
@@ -401,12 +414,15 @@ class TestCsv:
             read_frames_csv(path)
 
     @pytest.mark.parametrize("cell, bad, what", [
-        pytest.param(40, "nan", "IQ", id="nan"),
-        pytest.param(40, "inf", "IQ", id="inf"),
-        pytest.param(40, "-inf", "IQ", id="-inf"),
-        pytest.param(40, "1e39", "IQ", id="1e39"),  # overflows float32
-        pytest.param(1, "nan", "SNR", id="snr-nan"),
-        pytest.param(1, "-inf", "SNR", id="snr-inf"),
+        pytest.param(40, "nan", "non-finite IQ", id="nan"),
+        pytest.param(40, "inf", "non-finite IQ", id="inf"),
+        pytest.param(40, "-inf", "non-finite IQ", id="-inf"),
+        pytest.param(40, "1e39", "non-finite IQ", id="1e39"),  # overflows float32
+        # SNRs that the binary format's int16 centi-dB cannot store
+        pytest.param(1, "nan", "SNR must be finite .*, got nan", id="snr-nan"),
+        pytest.param(1, "-inf", "SNR must be finite .*, got -inf", id="snr-inf"),
+        pytest.param(1, "400", "SNR must be finite .*, got 400.0", id="snr-400"),
+        pytest.param(1, "-327.68", "SNR must be finite .*, got -327.68", id="snr--327.68"),
     ])
     def test_non_finite_iq_names_line(self, tmp_path, cell, bad, what):
         frames = generate_dataset(small_config())
@@ -417,7 +433,7 @@ class TestCsv:
         cells[cell] = bad
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"non-finite {what} at line 4") as err:
+        with pytest.raises(DatasetFormatError, match=f"{what} at line 4") as err:
             read_frames_csv(path)
         assert str(path) in str(err.value)
 

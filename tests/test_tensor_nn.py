@@ -215,7 +215,7 @@ class TestBackprop:
         net = Network(specs, (1, 2, 8), rng, dtype=np.float64)
         x = rng.standard_normal((1, 2, 8))
         onehot = np.array([1.0, 0.0])
-        report = grad_check(net, x, onehot, step=1e-5, tolerance=1e-4)
+        report = grad_check(net, x, onehot)
         assert report.passed, f"max rel error {report.max_rel_error}"
 
 
@@ -297,16 +297,21 @@ class TestAdam:
 class TestGradCheck:
     def test_micro_cnn_within_tolerance(self):
         net, x, onehot = random_micro_network(seed=0)
-        report = grad_check(net, x, onehot, step=1e-5, tolerance=1e-4)
+        report = grad_check(net, x, onehot)
         assert report.passed
         assert report.n_checked + report.n_kink_skipped == sum(
             p.size for p in net.parameters()
         )
 
     def test_linear_net_near_exact(self):
-        net, x, onehot = random_micro_network(seed=1, linear_only=True)
-        report = grad_check(net, x, onehot, step=1e-4, tolerance=1e-7)
-        assert report.passed, f"max rel error {report.max_rel_error}"
+        # without ReLUs there are no kinks, and the loss is smooth enough that
+        # central differences match backprop far inside the 1e-4 contract
+        rng = np.random.default_rng(1)
+        specs = [conv_spec(4, 1, 2), conv_spec(2, 3, 2), flatten_spec(), dense_spec(8),
+                 dense_spec(2), softmax_spec()]
+        net = Network(specs, (1, 3, 9), rng, dtype=np.float64)
+        report = grad_check(net, rng.standard_normal((1, 3, 9)), np.array([0.0, 1.0]))
+        assert report.max_rel_error < 1e-7
 
     def test_relu_kink_excluded_and_reported(self):
         # zero input makes every dense1 pre-activation sit exactly on the kink;
@@ -318,18 +323,11 @@ class TestGradCheck:
             dtype=np.float64,
         )
         x = np.zeros(4)
-        report = grad_check(net, x, np.array([1.0, 0.0]), step=1e-5, tolerance=1e-4)
+        report = grad_check(net, x, np.array([1.0, 0.0]))
         assert report.n_kink_skipped >= 3  # at least the three dense1 biases
         bias_tensor_index = 1  # parameters are [w0, b0, w1, b1]
         assert all(pi == bias_tensor_index for pi, _ in report.kink_indices)
         assert report.passed
-
-    @pytest.mark.parametrize("step, tolerance", [(0.0, 1e-4), (-1e-5, 1e-4), (1e-5, 0.0),
-                                                  (1e-5, -1.0)])
-    def test_nonpositive_step_or_tolerance_rejected(self, step, tolerance):
-        net, x, onehot = random_micro_network(seed=0)
-        with pytest.raises(ParameterError):
-            grad_check(net, x, onehot, step=step, tolerance=tolerance)
 
 
 class TestNetworkValidation:
@@ -449,7 +447,7 @@ class TestWidthMajorEngine:
         assert tuple(layer._windowed for layer in convs) == windowed
         x = rng.standard_normal((3, 1, 2, 7))
         onehot = np.eye(2)[[0, 1, 1]]
-        report = grad_check(net, x, onehot, step=1e-5, tolerance=1e-4)
+        report = grad_check(net, x, onehot)
         assert report.passed, f"max rel error {report.max_rel_error}"
         assert report.n_checked + report.n_kink_skipped == sum(p.size for p in net.parameters())
 
@@ -462,7 +460,7 @@ class TestWidthMajorEngine:
                  flatten_spec(), dense_spec(2), softmax_spec()]
         net = Network(specs, (1, 1, 2), rng, dtype=np.float64)
         x = rng.standard_normal((3, 1, 1, 2))
-        report = grad_check(net, x, np.eye(2)[[0, 1, 1]], step=1e-5, tolerance=1e-4)
+        report = grad_check(net, x, np.eye(2)[[0, 1, 1]])
         assert report.passed, f"max rel error {report.max_rel_error}"
         for i in range(x.shape[0]):
             ref = _channel_first_reference(net, x[i])
@@ -586,7 +584,7 @@ class TestCallContracts:
         rng = np.random.default_rng(3)
         net64 = Network(specs, (1, 2, 8), rng, dtype=np.float64)
         x64 = rng.standard_normal((3, 1, 2, 8))
-        report = grad_check(net64, x64, np.eye(2)[[0, 1, 1]], step=1e-5, tolerance=1e-4)
+        report = grad_check(net64, x64, np.eye(2)[[0, 1, 1]])
         assert report.passed, f"max rel error {report.max_rel_error}"
 
     def test_training_step_peak_memory(self):
