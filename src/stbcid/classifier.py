@@ -13,6 +13,7 @@ counts is a build failure, so ``parameter_counts`` is part of the public API.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -34,7 +35,7 @@ from .tensor_nn import (
     flatten_spec,
     relu_spec,
     softmax_spec,
-    trace_shapes,
+    weight_shapes,
     zeropad_spec,
 )
 
@@ -143,12 +144,12 @@ def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
 
 
 def parameter_counts(model_or_spec) -> list[int]:
-    """Trainable parameter count per parameterized layer, in stack order, from the shapes alone."""
-    spec = model_or_spec.spec if isinstance(model_or_spec, Model) else model_or_spec
-    inputs = (spec.input_shape, *trace_shapes(spec.layers, spec.input_shape))
-    return [ls.filters * (inp[0] * ls.kernel[0] * ls.kernel[1] + 1) if ls.kind == "conv2d"
-            else ls.units * (inp[0] + 1)
-            for ls, inp in zip(spec.layers, inputs) if ls.kind in ("conv2d", "dense")]
+    """Trainable parameter count per parameterized layer, in stack order; a spec allocates none."""
+    if isinstance(model_or_spec, Model):  # the arrays it holds
+        return [sum(p.size for p in layer.params()) for layer in model_or_spec.net.layers
+                if layer.params()]
+    shapes = weight_shapes(model_or_spec.layers, model_or_spec.input_shape)
+    return [math.prod(s) + s[0] for s in shapes]  # weights and bias
 
 
 def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:

@@ -334,25 +334,20 @@ def cmd_gradcheck(args) -> int:
         net, x, onehot = tensor_nn.random_micro_network(seed=args.seed + i)
         report = tensor_nn.grad_check(net, x, onehot)
         total_kinks += report.n_kink_skipped
-        owners = [
-            layer.spec.kind for layer in net.layers for _ in layer.params()
-        ]
+        owners = [layer.spec.kind for layer in net.layers for _ in layer.params()]
         for kind, err in zip(owners, report.per_param_max):
             worst_by_kind[kind] = max(worst_by_kind.get(kind, 0.0), err)
         if not report.passed:
-            failures.append((i, report))
+            pi, k = report.worst_param
+            failures.append(f"FAIL net {i}: max relative error {report.max_rel_error:.3e} "
+                            f"(tolerance {tensor_nn.GRAD_TOLERANCE:g}) at parameter tensor {pi}, "
+                            f"element {k}")
     for kind in sorted(worst_by_kind):
         print(f"{kind:>8}: max relative error {worst_by_kind[kind]:.3e}")
     print(f"checked {args.nets} micro-network(s), "
           f"{total_kinks} coordinate(s) skipped at ReLU kinks")
     if failures:
-        for i, report in failures:
-            pi, k = report.worst_param
-            print(
-                f"FAIL net {i}: max relative error {report.max_rel_error:.3e} "
-                f"(tolerance {tensor_nn.GRAD_TOLERANCE:g}) at parameter tensor {pi}, element {k}",
-                file=sys.stderr,
-            )
+        print("\n".join(failures), file=sys.stderr)
         return 1
     print(f"all gradients within tolerance {tensor_nn.GRAD_TOLERANCE:g}")
     return 0

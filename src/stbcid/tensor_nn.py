@@ -129,15 +129,16 @@ class Layer:
 
 
 class _Weighted(Layer):
-    """A layer with weights w (filters or units first) and bias b.
+    """A layer with weights w of its ``weight_shapes`` shape (filters or units first) and bias b.
 
     The weights are drawn He- or Glorot-uniform from ``rng``, or left zero when
     ``rng`` is None (a checkpoint is about to overwrite them).
     """
 
-    def __init__(self, spec: LayerSpec, shape: tuple[int, ...], fan_in: int,
-                 rng: np.random.Generator | None, dtype, init: str):
+    def __init__(self, spec: LayerSpec, shape: tuple[int, ...], rng: np.random.Generator | None,
+                 dtype=np.float32, init: str = "he"):
         super().__init__(spec)
+        fan_in = math.prod(shape[1:])
         if rng is None:
             self.w = np.zeros(shape, dtype=dtype)
         else:
@@ -146,6 +147,7 @@ class _Weighted(Layer):
         self.b = np.zeros(shape[0], dtype=dtype)
         self.gw = np.zeros(shape, dtype=dtype)  # not zeros_like, which writes every page
         self.gb = np.zeros_like(self.b)
+        self._x = None  # what forward(train=True) stores for backward
 
     def params(self):
         return [self.w, self.b]
@@ -190,14 +192,12 @@ class Conv2D(_Weighted):
     batch element.
     """
 
-    def __init__(self, in_channels: int, spec: LayerSpec, rng: np.random.Generator | None,
+    def __init__(self, spec: LayerSpec, shape: tuple[int, ...], rng: np.random.Generator | None,
                  dtype=np.float32, init: str = "he"):
-        kh, kw = spec.kernel
-        fan_in = in_channels * kh * kw
-        super().__init__(spec, (spec.filters, in_channels, kh, kw), fan_in, rng, dtype, init)
+        super().__init__(spec, shape, rng, dtype, init)
         self.pad = 0  # zero columns on each side of the input
-        self._windowed = fan_in <= spec.filters
-        self._x = None  # [B, W, G, K] input, or its [B, OW*G, K*kw + 1] patches when windowed
+        self._windowed = math.prod(shape[1:]) <= spec.filters  # fan-in
+        # _x: the [B, W, G, K] input, or its [B, OW*G, K*kw + 1] patches when windowed
 
     def _shifts(self, w: int, ow: int):
         """(j, lo, hi): shift j adds to output columns [lo, hi) from input columns j - pad over."""
@@ -266,11 +266,6 @@ class Conv2D(_Weighted):
 
 
 class Dense(_Weighted):
-    def __init__(self, in_features: int, spec: LayerSpec, rng: np.random.Generator,
-                 dtype=np.float32, init: str = "he"):
-        super().__init__(spec, (spec.units, in_features), in_features, rng, dtype, init)
-        self._x = None
-
     def forward(self, x, train=False, rng=None, sign_trace=None):
         if x.ndim != 2 or x.shape[1] != self.w.shape[1]:
             raise ShapeError(f"dense expects [B, {self.w.shape[1]}], got {x.shape}")
@@ -424,6 +419,16 @@ def trace_shapes(specs, input_shape) -> list[tuple[int, ...]]:
     return out
 
 
+def weight_shapes(specs, input_shape) -> list[tuple[int, ...]]:
+    """Weights of each conv2d, [F, C, kh, kw], and dense layer, [units, in], in stack order.
+
+    Each bias is [shape[0]]. Only the shapes are traced; nothing is allocated.
+    """
+    inputs = (tuple(input_shape), *trace_shapes(specs, input_shape))
+    return [(s.filters, x[0], *s.kernel) if s.kind == "conv2d" else (s.units, x[0])
+            for s, x in zip(specs, inputs) if s.kind in ("conv2d", "dense")]
+
+
 _LAYER_CLASSES = {"conv2d": Conv2D, "dense": Dense, "relu": ReLU, "softmax": Softmax,
                   "dropout": Dropout, "zeropad": ZeroPad, "flatten": Flatten}
 
@@ -455,10 +460,11 @@ class Network:
         self.input_shape = tuple(input_shape)
         self.dtype = np.dtype(dtype)
         self.layers: list[Layer] = []
-        for i, (spec, shape) in enumerate(zip(specs, (self.input_shape, *shapes))):
+        weights = iter(weight_shapes(specs, input_shape))
+        for i, spec in enumerate(specs):
             cls = _LAYER_CLASSES[spec.kind]
             if issubclass(cls, _Weighted):
-                layer = cls(shape[0], spec, rng, dtype=dtype, init=_init_for(specs[i + 1:]))
+                layer = cls(spec, next(weights), rng, dtype=dtype, init=_init_for(specs[i + 1:]))
             else:
                 layer = cls(spec)
             if i and specs[i - 1].kind == "zeropad":  # a conv2d, checked by trace_shapes

@@ -44,6 +44,7 @@ from stbcid.tensor_nn import (
     softmax,
     softmax_spec,
     trace_shapes,
+    weight_shapes,
     zeropad_spec,
 )
 
@@ -364,6 +365,13 @@ class TestNetworkValidation:
         assert out.shape == (1, 8, 2, 1)
         assert np.all(out[:, :2] == 0.5) and np.all(out[:, -2:] == 0.5)
         np.testing.assert_array_equal(out[:, 2:-2], 3.0 * x + 0.5)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_shapes_match_the_built_arrays(self, seed):
+        net, _, _ = random_micro_network(seed)
+        built = [layer.w.shape for layer in net.layers if layer.params()]
+        assert weight_shapes(net.specs, net.input_shape) == built
+        assert [layer.b.shape for layer in net.layers if layer.params()] == [(s[0],) for s in built]
 
     def test_zeropad_must_precede_a_conv(self, tmp_path):
         specs = [zeropad_spec(1), relu_spec(), conv_spec(2, 1, 2), flatten_spec(),
