@@ -319,9 +319,6 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: struct.Struct):
-        return fmt.unpack(self.take(fmt.size))
-
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model bit-exactly; ``DescriptorMismatchError`` unless its stack maps a

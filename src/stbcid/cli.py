@@ -117,7 +117,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     c = subs.add_parser("classify", help="per-frame probabilities for a dataset or CSV")
     c.add_argument("--checkpoint", required=True)
-    c.add_argument("--input", required=True, help="binary dataset or CSV frame rows")
+    c.add_argument("--input", required=True,
+                   help="binary dataset, or a CSV exactly as export_frames_csv writes it "
+                        "(IQ values at full float32 precision)")
     _common_flags(c, seed_help=None)
     c.set_defaults(func=cmd_classify)
     by_name["classify"] = c
@@ -380,6 +382,7 @@ def main(argv=None) -> int:
         return 2
     except (
         OSError,
+        MemoryError,  # a size flag that asks for more memory than there is
         ParameterError,
         ShapeError,
         dataset.DatasetFormatError,

@@ -5,9 +5,13 @@ block offset. Frames are 128-sample windows (64-sample shift) converted to
 2 x 128 I/Q matrices. Train/validation splitting is burst-granular so the
 overlapping windows of one burst can never straddle the split.
 
-A manifest reads back exactly or raises ``DatasetFormatError``:
-``read_manifest`` writes back the values it parsed and refuses a file that
-is not line for line that text, whatever differs.
+Every text reader checks its input by writing it back. ``read_manifest``
+writes back the values it parsed and raises ``DatasetFormatError`` for a file
+that is not line for line that text. Every CSV of the package is written by
+``write_csv_rows``, and the frames CSV here and the accuracy and loss CSVs of
+``evaluation`` are read by ``read_csv_rows``: it renders what it parsed with
+the writer's row renderer and raises ``ParameterError`` for a file whose rows
+are not that text, whatever differs.
 """
 
 from __future__ import annotations
@@ -328,65 +332,88 @@ def deserialize_frames(path) -> FrameSet:
     )
 
 
-def export_frames_csv(frames: FrameSet, path) -> None:
-    """CSV mirror of the dataset: scheme and SNR first, then i0..i127, q0..q127."""
-    window = frames.frames.shape[2]
-    header = ["scheme", "snr_db"]
-    header += [f"i{k}" for k in range(window)] + [f"q{k}" for k in range(window)]
+# ---------------------------------------------------------------------------
+# CSV: the one writer and reader of every CSV in the package
+
+
+def write_csv_rows(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for i in range(len(frames)):
-            row = [int(frames.schemes[i]), repr(float(frames.snrs_db[i]))]
-            row += [repr(float(v)) for v in frames.frames[i].reshape(-1)]
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def read_csv_rows(path, what: str, header: list[str], parse, build, render):
+    """``build`` of the ``parse(cells)`` of each non-blank row of a CSV under ``header``,
+    which ``render`` must write back as the same rows. A row of another width, one that
+    ``parse`` rejects with a ``ValueError``, or one written back as other text raises
+    ``ParameterError`` that ends "at line N" (after the ``ValueError``'s message, if any)."""
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    if not rows or rows[0] != header:
+        raise ParameterError(f"{path}: not {what} CSV")
+    data = [(lineno, cells) for lineno, cells in enumerate(rows[1:], start=2) if cells]
+    parsed = []
+    for lineno, cells in data:
+        try:
+            if len(cells) != len(header):
+                raise ValueError
+            parsed.append(parse(cells))
+        except ValueError as err:
+            raise ParameterError(f"{path}: {err or 'malformed row'} at line {lineno}") from None
+    try:
+        curve = build(parsed)
+    except ParameterError as err:
+        raise ParameterError(f"{path}: {err}") from None
+    for (lineno, cells), written in zip(data, render(curve)):
+        if cells != written:  # e.g. an SNR of "5", or epochs out of order
+            k = next(k for k, (read, text) in enumerate(zip(cells, written)) if read != text)
+            raise ParameterError(f"{path}: column {header[k]!r} reads {cells[k]!r}, which is "
+                                 f"written as {written[k]!r}, at line {lineno}")
+    return curve
+
+
+def _frame_header(window: int) -> list[str]:
+    return ["scheme", "snr_db", *(f"i{k}" for k in range(window)),
+            *(f"q{k}" for k in range(window))]
+
+
+def _frame_rows(frames: FrameSet):
+    """Scheme, SNR, then each frame's I and Q values at full float32 precision."""
+    for scheme, snr, iq in zip(frames.schemes.tolist(), frames.snrs_db.tolist(), frames.frames):
+        yield [str(scheme), repr(snr), *map(repr, iq.ravel().tolist())]
+
+
+def _parse_frame_row(cells: list[str]) -> tuple[int, float, np.ndarray]:
+    scheme, snr = int(cells[0]), float(cells[1])
+    if scheme not in (0, 1):
+        raise ValueError(f"scheme must be 0 or 1, got {scheme}")
+    _snr_centi_db(snr)  # an SNR the binary format could store
+    with np.errstate(over="ignore"):  # beyond float32's range reads as inf
+        iq = np.array([float(v) for v in cells[2:]], dtype=np.float32)
+    if not np.isfinite(iq).all():
+        raise ValueError("non-finite IQ")
+    return scheme, snr, iq
+
+
+def _frame_set(rows) -> FrameSet:
+    return FrameSet(
+        frames=np.array([iq for _, _, iq in rows], np.float32).reshape(len(rows), 2, FRAME_LEN),
+        schemes=np.array([scheme for scheme, _, _ in rows], dtype=np.uint8),
+        snrs_db=np.array([snr for _, snr, _ in rows], dtype=np.float64),
+    )
+
+
+def export_frames_csv(frames: FrameSet, path) -> None:
+    """CSV mirror of the dataset: scheme and SNR first, then i0..i127, q0..q127."""
+    write_csv_rows(path, _frame_header(frames.frames.shape[2]), _frame_rows(frames))
 
 
 def read_frames_csv(path) -> FrameSet:
-    """Parse the CSV export back into a FrameSet; malformed rows name their line."""
-    frames, schemes, snrs = [], [], []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty file, expected header") from None
-        width = len(header) - 2
-        if width <= 0 or width % 2 != 0 or header[:2] != ["scheme", "snr_db"]:
-            raise DatasetFormatError(f"{path}: unrecognized header")
-        window = width // 2
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                scheme = int(row[0])
-                if scheme not in (0, 1) or len(row) != 2 + 2 * window:
-                    raise ValueError
-                snrs.append(float(row[1]))
-                with np.errstate(over="ignore"):  # beyond float32's range reads as inf
-                    iq = np.array([float(v) for v in row[2:]], dtype=np.float32)
-                schemes.append(scheme)
-            except (ValueError, IndexError):
-                raise DatasetFormatError(f"{path}: malformed frame row at line {lineno}") from None
-            try:
-                _snr_centi_db(snrs[-1])  # an SNR the binary format could store
-            except ParameterError as e:
-                raise DatasetFormatError(f"{path}: {e} at line {lineno}") from None
-            if not np.isfinite(iq).all():
-                raise DatasetFormatError(f"{path}: non-finite IQ at line {lineno}")
-            frames.append(iq)
-    n = len(frames)
-    arr = (
-        np.stack(frames).reshape(n, 2, window)
-        if n
-        else np.empty((0, 2, window), dtype=np.float32)
-    )
-    return FrameSet(
-        frames=arr,
-        schemes=np.array(schemes, dtype=np.uint8),
-        snrs_db=np.array(snrs, dtype=np.float64),
-        burst_ids=None,
-    )
+    """The FRAME_LEN-sample frames of a CSV that is exactly what ``export_frames_csv``
+    writes for them; anything else raises ``ParameterError`` naming the line."""
+    return read_csv_rows(path, "a frames", _frame_header(FRAME_LEN), _parse_frame_row,
+                         _frame_set, _frame_rows)
 
 
 MANIFEST_VERSION = 1

@@ -4,19 +4,20 @@ SVG output is hand-rolled rather than delegated to a plotting stack: the files
 are self-contained, deterministic, and cheap to assert on in tests (one
 ``<polyline>`` element per series).
 
-The accuracy and loss CSVs read back exactly or raise ``ParameterError``: each
-reader renders the curve it parsed with the writer's row renderer and refuses
-a file whose rows are not that text, whatever differs.
+Every text reader checks its input by writing it back. The CSVs here go
+through ``dataset``'s shared CSV code, as the frames CSV does: the accuracy and
+loss readers render the curve they parsed with the writer's row renderer and
+raise ``ParameterError`` for a file whose rows are not that text, whatever
+differs. The dataset manifest is checked the same way.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FrameSet
+from .dataset import FrameSet, read_csv_rows, write_csv_rows
 from .errors import ParameterError, ShapeError
 
 CLASS_NAMES = ("SM", "AL")
@@ -95,11 +96,6 @@ def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
 # CSV
 
 
-def _write_rows(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        csv.writer(f).writerows([header, *rows])
-
-
 def _accuracy_rows(curve: AccuracyCurve) -> list[list[str]]:
     return [[repr(snr), repr(acc), str(n)] for snr, acc, n in curve.points]
 
@@ -109,43 +105,14 @@ def _loss_rows(curve: LossCurve) -> list[list[str]]:
             for e, tl, vl in zip(curve.epochs, curve.train_loss, curve.val_loss)]
 
 
-def _read_rows(path, what: str, header: list[str], parse, build, render):
-    """``build`` of the ``parse(cells)`` of each non-blank row of a CSV under ``header``,
-    which ``render`` must write back as the same rows. A row of another width, one that
-    ``parse`` rejects with a ``ValueError``, or one written back as other text raises
-    ``ParameterError`` naming its line."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != header:
-        raise ParameterError(f"{path}: not {what} CSV")
-    data = [(lineno, cells) for lineno, cells in enumerate(rows[1:], start=2) if cells]
-    parsed = []
-    for lineno, cells in data:
-        try:
-            if len(cells) != len(header):
-                raise ValueError
-            parsed.append(parse(cells))
-        except ValueError:
-            raise ParameterError(f"{path}: malformed row at line {lineno}") from None
-    try:
-        curve = build(parsed)
-    except ParameterError as err:
-        raise ParameterError(f"{path}: {err}") from None
-    for (lineno, cells), written in zip(data, render(curve)):
-        if cells != written:  # e.g. an SNR of "5", or epochs out of order
-            raise ParameterError(f"{path}: line {lineno} reads {','.join(cells)!r}, "
-                                 f"which is written as {','.join(written)!r}")
-    return curve
-
-
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
-    _write_rows(path, ["snr_db", "accuracy", "n"], _accuracy_rows(curve))
+    write_csv_rows(path, ["snr_db", "accuracy", "n"], _accuracy_rows(curve))
 
 
 def read_accuracy_csv(path) -> AccuracyCurve:
-    return _read_rows(path, "an accuracy", ["snr_db", "accuracy", "n"],
-                      lambda r: (float(r[0]), float(r[1]), int(r[2])),
-                      lambda points: AccuracyCurve(points=tuple(points)), _accuracy_rows)
+    return read_csv_rows(path, "an accuracy", ["snr_db", "accuracy", "n"],
+                         lambda r: (float(r[0]), float(r[1]), int(r[2])),
+                         lambda points: AccuracyCurve(points=tuple(points)), _accuracy_rows)
 
 
 def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
@@ -153,20 +120,21 @@ def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
     matrix = np.asarray(matrix)
     if matrix.shape != (2, 2):
         raise ShapeError(f"confusion matrix must be 2x2, got {matrix.shape}")
-    _write_rows(path, ["snr_db", "true", "pred", "count"],
-                [[repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])]
-                 for i in range(2) for j in range(2)])
+    write_csv_rows(path, ["snr_db", "true", "pred", "count"],
+                   [[repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])]
+                    for i in range(2) for j in range(2)])
 
 
 def write_loss_csv(curve: LossCurve, path) -> None:
-    _write_rows(path, ["epoch", "train_loss", "val_loss"], _loss_rows(curve))
+    write_csv_rows(path, ["epoch", "train_loss", "val_loss"], _loss_rows(curve))
 
 
 def read_loss_csv(path) -> LossCurve:
-    return _read_rows(path, "a loss", ["epoch", "train_loss", "val_loss"],
-                      lambda r: (float(r[1]), float(r[2])),
-                      lambda rows: LossCurve(tuple(r[0] for r in rows), tuple(r[1] for r in rows)),
-                      _loss_rows)
+    return read_csv_rows(path, "a loss", ["epoch", "train_loss", "val_loss"],
+                         lambda r: (float(r[1]), float(r[2])),
+                         lambda rows: LossCurve(tuple(r[0] for r in rows),
+                                                tuple(r[1] for r in rows)),
+                         _loss_rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -258,6 +259,48 @@ def test_frames_of_another_width_exit_one(tiny_dataset, tmp_path, capsys):
                       capsys, out)
     _assert_exits_one(["eval", "--dataset", binary, "--baseline", "corr", "-o", str(out),
                        "--calibrate-trials", "100"], capsys, out)
+
+
+@pytest.mark.parametrize("cell, bad, column", [
+    (1, "-4", "snr_db"),
+    (5, "0.1", "i3"),  # not a float32 value
+    (0, "01", "scheme"),
+])
+def test_frames_csv_cell_not_as_written_exits_one(tiny_dataset, tmp_path, capsys,
+                                                  cell, bad, column):
+    checkpoint = str(tmp_path / "m.stbcnn")
+    classifier.save_checkpoint(_small_model(), checkpoint)
+    text = tmp_path / "frames.csv"
+    dataset.export_frames_csv(dataset.deserialize_frames(tiny_dataset), text)
+    lines = text.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[cell] = bad
+    lines[3] = ",".join(cells)
+    text.write_text("\n".join(lines) + "\n")
+    assert cli.main(["classify", "--checkpoint", checkpoint, "--input", str(text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"column {column!r} reads {bad!r}" in err
+    assert "at line 4" in err
+
+
+def _limit_address_space():  # in the child only: about 3 GB of address space
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_request_beyond_memory_exits_one(tiny_dataset, tmp_path, command):
+    out = tmp_path / "out"
+    argv = {"generate": ["generate", "--bursts", "100000000", "-o", str(out)],  # 31.3 GiB
+            "eval": ["eval", "--dataset", tiny_dataset, "--baseline", "corr", "-o", str(out),
+                     "--calibrate-trials", "100000000000"]}[command]  # 1.46 TiB
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "stbcid", *argv], env=env, capture_output=True,
+                         text=True, timeout=120, preexec_fn=_limit_address_space)
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("error: Unable to allocate") and "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []  # nothing written: no dataset, manifest or out dir
 
 
 @pytest.mark.parametrize("key, value", [

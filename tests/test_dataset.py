@@ -402,6 +402,8 @@ class TestCsv:
         np.testing.assert_array_equal(back.frames, frames.frames)
         np.testing.assert_array_equal(back.schemes, frames.schemes)
         np.testing.assert_array_equal(back.snrs_db, frames.snrs_db)
+        export_frames_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_malformed_row_names_line(self, tmp_path):
         frames = generate_dataset(small_config())
@@ -410,7 +412,7 @@ class TestCsv:
         lines = path.read_text().splitlines()
         lines[2] = "1,0.0,not_a_number"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(ParameterError, match="line 3"):
             read_frames_csv(path)
 
     @pytest.mark.parametrize("cell, bad, what", [
@@ -423,6 +425,14 @@ class TestCsv:
         pytest.param(1, "-inf", "SNR must be finite .*, got -inf", id="snr-inf"),
         pytest.param(1, "400", "SNR must be finite .*, got 400.0", id="snr-400"),
         pytest.param(1, "-327.68", "SNR must be finite .*, got -327.68", id="snr--327.68"),
+        pytest.param(0, "2", "scheme must be 0 or 1, got 2", id="scheme-2"),
+        # cells that parse but are not the text export_frames_csv writes for their values
+        pytest.param(1, "-4", "column 'snr_db' reads '-4', which is written as '-4.0',",
+                     id="snr--4"),
+        pytest.param(5, "0.1", "column 'i3' reads '0.1', which is written as "
+                     "'0.10000000149011612',", id="iq-0.1"),  # not a float32 value
+        pytest.param(0, "01", "column 'scheme' reads '01', which is written as '1',",
+                     id="scheme-01"),
     ])
     def test_non_finite_iq_names_line(self, tmp_path, cell, bad, what):
         frames = generate_dataset(small_config())
@@ -433,7 +443,7 @@ class TestCsv:
         cells[cell] = bad
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"{what} at line 4") as err:
+        with pytest.raises(ParameterError, match=f"{what} at line 4") as err:
             read_frames_csv(path)
         assert str(path) in str(err.value)
 
