@@ -14,6 +14,7 @@ counts is a build failure, so ``parameter_counts`` is part of the public API.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -272,8 +273,7 @@ def _layer_descriptor(spec: LayerSpec) -> bytes:
     return _DESC.pack(kind, a, b, c, rate)
 
 
-def _spec_from_descriptor(raw: bytes) -> LayerSpec:
-    kind_idx, a, b, c, rate = _DESC.unpack(raw)
+def _spec_from_descriptor(kind_idx, a, b, c, rate) -> LayerSpec:
     if kind_idx >= len(LAYER_KINDS):
         raise CorruptCheckpointError(f"unknown layer kind index {kind_idx}")
     kind = LAYER_KINDS[kind_idx]
@@ -288,87 +288,78 @@ def _spec_from_descriptor(raw: bytes) -> LayerSpec:
     return LayerSpec(kind=kind)
 
 
+def _tensor_header(shape) -> bytes:
+    """The rank, then the dimensions: of the input frame and of each parameter tensor."""
+    return struct.pack(f"<B{len(shape)}I", len(shape), *shape)
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Write magic, version, architecture descriptors, then f32 parameter tensors."""
-    parts = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
-    shape = model.spec.input_shape
-    parts.append(struct.pack("<B", len(shape)))
-    parts.append(struct.pack(f"<{len(shape)}I", *shape))
-    parts.append(struct.pack("<I", len(model.spec.layers)))
-    parts += [_layer_descriptor(ls) for ls in model.spec.layers]
     tensors = model.net.parameters()
-    parts.append(struct.pack("<I", len(tensors)))
+    header = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION),
+              _tensor_header(model.spec.input_shape), struct.pack("<I", len(model.spec.layers)),
+              *map(_layer_descriptor, model.spec.layers), struct.pack("<I", len(tensors))]
     with open(path, "wb") as f:
-        f.write(b"".join(parts))
+        f.write(b"".join(header))
         for t in tensors:  # written from their own buffers: no joined copy of the weights
-            f.write(struct.pack("<B", t.ndim))
-            f.write(struct.pack(f"<{t.ndim}I", *t.shape))
+            f.write(_tensor_header(t.shape))
             f.write(np.ascontiguousarray(t, dtype="<f4").data)
-
-
-class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptCheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
 
 
 def load_checkpoint(path) -> Model:
     """Rebuild a model bit-exactly; ``DescriptorMismatchError`` unless its stack maps a
-    (1, 2, FRAME_LEN) frame to two class probabilities, so callers check no shapes."""
+    (1, 2, FRAME_LEN) frame to two class probabilities, so callers check no shapes.
+    It holds no copy of the file: after the descriptors, one size comparison rejects a
+    truncated or over-claimed file and trailing bytes, then each tensor is read in place."""
     with open(path, "rb") as f:
-        r = _Reader(f.read(), path)
-    if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise CorruptCheckpointError(f"{path}: bad checkpoint magic")
-    (version,) = struct.unpack("<H", r.take(2))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
-    (ndim,) = struct.unpack("<B", r.take(1))
-    input_shape = struct.unpack(f"<{ndim}I", r.take(4 * ndim))
-    (n_layers,) = struct.unpack("<I", r.take(4))
-    raw = [r.take(_DESC.size) for _ in range(n_layers)]
-    try:
-        specs = tuple(map(_spec_from_descriptor, raw))
-    except ParameterError as e:
-        raise CorruptCheckpointError(f"{path}: invalid layer descriptor ({e})") from None
-    if list(map(_layer_descriptor, specs)) != raw:  # junk in an unused field, or a rate it rounds
-        raise CorruptCheckpointError(f"{path}: a layer descriptor does not re-encode as stored")
-    spec = ModelSpec(layers=specs, input_shape=input_shape)
-    try:
-        if 4 * sum(parameter_counts(spec)) > len(r.data) - r.pos:  # allocate nothing more
-            raise CorruptCheckpointError(f"{path}: descriptors ask for more parameters than it has")
-        net = Network(specs, input_shape, None, dtype=np.float32)  # zeros, filled below
-    except (ParameterError, ShapeError) as e:
-        raise CorruptCheckpointError(f"{path}: descriptors do not form a network ({e})") from None
-    if input_shape != (1, 2, FRAME_LEN) or net.output_shape != (2,):
-        raise DescriptorMismatchError(
-            f"{path}: the model maps {input_shape} to {net.output_shape}, not a "
-            f"(1, 2, {FRAME_LEN}) frame to the two classes (2,)"
-        )
-    (n_tensors,) = struct.unpack("<I", r.take(4))
-    params = net.parameters()
-    if n_tensors != len(params):
-        raise DescriptorMismatchError(
-            f"{path}: {n_tensors} stored tensors, architecture has {len(params)}"
-        )
-    for i, p in enumerate(params):
-        (tnd,) = struct.unpack("<B", r.take(1))
-        tshape = struct.unpack(f"<{tnd}I", r.take(4 * tnd))
-        if tshape != p.shape:
+        left = os.fstat(f.fileno()).st_size
+
+        def take(n: int) -> bytes:  # never asks read() for more than the file has left
+            nonlocal left
+            if n > left:
+                raise CorruptCheckpointError(f"{path}: truncated checkpoint")
+            left -= n
+            return f.read(n)
+
+        if take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CorruptCheckpointError(f"{path}: bad checkpoint magic")
+        (version,) = struct.unpack("<H", take(2))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: version {version}, expected {CHECKPOINT_VERSION}")
+        ndim = take(1)[0]
+        input_shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        raw = take(_DESC.size * struct.unpack("<I", take(4))[0])
+        try:
+            specs = tuple(_spec_from_descriptor(*d) for d in _DESC.iter_unpack(raw))
+        except ParameterError as e:
+            raise CorruptCheckpointError(f"{path}: invalid layer descriptor ({e})") from None
+        if b"".join(map(_layer_descriptor, specs)) != raw:  # junk in a field, or a rounded rate
+            raise CorruptCheckpointError(f"{path}: a layer descriptor does not re-encode as stored")
+        try:
+            shapes = [s for w in weight_shapes(specs, input_shape) for s in (w, w[:1])]  # and bias
+            need = 4 + sum(len(_tensor_header(s)) + 4 * math.prod(s) for s in shapes)
+            if need != left:  # before anything is allocated
+                raise CorruptCheckpointError(f"{path}: {left - need} trailing bytes" if need < left
+                                             else f"{path}: descriptors ask for more parameters "
+                                             "than it has")
+            net = Network(specs, input_shape, None, dtype="<f4")  # zeros, in the stored byte order
+        except (ParameterError, ShapeError) as e:
+            raise CorruptCheckpointError(
+                f"{path}: descriptors do not form a network ({e})") from None
+        if input_shape != (1, 2, FRAME_LEN) or net.output_shape != (2,):
             raise DescriptorMismatchError(
-                f"{path}: stored tensor shape {tshape} != expected {p.shape}"
-            )
-        raw = r.take(4 * int(np.prod(tshape)))
-        p[...] = np.frombuffer(raw, dtype="<f4").reshape(tshape)
-        if not np.isfinite(p.sum(dtype=np.float64)):  # as in dataset.deserialize_frames
-            raise CorruptCheckpointError(f"{path}: non-finite values in tensor {i}")
-    if r.pos != len(r.data):
-        raise CorruptCheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
-    return Model(spec=spec, net=net)
+                f"{path}: the model maps {input_shape} to {net.output_shape}, not a "
+                f"(1, 2, {FRAME_LEN}) frame to the two classes (2,)")
+        (n_tensors,) = struct.unpack("<I", take(4))
+        params = net.parameters()
+        if n_tensors != len(params):
+            raise DescriptorMismatchError(
+                f"{path}: {n_tensors} stored tensors, architecture has {len(params)}")
+        for i, p in enumerate(params):
+            if take(len(header := _tensor_header(p.shape))) != header:
+                raise DescriptorMismatchError(f"{path}: tensor {i} is not stored as {p.shape}")
+            f.readinto(p)
+            if not np.isfinite(p.sum(dtype=np.float64)):  # as in dataset.deserialize_frames
+                raise CorruptCheckpointError(f"{path}: non-finite values in tensor {i}")
+    return Model(spec=ModelSpec(layers=specs, input_shape=input_shape), net=net)

@@ -5,13 +5,13 @@ block offset. Frames are 128-sample windows (64-sample shift) converted to
 2 x 128 I/Q matrices. Train/validation splitting is burst-granular so the
 overlapping windows of one burst can never straddle the split.
 
-Every text reader checks its input by writing it back. ``read_manifest``
+Every reader checks its file as it reads it. ``deserialize_frames`` matches
+the header to the file size before it reads the records. ``read_manifest``
 writes back the values it parsed and raises ``DatasetFormatError`` for a file
-that is not line for line that text. Every CSV of the package is written by
-``write_csv_rows``, and the frames CSV here and the accuracy and loss CSVs of
-``evaluation`` are read by ``read_csv_rows``: it renders what it parsed with
-the writer's row renderer and raises ``ParameterError`` for a file whose rows
-are not that text, whatever differs.
+that is not line for line that text. Each CSV format has one row renderer, which
+its writer and ``read_csv_rows`` both call: the reader renders each row as it
+parses it, keeps only the parsed values and raises ``ParameterError`` at the
+first row that is not written back as read, whatever differs.
 """
 
 from __future__ import annotations
@@ -336,41 +336,43 @@ def deserialize_frames(path) -> FrameSet:
 # CSV: the one writer and reader of every CSV in the package
 
 
-def write_csv_rows(path, header: list[str], rows) -> None:
+def write_csv_rows(path, header: list[str], render, values) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(render(k, v) for k, v in enumerate(values))
 
 
 def read_csv_rows(path, what: str, header: list[str], parse, build, render):
-    """``build`` of the ``parse(cells)`` of each non-blank row of a CSV under ``header``,
-    which ``render`` must write back as the same rows. A row of another width, one that
-    ``parse`` rejects with a ``ValueError``, or one written back as other text raises
+    """``build`` of the ``parse(cells)`` of each non-blank row of a CSV under ``header``.
+    Each row is checked as it is read: the first of another width, that ``parse`` rejects
+    with a ``ValueError``, or that ``render`` writes back as other cells raises
     ``ParameterError`` that ends "at line N" (after the ``ValueError``'s message, if any)."""
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows or rows[0] != header:
-        raise ParameterError(f"{path}: not {what} CSV")
-    data = [(lineno, cells) for lineno, cells in enumerate(rows[1:], start=2) if cells]
     parsed = []
-    for lineno, cells in data:
-        try:
-            if len(cells) != len(header):
-                raise ValueError
-            parsed.append(parse(cells))
-        except ValueError as err:
-            raise ParameterError(f"{path}: {err or 'malformed row'} at line {lineno}") from None
     try:
-        curve = build(parsed)
+        with open(path, newline="") as f:
+            reader = csv.reader(f)
+            if next(reader, None) != header:
+                raise ParameterError(f"{path}: not {what} CSV")
+            for cells in filter(None, reader):
+                try:
+                    if len(cells) != len(header):
+                        raise ValueError
+                    parsed.append(parse(cells))
+                    written = render(len(parsed) - 1, parsed[-1])
+                    if cells != written:  # e.g. an SNR of "5", or epochs out of order
+                        k = next(k for k, (a, b) in enumerate(zip(cells, written)) if a != b)
+                        raise ValueError(f"column {header[k]!r} reads {cells[k]!r}, which is "
+                                         f"written as {written[k]!r},")
+                except ValueError as err:
+                    raise ParameterError(
+                        f"{path}: {err or 'malformed row'} at line {reader.line_num}") from None
+    except (UnicodeDecodeError, csv.Error) as err:  # bytes of no text, or a 1 MB cell
+        raise ParameterError(f"{path}: not {what} CSV ({err})") from None
+    try:
+        return build(parsed)
     except ParameterError as err:
         raise ParameterError(f"{path}: {err}") from None
-    for (lineno, cells), written in zip(data, render(curve)):
-        if cells != written:  # e.g. an SNR of "5", or epochs out of order
-            k = next(k for k, (read, text) in enumerate(zip(cells, written)) if read != text)
-            raise ParameterError(f"{path}: column {header[k]!r} reads {cells[k]!r}, which is "
-                                 f"written as {written[k]!r}, at line {lineno}")
-    return curve
 
 
 def _frame_header(window: int) -> list[str]:
@@ -378,10 +380,10 @@ def _frame_header(window: int) -> list[str]:
             *(f"q{k}" for k in range(window))]
 
 
-def _frame_rows(frames: FrameSet):
-    """Scheme, SNR, then each frame's I and Q values at full float32 precision."""
-    for scheme, snr, iq in zip(frames.schemes.tolist(), frames.snrs_db.tolist(), frames.frames):
-        yield [str(scheme), repr(snr), *map(repr, iq.ravel().tolist())]
+def _frame_row(k: int, frame) -> list[str]:
+    """Scheme, SNR, then the frame's I and Q values at full float32 precision."""
+    scheme, snr, iq = frame
+    return [str(scheme), repr(snr), *map(repr, iq.tolist())]
 
 
 def _parse_frame_row(cells: list[str]) -> tuple[int, float, np.ndarray]:
@@ -406,14 +408,15 @@ def _frame_set(rows) -> FrameSet:
 
 def export_frames_csv(frames: FrameSet, path) -> None:
     """CSV mirror of the dataset: scheme and SNR first, then i0..i127, q0..q127."""
-    write_csv_rows(path, _frame_header(frames.frames.shape[2]), _frame_rows(frames))
+    write_csv_rows(path, _frame_header(frames.frames.shape[2]), _frame_row, zip(
+        frames.schemes.tolist(), frames.snrs_db.tolist(), frames.frames.reshape(len(frames), -1)))
 
 
 def read_frames_csv(path) -> FrameSet:
     """The FRAME_LEN-sample frames of a CSV that is exactly what ``export_frames_csv``
     writes for them; anything else raises ``ParameterError`` naming the line."""
     return read_csv_rows(path, "a frames", _frame_header(FRAME_LEN), _parse_frame_row,
-                         _frame_set, _frame_rows)
+                         _frame_set, _frame_row)
 
 
 MANIFEST_VERSION = 1
@@ -443,8 +446,11 @@ def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
 def read_manifest(path) -> tuple[DatasetConfig, int]:
     """The config and frame count of a manifest, which must be line for line what
     ``write_manifest`` writes for them (blank and ``#`` lines aside); anything else raises."""
-    with open(path) as f:
-        lines = [(n, s) for n, s in enumerate(map(str.strip, f), start=1) if s and s[0] != "#"]
+    try:
+        with open(path) as f:
+            lines = [(n, s) for n, s in enumerate(map(str.strip, f), start=1) if s and s[0] != "#"]
+    except UnicodeDecodeError as err:
+        raise DatasetFormatError(f"{path}: manifest is not text ({err})") from None
     kv = dict(line.partition("=")[::2] for _, line in lines)  # a line without "=" never matches
 
     def value(key: str, parse=int):

@@ -4,11 +4,11 @@ SVG output is hand-rolled rather than delegated to a plotting stack: the files
 are self-contained, deterministic, and cheap to assert on in tests (one
 ``<polyline>`` element per series).
 
-Every text reader checks its input by writing it back. The CSVs here go
-through ``dataset``'s shared CSV code, as the frames CSV does: the accuracy and
-loss readers render the curve they parsed with the writer's row renderer and
-raise ``ParameterError`` for a file whose rows are not that text, whatever
-differs. The dataset manifest is checked the same way.
+Every text reader checks its input by writing it back as it reads it. The CSVs
+here go through ``dataset``'s shared CSV code, as the frames CSV does: the
+accuracy and loss readers render each row they parse with the writer's row
+renderer and hold no copy of the file. The dataset manifest is checked the same
+way.
 """
 
 from __future__ import annotations
@@ -96,23 +96,23 @@ def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
 # CSV
 
 
-def _accuracy_rows(curve: AccuracyCurve) -> list[list[str]]:
-    return [[repr(snr), repr(acc), str(n)] for snr, acc, n in curve.points]
+def _accuracy_row(k: int, point) -> list[str]:
+    snr, acc, n = point
+    return [repr(snr), repr(acc), str(n)]
 
 
-def _loss_rows(curve: LossCurve) -> list[list[str]]:
-    return [[str(e), repr(tl), repr(vl)]
-            for e, tl, vl in zip(curve.epochs, curve.train_loss, curve.val_loss)]
+def _loss_row(k: int, losses) -> list[str]:
+    return [str(k + 1), *map(repr, losses)]  # the epoch, then train and validation loss
 
 
 def write_accuracy_csv(curve: AccuracyCurve, path) -> None:
-    write_csv_rows(path, ["snr_db", "accuracy", "n"], _accuracy_rows(curve))
+    write_csv_rows(path, ["snr_db", "accuracy", "n"], _accuracy_row, curve.points)
 
 
 def read_accuracy_csv(path) -> AccuracyCurve:
     return read_csv_rows(path, "an accuracy", ["snr_db", "accuracy", "n"],
                          lambda r: (float(r[0]), float(r[1]), int(r[2])),
-                         lambda points: AccuracyCurve(points=tuple(points)), _accuracy_rows)
+                         lambda points: AccuracyCurve(points=tuple(points)), _accuracy_row)
 
 
 def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
@@ -121,12 +121,14 @@ def write_confusion_csv(matrix: np.ndarray, path, snr_db: float) -> None:
     if matrix.shape != (2, 2):
         raise ShapeError(f"confusion matrix must be 2x2, got {matrix.shape}")
     write_csv_rows(path, ["snr_db", "true", "pred", "count"],
-                   [[repr(snr_db), CLASS_NAMES[i], CLASS_NAMES[j], int(matrix[i, j])]
-                    for i in range(2) for j in range(2)])
+                   lambda k, count: [repr(snr_db), CLASS_NAMES[k // 2], CLASS_NAMES[k % 2],
+                                     int(count)],
+                   matrix.ravel())
 
 
 def write_loss_csv(curve: LossCurve, path) -> None:
-    write_csv_rows(path, ["epoch", "train_loss", "val_loss"], _loss_rows(curve))
+    write_csv_rows(path, ["epoch", "train_loss", "val_loss"], _loss_row,
+                   zip(curve.train_loss, curve.val_loss))
 
 
 def read_loss_csv(path) -> LossCurve:
@@ -134,7 +136,7 @@ def read_loss_csv(path) -> LossCurve:
                          lambda r: (float(r[1]), float(r[2])),
                          lambda rows: LossCurve(tuple(r[0] for r in rows),
                                                 tuple(r[1] for r in rows)),
-                         _loss_rows)
+                         _loss_row)
 
 
 # ---------------------------------------------------------------------------

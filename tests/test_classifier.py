@@ -328,6 +328,62 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="more parameters than it has"):
             load_checkpoint(path)
 
+    def test_appended_byte_rejected(self, tmp_path):
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CorruptCheckpointError, match="1 trailing bytes"):
+            load_checkpoint(path)
+
+    # after the 14 descriptors: the tensor count, then conv1's kernel rank and dims
+    COUNT = DESC0 + classifier._DESC.size * 14
+
+    @pytest.mark.parametrize("offset, written, stored, match", [
+        (0, 8, 7, "7 stored tensors, architecture has 8"),
+        (4 + 1, 256, 255, r"tensor 0 is not stored as \(256, 1, 1, 4\)"),  # same length
+    ], ids=["tensor-count", "tensor-shape"])
+    def test_tensor_header_other_than_written_rejected(self, tmp_path, offset, written, stored,
+                                                       match):
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        raw = bytearray(path.read_bytes())
+        at = self.COUNT + offset
+        assert raw[at:at + 4] == struct.pack("<I", written)
+        raw[at:at + 4] = struct.pack("<I", stored)
+        path.write_bytes(raw)
+        with pytest.raises(DescriptorMismatchError, match=match):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _traced_peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_load_peak_memory(self, tmp_path):
+        # a copy of the file plus a copy of each tensor peaked at 3.96x the parameter bytes;
+        # read in place, the parameters and their zeroed gradients are 2.01x
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        peak = self._traced_peak(load_checkpoint, path) / (4 * sum(TABLE_COUNTS))
+        assert peak < 3, f"load_checkpoint peaked at {peak:.2f}x the parameter bytes"
+
+    def test_bad_magic_rejected_without_reading_the_file(self, tmp_path):
+        path = tmp_path / "big.stbcnn"
+        with open(path, "wb") as f:
+            f.write(b"WRONG!")
+            f.truncate(64 << 20)
+
+        def load():
+            with pytest.raises(CorruptCheckpointError, match="bad checkpoint magic"):
+                load_checkpoint(path)
+
+        peak = self._traced_peak(load)
+        assert peak < 1 << 20, f"a 64 MB file of bad magic peaked at {peak / 1e6:.1f} MB"
+
     def test_load_draws_no_weights(self, tmp_path, monkeypatch):
         model = initialize(build_cnn2(), seed=4)
         path = tmp_path / "m.stbcnn"

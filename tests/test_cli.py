@@ -283,6 +283,33 @@ def test_frames_csv_cell_not_as_written_exits_one(tiny_dataset, tmp_path, capsys
     assert "at line 4" in err
 
 
+@pytest.mark.parametrize("content", [
+    "scheme,snr_db\n".encode("utf-16"),  # starts with the bytes ff fe
+    b"scheme," + b"0" * (1 << 20) + b"\n",  # a cell beyond the csv module's field limit
+], ids=["utf-16", "1-MB-cell"])
+def test_frames_csv_that_is_not_text_exits_one(tmp_path, capsys, content):
+    checkpoint = str(tmp_path / "m.stbcnn")
+    classifier.save_checkpoint(_small_model(), checkpoint)
+    text = tmp_path / "frames.csv"
+    text.write_bytes(content)
+    assert cli.main(["classify", "--checkpoint", checkpoint, "--input", str(text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{text}: not a frames CSV" in err
+
+
+def test_manifest_that_is_not_text_exits_one(tiny_dataset, tmp_path, capsys):
+    data = str(tmp_path / "d.bin")
+    shutil.copy(tiny_dataset, data)
+    text = pathlib.Path(tiny_dataset + ".manifest").read_text()
+    pathlib.Path(data + ".manifest").write_bytes(text.encode("utf-16"))
+    out = tmp_path / "out"
+    assert cli.main(["eval", "--dataset", data, "--baseline", "corr", "-o", str(out),
+                     "--calibrate-trials", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{data}.manifest: manifest is not text" in err
+    assert not out.exists()
+
+
 def _limit_address_space():  # in the child only: about 3 GB of address space
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
