@@ -43,7 +43,10 @@ from .tensor_nn import (
 CHECKPOINT_MAGIC = b"STBCNN"
 CHECKPOINT_VERSION = 1
 
-INFER_BLOCK = 32  # frames per Network.forward call when scoring; see predict_batch
+# predict_batch block sizes: frames per call of the conv layers (up to the Flatten),
+# and rows per call of the dense head after it, a multiple of INFER_BLOCK
+INFER_BLOCK = 16
+HEAD_BLOCK = 128
 
 
 class CheckpointError(Exception):
@@ -162,24 +165,39 @@ def _as_batch(frames: np.ndarray, dtype) -> np.ndarray:
 def predict_batch(model: Model, frames: np.ndarray) -> np.ndarray:
     """Eval-mode class probabilities, shape [N, 2] (columns P_SM, P_AL).
 
-    Frames stream through the network ``INFER_BLOCK`` at a time. At 32,
-    conv1's output, the largest activation (32 x 129 x 2 x 256 float32 =
-    8.5 MB), stays below glibc's 32 MiB mmap threshold and near cache size:
-    each block's arrays come back from the heap instead of being mapped and
-    page-faulted in afresh, as the 70 MB arrays of a 256-frame block were.
-    A short last block is zero-filled to ``INFER_BLOCK`` frames, so every frame
-    meets the same GEMM shapes and its probabilities do not depend on how many
-    frames came with it (BLAS picks other kernels for a few rows).
+    The forward is split after the Flatten and runs in two block sizes. The
+    conv layers take ``INFER_BLOCK`` frames per call: at 16, conv1's output,
+    the largest activation (16 x 129 x 2 x 256 float32 = 4.2 MB), stays far
+    below glibc's 32 MiB mmap threshold, so each block's arrays come back from
+    the heap instead of being mapped and page-faulted in afresh. Each block's
+    flat rows go into one [``HEAD_BLOCK``, 10480] buffer, and the dense head
+    runs once per ``HEAD_BLOCK`` rows: dense1 streams its 10.7 MB weight once
+    per call, and its GEMM runs about twice as fast per row at 128 rows as at 32.
+
+    A short last block is zero-filled to ``INFER_BLOCK`` frames, and the unused
+    rows of the buffer are zeroed, so every frame meets the same GEMM shapes and
+    its probabilities do not depend on how many frames came with it (BLAS picks
+    other kernels for a few rows).
     """
-    x = _as_batch(np.asarray(frames), model.net.dtype)
+    net = model.net
+    x = _as_batch(np.asarray(frames), net.dtype)
     n = x.shape[0]
     out = np.empty((n, 2), dtype=np.float64)
-    for start in range(0, n, INFER_BLOCK):
-        block = x[start:start + INFER_BLOCK]
-        if block.shape[0] < INFER_BLOCK:
-            fill = np.zeros((INFER_BLOCK - block.shape[0],) + block.shape[1:], dtype=block.dtype)
-            block = np.concatenate([block, fill])
-        out[start:start + INFER_BLOCK] = model.net.forward(block)[:n - start]
+    rows = None
+    for start in range(0, n, HEAD_BLOCK):
+        used = min(HEAD_BLOCK, n - start)
+        for at in range(0, used, INFER_BLOCK):
+            block = x[start + at:start + at + INFER_BLOCK]
+            if block.shape[0] < INFER_BLOCK:
+                fill = np.zeros((INFER_BLOCK - block.shape[0],) + block.shape[1:], block.dtype)
+                block = np.concatenate([block, fill])
+            flat = net.forward(block, part="features")
+            if rows is None:
+                rows = np.empty((HEAD_BLOCK, flat.shape[1]), dtype=net.dtype)
+            rows[at:at + INFER_BLOCK] = flat
+            del flat  # not held through the next block's conv layers
+        rows[used:] = 0.0
+        out[start:start + used] = net.forward(rows, part="head")[:used]
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import re
@@ -69,7 +70,12 @@ def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master se
                         "a switch takes 1/true/0/false; explicit flags win")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers by name, built once per process: parsing only reads them.
+
+    ``main`` looks up ``cmd_<command>`` when it runs one, so no function is bound here.
+    """
     parser = argparse.ArgumentParser(
         prog="stbcid", description="SM vs Alamouti space-time code recognition toolkit"
     )
@@ -86,7 +92,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="keep absolute frame power instead of unit mean power")
     g.add_argument("-o", "--out", required=True, help="output dataset path")
     _common_flags(g)
-    g.set_defaults(func=cmd_generate)
     by_name["generate"] = g
 
     t = subs.add_parser("train", help="train the CNN on a generated dataset")
@@ -98,7 +103,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--dropout", type=_finite_float, default=0.5)
     t.add_argument("--patience", type=int, default=5, help="early-stop patience (0 disables)")
     _common_flags(t, "seeds weight init, shuffling and dropout, not the split")
-    t.set_defaults(func=cmd_train)
     by_name["train"] = t
 
     e = subs.add_parser("eval", help="accuracy-vs-SNR and confusion matrices")
@@ -112,7 +116,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     e.add_argument("--calibrate-trials", type=int,
                    help="--baseline corr only: sequences per class at 10 dB (default 2000)")
     _common_flags(e, "seeds the --baseline corr calibration")
-    e.set_defaults(func=cmd_eval)
     by_name["eval"] = e
 
     c = subs.add_parser("classify", help="per-frame probabilities for a dataset or CSV")
@@ -121,7 +124,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="binary dataset, or a CSV exactly as export_frames_csv writes it "
                         "(IQ values at full float32 precision)")
     _common_flags(c, seed_help=None)
-    c.set_defaults(func=cmd_classify)
     by_name["classify"] = c
 
     about = (f"finite-difference check of backpropagation: central differences of step "
@@ -129,7 +131,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     gc = subs.add_parser("gradcheck", help=about, description=about)
     gc.add_argument("--nets", type=int, default=20, help="number of random micro-networks")
     _common_flags(gc)
-    gc.set_defaults(func=cmd_gradcheck)
     by_name["gradcheck"] = gc
 
     for sub in by_name.values():
@@ -374,7 +375,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(_with_config(argv, by_name))
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as e:  # argparse: 2 on a usage error, 0 after --help
         return int(e.code or 0)
     except UsageError as e:

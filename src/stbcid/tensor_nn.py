@@ -21,7 +21,7 @@ in eval mode from several threads:
 - Ownership: a layer owns the array ``forward`` is given and the gradient
   ``backward`` is given, and may overwrite either (ReLU and Dropout work in
   place). ``Network.forward`` copies the caller's input, so nothing outside
-  the network is written.
+  the network is written, except the flat rows a ``part="head"`` call hands over.
 - Locals only: ``forward`` computes its output from its arguments and locals
   and only *stores* what ``backward`` reads; it never reads ``self`` state
   back within the call, and no array is kept for reuse by a later call.
@@ -474,13 +474,25 @@ class Network:
         # backprop reaches the first layer that is not a ZeroPad, which stores nothing
         first = next(i for i, layer in enumerate(self.layers) if not isinstance(layer, ZeroPad))
         self._backprop_layers = self.layers[first:-1]
+        head = next((i + 1 for i, s in enumerate(specs) if s.kind == "flatten"), 0)
+        self._parts = {"all": self.layers, "features": self.layers[:head],
+                       "head": self.layers[head:]}
 
-    def forward(self, x, train: bool = False, rng=None, sign_trace=None) -> np.ndarray:
-        x = np.array(x, dtype=self.dtype)  # the layers may overwrite it; the caller's stays
-        if x.shape[1:] != self.input_shape:
-            raise ShapeError(f"expected input [B, {self.input_shape}], got {x.shape}")
-        x = _flip(x)
-        for layer in self.layers:
+    def forward(self, x, train: bool = False, rng=None, sign_trace=None,
+                part: str = "all") -> np.ndarray:
+        """Run ``part`` of the stack: "all", or the two halves split after the first Flatten.
+
+        "all" and "features" take [B, *input_shape] input; "features" stops
+        after the Flatten and returns its [B, n] rows. "head" runs the layers
+        after it on such rows of the network's dtype, which it hands over to
+        them (they may overwrite them), so head(features(x)) is all(x).
+        """
+        if part != "head":
+            x = np.array(x, dtype=self.dtype)  # the layers may overwrite it; the caller's stays
+            if x.shape[1:] != self.input_shape:
+                raise ShapeError(f"expected input [B, {self.input_shape}], got {x.shape}")
+            x = _flip(x)
+        for layer in self._parts[part]:
             x = layer.forward(x, train=train, rng=rng, sign_trace=sign_trace)
         return x
 

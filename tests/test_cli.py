@@ -34,14 +34,37 @@ def test_gradcheck_fails_on_a_wrong_gradient(monkeypatch, capsys):
     assert "FAIL net" in err and "tolerance 0.0001" in err
 
 
-def test_python_dash_m_runs_the_cli():
+def _fresh_process_env() -> dict[str, str]:
+    """The environment for ``python -m stbcid`` in a new process that imports this source tree."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_python_dash_m_runs_the_cli():
     run = subprocess.run([sys.executable, "-m", "stbcid", "gradcheck", "--nets", "2"],
-                         env=env, capture_output=True, text=True, timeout=120)
+                         env=_fresh_process_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "all gradients within tolerance" in run.stdout
+
+
+def test_a_second_main_call_starts_from_the_defaults(tmp_path):
+    # one parser serves every main call in a process, so nothing parsed for a call may
+    # reach the next: plain generate after --no-normalize writes what a new process writes
+    grid = ["--snr-min", "0", "--snr-max", "10", "--snr-step", "10", "--bursts", "2",
+            "--burst-len", "256"]
+    raw, second, fresh = (tmp_path / d for d in ("raw", "second", "fresh"))
+    for d in (raw, second, fresh):
+        d.mkdir()
+    assert cli.main(["generate", *grid, "--no-normalize", "-o", str(raw / "d.bin")]) == 0
+    assert cli.main(["generate", *grid, "-o", str(second / "d.bin")]) == 0
+    run = subprocess.run([sys.executable, "-m", "stbcid", "generate", *grid,
+                          "-o", str(fresh / "d.bin")],
+                         env=_fresh_process_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    for name in ("d.bin", "d.bin.manifest"):
+        assert (second / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (raw / "d.bin").read_bytes() != (second / "d.bin").read_bytes()  # the flag acts
 
 
 def test_generate_train_eval(tmp_path, monkeypatch, capsys):
@@ -320,9 +343,7 @@ def test_request_beyond_memory_exits_one(tiny_dataset, tmp_path, command):
     argv = {"generate": ["generate", "--bursts", "100000000", "-o", str(out)],  # 31.3 GiB
             "eval": ["eval", "--dataset", tiny_dataset, "--baseline", "corr", "-o", str(out),
                      "--calibrate-trials", "100000000000"]}[command]  # 1.46 TiB
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    path = [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "OPENBLAS_NUM_THREADS": "1"}
+    env = {**_fresh_process_env(), "OPENBLAS_NUM_THREADS": "1"}
     run = subprocess.run([sys.executable, "-m", "stbcid", *argv], env=env, capture_output=True,
                          text=True, timeout=120, preexec_fn=_limit_address_space)
     assert run.returncode == 1, run.stderr

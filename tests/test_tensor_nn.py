@@ -432,6 +432,14 @@ class TestWidthMajorEngine:
             np.testing.assert_allclose(probs[i], ref, rtol=0, atol=1e-9)
             np.testing.assert_allclose(np.log(probs[i]), np.log(ref), rtol=0, atol=1e-9)
 
+    def test_features_then_head_is_the_whole_forward(self):
+        # predict_batch runs the stack in these two parts, split after the Flatten
+        model = initialize(build_cnn2(), seed=3)
+        x = np.random.default_rng(9).standard_normal((4, 1, 2, FRAME_LEN)).astype(np.float32)
+        rows = model.net.forward(x, part="features")
+        assert rows.shape == (4, 10480) and rows.dtype == np.float32
+        np.testing.assert_array_equal(model.net.forward(rows, part="head"), model.net.forward(x))
+
     @pytest.mark.parametrize("f1, k1, f2, pad, windowed", [
         (3, 3, 3, 1, (True, False)),  # CNN2's choice: window patch, then shifted GEMMs
         (3, 3, 3, 0, (True, False)),  # no padding: every shift reads real columns
