@@ -1,14 +1,11 @@
 """SM vs Alamouti space-time block code recognition toolkit."""
 
 from .signal_model import (
-    ChannelRealization,
     CodingScheme,
     NoiseSpec,
-    ReceiveConfig,
     encode,
     modulate_qpsk,
     noise_variance_for_snr,
-    receive,
 )
 from .dataset import (
     DatasetConfig,
@@ -17,9 +14,6 @@ from .dataset import (
     generate_dataset,
     serialize_frames,
     split_train_val,
-    synthesize_burst,
-    to_iq,
-    window_frames,
 )
 from .classifier import (
     Model,
@@ -32,12 +26,7 @@ from .classifier import (
     save_checkpoint,
     train,
 )
-from .baseline_corr import (
-    ThresholdRule,
-    calibrate_threshold,
-    classify_corr,
-    correlation_feature,
-)
+from .baseline_corr import ThresholdRule, calibrate_threshold
 from .evaluation import AccuracyCurve, LossCurve, accuracy_vs_snr, confusion_matrix
 from .errors import ParameterError, ShapeError
 

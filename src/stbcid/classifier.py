@@ -25,19 +25,13 @@ from .errors import ParameterError, ShapeError
 from .signal_model import _MASK64
 from .tensor_nn import (
     LAYER_KINDS,
+    LAYER_TABLE,
     LayerSpec,
     Network,
     adam_init,
     adam_step,
     batch_cross_entropy,
-    conv_spec,
-    dense_spec,
-    dropout_spec,
-    flatten_spec,
-    relu_spec,
-    softmax_spec,
     weight_shapes,
-    zeropad_spec,
 )
 
 CHECKPOINT_MAGIC = b"STBCNN"
@@ -115,26 +109,16 @@ def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
     ``dropout_rate`` applies to all three dropout layers and is stored in the
     checkpoint descriptors as float32, which ``load_checkpoint`` reads back to
     6 decimals; a rate outside [0, 1), or one that would not read back as
-    itself, raises ``ParameterError``.
+    itself, raises ``ParameterError`` (``LayerSpec`` checks it).
     """
+    pad, relu, drop = (LayerSpec("zeropad", pad=2), LayerSpec("relu"),
+                       LayerSpec("dropout", rate=dropout_rate))
     layers = (
-        zeropad_spec(2),
-        conv_spec(256, 1, 4),
-        relu_spec(),
-        dropout_spec(dropout_rate),
-        zeropad_spec(2),
-        conv_spec(80, 2, 3),
-        relu_spec(),
-        dropout_spec(dropout_rate),
-        flatten_spec(),
-        dense_spec(256),
-        relu_spec(),
-        dropout_spec(dropout_rate),
-        dense_spec(2),
-        softmax_spec(),
+        pad, LayerSpec("conv2d", filters=256, kernel=(1, 4)), relu, drop,
+        pad, LayerSpec("conv2d", filters=80, kernel=(2, 3)), relu, drop,
+        LayerSpec("flatten"), LayerSpec("dense", units=256), relu, drop,
+        LayerSpec("dense", units=2), LayerSpec("softmax"),
     )
-    if round(float(np.float32(dropout_rate)), 6) != dropout_rate:  # as _spec_from_descriptor
-        raise ParameterError(f"dropout rate {dropout_rate} would not read back as itself")
     return ModelSpec(layers=layers, input_shape=(1, 2, FRAME_LEN))
 
 
@@ -273,37 +257,23 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
 # ---------------------------------------------------------------------------
 # checkpoints
 
-_DESC = struct.Struct("<BIIIf")  # kind, three ints, rate
+_DESC = struct.Struct("<BIIIf")  # kind index, count (filters, units or pad), kernel, rate
 
 
 def _layer_descriptor(spec: LayerSpec) -> bytes:
-    kind = LAYER_KINDS.index(spec.kind)
-    a = b = c = 0
-    rate = 0.0
-    if spec.kind == "conv2d":
-        a, (b, c) = spec.filters, spec.kernel
-    elif spec.kind == "dense":
-        a = spec.units
-    elif spec.kind == "zeropad":
-        a = spec.pad
-    elif spec.kind == "dropout":
-        rate = spec.rate
-    return _DESC.pack(kind, a, b, c, rate)
+    count = spec.filters or spec.units or spec.pad or 0  # a spec sets at most one of them
+    return _DESC.pack(LAYER_KINDS.index(spec.kind), count, *(spec.kernel or (0, 0)),
+                      0.0 if spec.rate is None else spec.rate)
 
 
-def _spec_from_descriptor(kind_idx, a, b, c, rate) -> LayerSpec:
+def _spec_from_descriptor(kind_idx, count, kh, kw, rate) -> LayerSpec:
+    """The spec with exactly the fields its kind sets, read from a descriptor's columns."""
     if kind_idx >= len(LAYER_KINDS):
         raise CorruptCheckpointError(f"unknown layer kind index {kind_idx}")
     kind = LAYER_KINDS[kind_idx]
-    if kind == "conv2d":
-        return conv_spec(a, b, c)
-    if kind == "dense":
-        return dense_spec(a)
-    if kind == "zeropad":
-        return zeropad_spec(a)
-    if kind == "dropout":
-        return dropout_spec(round(float(rate), 6))
-    return LayerSpec(kind=kind)
+    stored = {"filters": count, "units": count, "pad": count, "kernel": (kh, kw),
+              "rate": round(float(rate), 6)}
+    return LayerSpec(kind, **{name: stored[name] for name in LAYER_TABLE[kind].fields})
 
 
 def _tensor_header(shape) -> bytes:

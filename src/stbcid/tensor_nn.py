@@ -34,20 +34,28 @@ in eval mode from several threads:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-
-LAYER_KINDS = ("conv2d", "dense", "relu", "softmax", "dropout", "zeropad", "flatten")
+from .signal_model import _MASK64
 
 LOSS_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Declarative layer description; only the fields its kind uses are set."""
+    """Declarative layer description: ``LAYER_TABLE`` names the fields its kind sets.
+
+    Every other field is None. Counts (filters, units, each kernel dimension)
+    are integers >= 1 and the pad an integer >= 0, all below 2**32; a rate lies
+    in [0, 1) and reads back as itself from float32 to 6 decimals. So a spec is
+    exactly what a checkpoint descriptor writes and reads back. Any other raises
+    ``ParameterError``; for a known kind its message begins with the kind, which
+    ``cli`` reads to name the flag (``--dropout``).
+    """
 
     kind: str
     filters: int | None = None
@@ -57,46 +65,27 @@ class LayerSpec:
     pad: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_TABLE:
             raise ParameterError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "conv2d" and (
-            not self.filters or not self.kernel or min(self.kernel) < 1
-        ):
-            raise ParameterError("conv2d spec needs filters and a kernel with dims >= 1")
-        if self.kind == "dense" and not self.units:
-            raise ParameterError("dense spec needs units")
-        if self.kind == "dropout" and not 0.0 <= (self.rate or 0.0) < 1.0:
-            raise ParameterError(f"dropout rate must lie in [0, 1), got {self.rate}")
-        if self.kind == "zeropad" and (self.pad is None or self.pad < 0):
-            raise ParameterError("zeropad spec needs pad >= 0")
+        used = LAYER_TABLE[self.kind].fields
+        for f in fields(self)[1:]:
+            if (getattr(self, f.name) is None) == (f.name in used):
+                verb = "needs" if f.name in used else "takes no"
+                raise ParameterError(f"{self.kind} spec {verb} {f.name}, got {self}")
+        kernel = (1, 1) if self.kernel is None else self.kernel
+        if not (type(kernel) is tuple and len(kernel) == 2 and _is_count(self.pad, 0)
+                and all(_is_count(n, 1) for n in (self.filters, self.units, *kernel))):
+            raise ParameterError(f"{self.kind} spec needs a (height, width) kernel tuple, counts "
+                                 f">= 1 and pad >= 0, all below 2**32, got {self}")
+        if self.rate is not None and not (
+                0.0 <= self.rate < 1.0 and round(float(np.float32(self.rate)), 6) == self.rate):
+            raise ParameterError(f"{self.kind} rate must lie in [0, 1) and read back as itself "
+                                 f"from float32 to 6 decimals, got {self.rate}")
 
 
-def conv_spec(filters: int, kh: int, kw: int) -> LayerSpec:
-    return LayerSpec(kind="conv2d", filters=filters, kernel=(kh, kw))
-
-
-def dense_spec(units: int) -> LayerSpec:
-    return LayerSpec(kind="dense", units=units)
-
-
-def relu_spec() -> LayerSpec:
-    return LayerSpec(kind="relu")
-
-
-def softmax_spec() -> LayerSpec:
-    return LayerSpec(kind="softmax")
-
-
-def dropout_spec(rate: float) -> LayerSpec:
-    return LayerSpec(kind="dropout", rate=rate)
-
-
-def zeropad_spec(pad: int) -> LayerSpec:
-    return LayerSpec(kind="zeropad", pad=pad)
-
-
-def flatten_spec() -> LayerSpec:
-    return LayerSpec(kind="flatten")
+def _is_count(n, low: int) -> bool:
+    """True for None, or an integer in [low, 2**32): a descriptor stores counts as uint32."""
+    return n is None or isinstance(n, (int, np.integer)) and low <= n < 2 ** 32
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +418,22 @@ def weight_shapes(specs, input_shape) -> list[tuple[int, ...]]:
             for s, x in zip(specs, inputs) if s.kind in ("conv2d", "dense")]
 
 
-_LAYER_CLASSES = {"conv2d": Conv2D, "dense": Dense, "relu": ReLU, "softmax": Softmax,
-                  "dropout": Dropout, "zeropad": ZeroPad, "flatten": Flatten}
+class LayerKind(NamedTuple):
+    layer: type  # the Layer subclass that runs it
+    fields: tuple[str, ...]  # the LayerSpec fields it sets; the others stay None
+
+
+# Every layer kind. Its position is its checkpoint kind index, so entries are only appended.
+LAYER_TABLE = {
+    "conv2d": LayerKind(Conv2D, ("filters", "kernel")),
+    "dense": LayerKind(Dense, ("units",)),
+    "relu": LayerKind(ReLU, ()),
+    "softmax": LayerKind(Softmax, ()),
+    "dropout": LayerKind(Dropout, ("rate",)),
+    "zeropad": LayerKind(ZeroPad, ("pad",)),
+    "flatten": LayerKind(Flatten, ()),
+}
+LAYER_KINDS = tuple(LAYER_TABLE)
 
 
 def _init_for(following_specs) -> str:
@@ -462,7 +465,7 @@ class Network:
         self.layers: list[Layer] = []
         weights = iter(weight_shapes(specs, input_shape))
         for i, spec in enumerate(specs):
-            cls = _LAYER_CLASSES[spec.kind]
+            cls = LAYER_TABLE[spec.kind].layer
             if issubclass(cls, _Weighted):
                 layer = cls(spec, next(weights), rng, dtype=dtype, init=_init_for(specs[i + 1:]))
             else:
@@ -746,9 +749,9 @@ def random_micro_network(seed: int) -> tuple[Network, np.ndarray, np.ndarray]:
     """A small random conv+dense stack (<= ~5k params) with a matching input/target.
 
     Used by the gradient-check suite; always float64 so finite differences are
-    trustworthy.
+    trustworthy. The seed counts by its low 64 bits, as the CLI's other seeds do.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & _MASK64)
     c = int(rng.integers(1, 3))
     h = int(rng.integers(2, 4))
     w = int(rng.integers(6, 10))
@@ -757,8 +760,10 @@ def random_micro_network(seed: int) -> tuple[Network, np.ndarray, np.ndarray]:
     k1w = int(rng.integers(2, 4))
     units = int(rng.integers(4, 9))
     classes = 2
-    specs = [conv_spec(f1, 1, k1w), relu_spec(), conv_spec(f2, h, 2), relu_spec(),
-             flatten_spec(), dense_spec(units), relu_spec(), dense_spec(classes), softmax_spec()]
+    specs = [LayerSpec("conv2d", filters=f1, kernel=(1, k1w)), LayerSpec("relu"),
+             LayerSpec("conv2d", filters=f2, kernel=(h, 2)), LayerSpec("relu"),
+             LayerSpec("flatten"), LayerSpec("dense", units=units), LayerSpec("relu"),
+             LayerSpec("dense", units=classes), LayerSpec("softmax")]
     net = Network(specs, (c, h, w), rng, dtype=np.float64)
     x = rng.standard_normal((c, h, w))
     onehot = np.zeros(classes)

@@ -29,7 +29,7 @@ from stbcid.classifier import (
 )
 from stbcid.dataset import FRAME_LEN, DatasetConfig, generate_dataset, split_train_val
 from stbcid.errors import ParameterError, ShapeError
-from stbcid.tensor_nn import Network, dense_spec, flatten_spec, softmax_spec, trace_shapes
+from stbcid.tensor_nn import LAYER_KINDS, LAYER_TABLE, LayerSpec, Network, trace_shapes
 
 TABLE_COUNTS = [1280, 122960, 2683136, 514]
 
@@ -279,7 +279,8 @@ class TestCheckpoint:
         # well-formed stacks that do not map a 2 x 128 frame to the two classes
         for units, input_shape in [(4, (1, 2, FRAME_LEN)), (1, (1, 2, FRAME_LEN)),
                                    (2, (1, 2, 64))]:
-            spec = ModelSpec(layers=(flatten_spec(), dense_spec(units), softmax_spec()),
+            spec = ModelSpec(layers=(LayerSpec("flatten"), LayerSpec("dense", units=units),
+                                     LayerSpec("softmax")),
                              input_shape=input_shape)
             net = Network(spec.layers, spec.input_shape, np.random.default_rng(0))
             save_checkpoint(Model(spec=spec, net=net), path)
@@ -289,7 +290,8 @@ class TestCheckpoint:
                 with pytest.raises(ShapeError):
                     initialize(spec)
         # the same small stack with two classes over 2 x 128 frames loads fine
-        spec = ModelSpec(layers=(flatten_spec(), dense_spec(2), softmax_spec()))
+        spec = ModelSpec(layers=(LayerSpec("flatten"), LayerSpec("dense", units=2),
+                                 LayerSpec("softmax")))
         save_checkpoint(initialize(spec), path)
         assert load_checkpoint(path).spec == spec
 
@@ -412,3 +414,90 @@ class TestCheckpoint:
         batch = predict_batch(model, frames)
         for i in range(4):
             np.testing.assert_allclose(batch[i], predict_batch(model, frames[i:i + 1])[0], atol=1e-7)
+
+
+# one spec of each kind, with the fields LAYER_TABLE gives it
+EXAMPLES = {"conv2d": dict(filters=3, kernel=(2, 5)), "dense": dict(units=7), "relu": {},
+            "softmax": {}, "dropout": dict(rate=0.3), "zeropad": dict(pad=0), "flatten": {}}
+STRAY = dict(filters=1, kernel=(1, 1), units=1, rate=0.5, pad=1)  # a value for each field
+
+
+def _invalid_fields():
+    """Specs that must not build: a field missing or stray, or a value out of its range."""
+    cases = []
+    for kind, good in EXAMPLES.items():
+        for name in LAYER_TABLE[kind].fields:
+            cases.append((f"no-{name}", kind, {k: v for k, v in good.items() if k != name}))
+        cases += [(name, kind, {**good, name: value}) for name, value in STRAY.items()
+                  if name not in good]
+    for bad in (0, -1):
+        cases += [(f"filters={bad}", "conv2d", dict(filters=bad, kernel=(2, 5))),
+                  (f"kh={bad}", "conv2d", dict(filters=3, kernel=(bad, 5))),
+                  (f"kw={bad}", "conv2d", dict(filters=3, kernel=(2, bad))),
+                  (f"units={bad}", "dense", dict(units=bad))]
+    cases += [("pad=-1", "zeropad", dict(pad=-1)),
+              ("units=2**32", "dense", dict(units=2 ** 32)),  # a descriptor holds a uint32
+              ("3-dim-kernel", "conv2d", dict(filters=3, kernel=(2, 5, 1)))]
+    cases += [(f"rate={rate}", "dropout", dict(rate=rate))
+              for rate in (1.0, -0.1, 0.1234567, float("nan"))]
+    return [pytest.param(kind, fields, id=f"{kind}-{what}") for what, kind, fields in cases]
+
+
+def _invalid_descriptors():
+    """Descriptor columns after the kind index that no spec writes: a stray value or a zero count.
+
+    The columns are the count (filters, units or pad), the kernel height and width, and the rate.
+    """
+    names = ("count", "kh", "kw", "rate")
+    columns = {"filters": (0,), "units": (0,), "pad": (0,), "kernel": (1, 2), "rate": (3,)}
+    cases = []
+    for kind, fields in EXAMPLES.items():
+        spec = LayerSpec(kind, **fields)
+        good = classifier._DESC.unpack(classifier._layer_descriptor(spec))[1:]
+        used = {c for name in LAYER_TABLE[kind].fields for c in columns[name]}
+        for c in range(4):
+            if c not in used:
+                value = 0.5 if c == 3 else 1
+            elif kind != "zeropad" and c != 3:  # a pad or a rate of 0 is valid
+                value = 0
+            else:
+                continue
+            cases.append(pytest.param(kind, (*good[:c], value, *good[c + 1:]),
+                                      id=f"{kind}-{names[c]}={value}"))
+    return cases
+
+
+class TestLayerTable:
+    def test_kind_indices_are_pinned(self):
+        # a kind's position is its checkpoint index: kinds are only ever appended
+        assert LAYER_KINDS == ("conv2d", "dense", "relu", "softmax", "dropout", "zeropad",
+                               "flatten")
+        assert set(EXAMPLES) == set(LAYER_KINDS)
+
+    @pytest.mark.parametrize("kind", LAYER_KINDS)
+    def test_each_kind_round_trips_through_its_descriptor(self, kind):
+        spec = LayerSpec(kind, **EXAMPLES[kind])
+        raw = classifier._layer_descriptor(spec)
+        assert classifier._spec_from_descriptor(*classifier._DESC.unpack(raw)) == spec
+
+    @pytest.mark.parametrize("kind, fields", _invalid_fields())
+    def test_spec_a_descriptor_would_not_write_back_rejected(self, kind, fields):
+        with pytest.raises(ParameterError, match=f"^{kind} "):
+            LayerSpec(kind, **fields)
+
+    @pytest.mark.parametrize("kind, columns", _invalid_descriptors())
+    def test_descriptor_no_spec_writes_rejected(self, tmp_path, kind, columns):
+        # a small valid model with one layer of each kind; one of its descriptors is replaced
+        layers = (LayerSpec("zeropad", pad=1), LayerSpec("conv2d", filters=2, kernel=(1, 2)),
+                  LayerSpec("relu"), LayerSpec("dropout", rate=0.5), LayerSpec("flatten"),
+                  LayerSpec("dense", units=2), LayerSpec("softmax"))
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(ModelSpec(layers=layers)), path)
+        assert load_checkpoint(path).spec.layers == layers
+        at = TestCheckpoint.DESC0 + classifier._DESC.size * [s.kind for s in layers].index(kind)
+        raw = bytearray(path.read_bytes())
+        raw[at:at + classifier._DESC.size] = classifier._DESC.pack(LAYER_KINDS.index(kind),
+                                                                   *columns)
+        path.write_bytes(raw)
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)

@@ -20,6 +20,14 @@ def test_gradcheck_exits_zero(capsys):
     assert "all gradients within tolerance" in capsys.readouterr().out
 
 
+def test_gradcheck_takes_a_seed_by_its_low_64_bits(capsys):
+    # as generate, train and eval do: -1 and 2**64 - 1 draw the same nets
+    assert cli.main(["gradcheck", "--seed", "-1", "--nets", "2"]) == 0
+    negative = capsys.readouterr().out
+    assert cli.main(["gradcheck", "--seed", str(2 ** 64 - 1), "--nets", "2"]) == 0
+    assert capsys.readouterr().out == negative
+
+
 def test_gradcheck_fails_on_a_wrong_gradient(monkeypatch, capsys):
     backward = tensor_nn.Dense.backward
 
@@ -230,7 +238,8 @@ def test_unread_config_values_exit_two(tiny_dataset, tmp_path, capsys, key, valu
 def _small_model(units=2, width=dataset.FRAME_LEN) -> classifier.Model:
     """A flatten-dense-softmax model with any number of outputs and any frame width."""
     spec = classifier.ModelSpec(
-        layers=(tensor_nn.flatten_spec(), tensor_nn.dense_spec(units), tensor_nn.softmax_spec()),
+        layers=(tensor_nn.LayerSpec("flatten"), tensor_nn.LayerSpec("dense", units=units),
+                tensor_nn.LayerSpec("softmax")),
         input_shape=(1, 2, width),
     )
     return classifier.Model(spec=spec, net=tensor_nn.Network(spec.layers, spec.input_shape,

@@ -25,28 +25,27 @@ from stbcid.tensor_nn import (
     ADAM_BLOCK,
     ADAM_EPS,
     LAYER_KINDS,
+    LAYER_TABLE,
     Dropout,
+    LayerSpec,
     Network,
     adam_init,
     adam_step,
     batch_cross_entropy,
     conv2d_forward,
-    conv_spec,
     dense_forward,
-    dense_spec,
-    dropout_spec,
-    flatten_spec,
     grad_check,
     keep_mask,
     random_micro_network,
     relu,
-    relu_spec,
     softmax,
-    softmax_spec,
     trace_shapes,
     weight_shapes,
-    zeropad_spec,
 )
+
+
+# flatten, then two classes: the tail of most test stacks
+HEAD = (LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax"))
 
 
 class TestConv2dForward:
@@ -173,7 +172,7 @@ class TestReluSoftmaxLoss:
 
 def _single_dense_net(weights, bias):
     net = Network(
-        [dense_spec(weights.shape[0]), softmax_spec()],
+        [LayerSpec("dense", units=weights.shape[0]), LayerSpec("softmax")],
         (weights.shape[1],),
         np.random.default_rng(0),
         dtype=np.float64,
@@ -208,10 +207,10 @@ class TestBackprop:
         # input 1x2x8 through conv+conv+dense+dense, per the pinned FD oracle
         rng = np.random.default_rng(12)
         specs = [
-            conv_spec(3, 1, 3), relu_spec(),
-            conv_spec(4, 2, 2), relu_spec(),
-            flatten_spec(), dense_spec(6), relu_spec(),
-            dense_spec(2), softmax_spec(),
+            LayerSpec("conv2d", filters=3, kernel=(1, 3)), LayerSpec("relu"),
+            LayerSpec("conv2d", filters=4, kernel=(2, 2)), LayerSpec("relu"),
+            LayerSpec("flatten"), LayerSpec("dense", units=6), LayerSpec("relu"),
+            LayerSpec("dense", units=2), LayerSpec("softmax"),
         ]
         net = Network(specs, (1, 2, 8), rng, dtype=np.float64)
         x = rng.standard_normal((1, 2, 8))
@@ -308,8 +307,9 @@ class TestGradCheck:
         # without ReLUs there are no kinks, and the loss is smooth enough that
         # central differences match backprop far inside the 1e-4 contract
         rng = np.random.default_rng(1)
-        specs = [conv_spec(4, 1, 2), conv_spec(2, 3, 2), flatten_spec(), dense_spec(8),
-                 dense_spec(2), softmax_spec()]
+        specs = [LayerSpec("conv2d", filters=4, kernel=(1, 2)),
+                 LayerSpec("conv2d", filters=2, kernel=(3, 2)), LayerSpec("flatten"),
+                 LayerSpec("dense", units=8), *HEAD[1:]]
         net = Network(specs, (1, 3, 9), rng, dtype=np.float64)
         report = grad_check(net, rng.standard_normal((1, 3, 9)), np.array([0.0, 1.0]))
         assert report.max_rel_error < 1e-7
@@ -318,7 +318,7 @@ class TestGradCheck:
         # zero input makes every dense1 pre-activation sit exactly on the kink;
         # perturbing a bias flips the activation pattern one-sided
         net = Network(
-            [dense_spec(3), relu_spec(), dense_spec(2), softmax_spec()],
+            [LayerSpec("dense", units=3), LayerSpec("relu"), *HEAD[1:]],
             (4,),
             np.random.default_rng(2),
             dtype=np.float64,
@@ -334,17 +334,17 @@ class TestGradCheck:
 class TestNetworkValidation:
     def test_must_end_with_softmax(self):
         with pytest.raises(ParameterError):
-            Network([dense_spec(2)], (3,), np.random.default_rng(0))
+            Network([LayerSpec("dense", units=2)], (3,), np.random.default_rng(0))
 
     def test_dense_needs_flat_input(self):
         with pytest.raises(ShapeError):
             Network(
-                [dense_spec(2), softmax_spec()], (1, 2, 8), np.random.default_rng(0)
+                HEAD[1:], (1, 2, 8), np.random.default_rng(0)
             )
 
     def test_dropout_spec_validation(self):
         with pytest.raises(ParameterError):
-            dropout_spec(1.0)
+            LayerSpec("dropout", rate=1.0)
 
     def test_zeropad_changes_width_only(self):
         # the conv after a zeropad applies the padding: through a 1x1 conv the
@@ -352,7 +352,7 @@ class TestNetworkValidation:
         # and the middle ones read w*x + b
         rng = np.random.default_rng(0)
         net = Network(
-            [zeropad_spec(2), conv_spec(1, 1, 1), flatten_spec(), dense_spec(2), softmax_spec()],
+            [LayerSpec("zeropad", pad=2), LayerSpec("conv2d", filters=1, kernel=(1, 1)), *HEAD],
             (1, 2, 4),
             rng,
             dtype=np.float64,
@@ -374,13 +374,14 @@ class TestNetworkValidation:
         assert [layer.b.shape for layer in net.layers if layer.params()] == [(s[0],) for s in built]
 
     def test_zeropad_must_precede_a_conv(self, tmp_path):
-        specs = [zeropad_spec(1), relu_spec(), conv_spec(2, 1, 2), flatten_spec(),
-                 dense_spec(2), softmax_spec()]
+        specs = [LayerSpec("zeropad", pad=1), LayerSpec("relu"),
+                 LayerSpec("conv2d", filters=2, kernel=(1, 2)), *HEAD]
         with pytest.raises(ShapeError):
             trace_shapes(specs, (1, 2, 4))
         with pytest.raises(ShapeError):
             Network(specs, (1, 2, 4), np.random.default_rng(0))
-        assert trace_shapes([zeropad_spec(1)], (1, 2, 4)) == [(1, 2, 6)]  # a partial stack
+        partial = [LayerSpec("zeropad", pad=1)]
+        assert trace_shapes(partial, (1, 2, 4)) == [(1, 2, 6)]
         # a valid checkpoint with the relu moved between the zeropad and the conv
         spec = ModelSpec(layers=(specs[0], specs[2], specs[1], *specs[3:]), input_shape=(1, 2, 4))
         path = tmp_path / "m.stbcnn"
@@ -454,9 +455,11 @@ class TestWidthMajorEngine:
         # on a batch, so a shift that strayed into the next element would show
         rng = np.random.default_rng(21)
         specs = [
-            zeropad_spec(pad), conv_spec(f1, 1, k1), relu_spec(), dropout_spec(0.5),
-            zeropad_spec(pad), conv_spec(f2, 2, 2), relu_spec(),
-            flatten_spec(), dense_spec(5), relu_spec(), dense_spec(2), softmax_spec(),
+            LayerSpec("zeropad", pad=pad), LayerSpec("conv2d", filters=f1, kernel=(1, k1)),
+            LayerSpec("relu"), LayerSpec("dropout", rate=0.5),
+            LayerSpec("zeropad", pad=pad), LayerSpec("conv2d", filters=f2, kernel=(2, 2)),
+            LayerSpec("relu"), LayerSpec("flatten"), LayerSpec("dense", units=5), LayerSpec("relu"),
+            *HEAD[1:],
         ]
         net = Network(specs, (1, 2, 7), rng, dtype=np.float64)
         convs = [layer for layer, spec in zip(net.layers, specs) if spec.kind == "conv2d"]
@@ -472,8 +475,8 @@ class TestWidthMajorEngine:
         # 3 zero columns on each side of 2 input columns and a kernel 7 wide:
         # shifts 0 and 6 read only padding for every output column
         rng = np.random.default_rng(5)
-        specs = [conv_spec(2, 1, 1), zeropad_spec(3), conv_spec(filters, 1, 7),
-                 flatten_spec(), dense_spec(2), softmax_spec()]
+        specs = [LayerSpec("conv2d", filters=2, kernel=(1, 1)), LayerSpec("zeropad", pad=3),
+                 LayerSpec("conv2d", filters=filters, kernel=(1, 7)), *HEAD]
         net = Network(specs, (1, 1, 2), rng, dtype=np.float64)
         x = rng.standard_normal((3, 1, 1, 2))
         report = grad_check(net, x, np.eye(2)[[0, 1, 1]])
@@ -483,7 +486,7 @@ class TestWidthMajorEngine:
             np.testing.assert_allclose(net.forward(x[i:i + 1])[0], ref, rtol=0, atol=1e-12)
 
     def test_partial_height_kernel_rejected(self):
-        specs = [conv_spec(2, 2, 2), flatten_spec(), dense_spec(2), softmax_spec()]
+        specs = [LayerSpec("conv2d", filters=2, kernel=(2, 2)), *HEAD]
         with pytest.raises(ShapeError):
             trace_shapes(specs, (1, 3, 8))
         with pytest.raises(ShapeError):
@@ -491,7 +494,7 @@ class TestWidthMajorEngine:
 
     def test_partial_height_checkpoint_rejected(self, tmp_path):
         spec = ModelSpec(
-            layers=(conv_spec(2, 3, 2), flatten_spec(), dense_spec(2), softmax_spec()),
+            layers=(LayerSpec("conv2d", filters=2, kernel=(3, 2)), *HEAD),
             input_shape=(1, 3, 8),
         )
         path = tmp_path / "m.stbcnn"
@@ -543,7 +546,7 @@ class TestKeepMask:
     @pytest.mark.parametrize("rate", [0.5, 0.3])
     def test_dropout_layer_uses_one_mask_and_exact_scale(self, rate):
         x = np.ones((2, 5, 2, 3), dtype=np.float32)  # width-major [B, W, H, C]
-        layer = Dropout(dropout_spec(rate))
+        layer = Dropout(LayerSpec("dropout", rate=rate))
         out = layer.forward(x, train=True, rng=np.random.default_rng(4))
         keep = keep_mask(np.random.default_rng(4), x.shape, rate)
         assert 0 < keep.sum() < keep.size
@@ -558,7 +561,7 @@ class TestKeepMask:
         with pytest.raises(ParameterError):
             keep_mask(np.random.Generator(bitgen(0)), (2, 3), 0.5)
         with pytest.raises(ParameterError):
-            Dropout(dropout_spec(0.5)).forward(
+            Dropout(LayerSpec("dropout", rate=0.5)).forward(
                 np.ones((2, 3)), train=True, rng=np.random.Generator(bitgen(0)))
 
 
@@ -575,8 +578,8 @@ class TestCallContracts:
         x[:, :, :, :3] = -1.0  # negative inputs a layer working in place would clip
         before = x.copy()
         # a stack whose first layers work in place on what they are given
-        in_place = Network([relu_spec(), dropout_spec(0.5), flatten_spec(), dense_spec(2),
-                            softmax_spec()], (1, 2, FRAME_LEN), np.random.default_rng(1))
+        in_place = Network([LayerSpec("relu"), LayerSpec("dropout", rate=0.5), *HEAD],
+                           (1, 2, FRAME_LEN), np.random.default_rng(1))
         for net in (model.net, in_place):
             net.forward(x)
             net.forward(x, train=True, rng=np.random.default_rng(0))
@@ -588,7 +591,7 @@ class TestCallContracts:
 
     def test_state_before_the_first_weighted_layer_released(self):
         # the ReLU and Dropout come before the first weighted layer
-        specs = [relu_spec(), dropout_spec(0.5), flatten_spec(), dense_spec(2), softmax_spec()]
+        specs = [LayerSpec("relu"), LayerSpec("dropout", rate=0.5), *HEAD]
         net = Network(specs, (1, 2, FRAME_LEN), np.random.default_rng(1))
         x, onehot = _cnn2_batch(64, seed=2)
         net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
