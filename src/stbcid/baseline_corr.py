@@ -45,7 +45,13 @@ from .signal_model import (
 # peak RSS from 67 to 78 MB in `perfbench/run.py --workload baseline`).
 CORR_BLOCK = 256
 
-# Calibration sequences synthesized per synth_batch call: bounds the block's
+# Size parameters keep every array below _MAX_ARRAY_BYTES, where numpy allocates or raises
+# MemoryError rather than failing in its own size arithmetic. No array of the synthesis or
+# of seed derivation holds over _SAMPLE_BYTES per sample or seed (complex temporaries: 32).
+_MAX_ARRAY_BYTES = 1 << 62
+_SAMPLE_BYTES = 64
+
+# Calibration sequences synthesized per synth_from_words call: bounds the block's
 # temporaries at no measured cost in speed. The traced peak of
 # calibrate_threshold(10, 128, 4000) is ~1.4 MB at 64, ~5.1 MB at 256, and
 # ~16 MB with every trial in one block.
@@ -115,23 +121,17 @@ def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndar
     return mix(windows[np.arange(k1.size), :, k1], h, w)  # row i's window starts at k1[i]
 
 
-def synth_batch(scheme: CodingScheme, snr_db: float, length: int,
-                seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
-    row per non-negative int seed, its row drawn by ``np.random.default_rng(seed)``."""
-    return synth_from_words(scheme, snr_db, length, seeding.rng_words(seeds))
-
-
 def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
                      words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``synth_batch`` of the seeds whose ``seeding.rng_words`` are ``words`` [n, 4]: the
-    one synthesis path, for calibration and dataset bursts alike.
+    """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
+    row per seed, from the seeds' ``seeding.rng_words`` ``words`` [n, 4]: the one
+    synthesis path, for calibration and dataset bursts alike.
 
     Each row has its own PCG64 generator, so a seed fully determines its row,
-    whatever the other seeds. Only the draws run per row, each into the row of a
-    block array; the arithmetic runs once over the block. Every value is bit-equal
-    to what ``np.random.default_rng(seed)`` gives through numpy's distribution
-    calls, drawn in this order:
+    whatever the other seeds and their order. Only the draws run per row, each
+    into the row of a block array; the arithmetic runs once over the block. Every
+    value is bit-equal to what ``np.random.default_rng(seed)`` gives through
+    numpy's distribution calls, drawn in this order:
 
     - channel: ``standard_gamma(m)`` twice, then ``random()`` twice, made powers
       and phases by ``fading_law`` with ``rng.gamma``'s and ``rng.uniform``'s own
@@ -180,14 +180,18 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
 
 
 def synth_sequence(scheme: CodingScheme, snr_db: float, length: int, seed: int) -> np.ndarray:
-    """Row 0 of ``synth_batch`` for one seed: its random-channel received sequence."""
-    return synth_batch(scheme, snr_db, length, [seed])[1][0]
+    """One seed's random-channel received sequence: row 0 of ``synth_from_words``."""
+    return synth_from_words(scheme, snr_db, length, seeding.rng_words([seed]))[1][0]
 
 
-def _best_threshold(feat_al: np.ndarray, feat_sm: np.ndarray) -> tuple[float, float]:
-    """Midpoint threshold minimizing empirical error of 'feature > t -> AL'."""
-    al = np.sort(feat_al)
-    sm = np.sort(feat_sm)
+def calibrate_from_features(feat_al, feat_sm, snr_db: float = float("nan"),
+                            seq_len: int = 0) -> ThresholdRule:
+    """Midpoint threshold minimizing the empirical error of 'feature > t -> AL' on feature
+    samples; degenerate if none beats guessing, as for identical multisets (0.5 at every t)."""
+    al = np.sort(np.asarray(feat_al, dtype=np.float64))
+    sm = np.sort(np.asarray(feat_sm, dtype=np.float64))
+    if al.size == 0 or sm.size == 0:
+        raise ParameterError("need non-empty feature samples for both classes")
     values = np.unique(np.concatenate([al, sm]))
     mids = (values[:-1] + values[1:]) / 2.0 if values.size > 1 else np.empty(0)
     candidates = np.concatenate([[0.0], mids, [values[-1]]])
@@ -196,31 +200,9 @@ def _best_threshold(feat_al: np.ndarray, feat_sm: np.ndarray) -> tuple[float, fl
     sm_hit = sm.size - np.searchsorted(sm, candidates, side="right")
     errors = (al_miss + sm_hit) / (al.size + sm.size)
     best = int(np.argmin(errors))
-    return float(candidates[best]), float(errors[best])
-
-
-def calibrate_from_features(
-    feat_al, feat_sm, snr_db: float = float("nan"), seq_len: int = 0
-) -> ThresholdRule:
-    """Threshold selection on precomputed feature samples.
-
-    The rule is flagged degenerate when the two samples are identical as
-    multisets or no threshold beats guessing.
-    """
-    feat_al = np.asarray(feat_al, dtype=np.float64)
-    feat_sm = np.asarray(feat_sm, dtype=np.float64)
-    if feat_al.size == 0 or feat_sm.size == 0:
-        raise ParameterError("need non-empty feature samples for both classes")
-    degenerate = bool(np.array_equal(np.sort(feat_al), np.sort(feat_sm)))
-    threshold, err = _best_threshold(feat_al, feat_sm)
-    return ThresholdRule(
-        threshold=threshold,
-        snr_db=snr_db,
-        seq_len=seq_len,
-        trials=min(feat_al.size, feat_sm.size),
-        achieved_error=err,
-        degenerate=degenerate or err >= 0.5,
-    )
+    err = float(errors[best])
+    return ThresholdRule(threshold=float(candidates[best]), snr_db=snr_db, seq_len=seq_len,
+                         trials=min(al.size, sm.size), achieved_error=err, degenerate=err >= 0.5)
 
 
 def calibrate_threshold(
@@ -237,8 +219,8 @@ def calibrate_threshold(
     ``SeedSequence([seed mod 2**64, scheme, t]).generate_state(1, np.uint64)[0]``;
     every trial's generator words are derived in one pass up front.
     """
-    if trials < 100:
-        raise ParameterError(f"trials must be >= 100, got {trials}")
+    if not 100 <= trials < _MAX_ARRAY_BYTES // (2 * _SAMPLE_BYTES):  # 2 x trials seeds
+        raise ParameterError(f"trials must be >= 100 and < 2**55, got {trials}")
     if seq_len < 4:
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
     schemes = (CodingScheme.AL, CodingScheme.SM)

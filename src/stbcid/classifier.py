@@ -122,12 +122,18 @@ def build_cnn2(dropout_rate: float = 0.5) -> ModelSpec:
     return ModelSpec(layers=layers, input_shape=(1, 2, FRAME_LEN))
 
 
+def _check_frame_classifier(net: Network) -> None:
+    """``ShapeError`` unless ``net`` maps a (1, 2, FRAME_LEN) frame to the two classes (2,)."""
+    if net.input_shape != (1, 2, FRAME_LEN) or net.output_shape != (2,):
+        raise ShapeError(f"the model maps {net.input_shape} to {net.output_shape}, not a "
+                         f"(1, 2, {FRAME_LEN}) frame to the two classes (2,)")
+
+
 def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
-    """Materialize a spec with seeded He/Glorot-uniform weights."""
+    """Materialize a frame classifier's spec with seeded He/Glorot-uniform weights."""
     rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, 0x696E6974]))
     net = Network(spec.layers, spec.input_shape, rng, dtype=dtype)
-    if net.output_shape != (2,):
-        raise ShapeError(f"stack produces {net.output_shape}, expected the two classes (2,)")
+    _check_frame_classifier(net)
     return Model(spec=spec, net=net)
 
 
@@ -335,10 +341,10 @@ def load_checkpoint(path) -> Model:
         except (ParameterError, ShapeError) as e:
             raise CorruptCheckpointError(
                 f"{path}: descriptors do not form a network ({e})") from None
-        if input_shape != (1, 2, FRAME_LEN) or net.output_shape != (2,):
-            raise DescriptorMismatchError(
-                f"{path}: the model maps {input_shape} to {net.output_shape}, not a "
-                f"(1, 2, {FRAME_LEN}) frame to the two classes (2,)")
+        try:
+            _check_frame_classifier(net)
+        except ShapeError as e:
+            raise DescriptorMismatchError(f"{path}: {e}") from None
         (n_tensors,) = struct.unpack("<I", take(4))
         params = net.parameters()
         if n_tensors != len(params):

@@ -197,7 +197,7 @@ def cmd_generate(args) -> int:
         )
     frames = dataset.generate_dataset(cfg)
     dataset.serialize_frames(frames, args.out)
-    dataset.write_manifest(cfg, len(frames), args.out + ".manifest")
+    dataset.write_manifest(cfg, args.out + ".manifest")
     print(f"wrote {len(frames)} frames to {args.out} "
           f"({len(cfg.snr_grid)} SNRs x 2 schemes x {cfg.bursts_per_cell} bursts "
           f"x {cfg.frames_per_burst} windows)")

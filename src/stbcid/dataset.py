@@ -25,7 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import seeding
-from .baseline_corr import synth_batch, synth_from_words
+from .baseline_corr import _MAX_ARRAY_BYTES, _SAMPLE_BYTES, synth_from_words
 from .signal_model import (
     _MASK64,
     CodingScheme,
@@ -36,6 +36,7 @@ from .signal_model import (
 )
 
 FRAME_LEN = 128
+_FRAME_BYTES = 16 * FRAME_LEN  # a float64 or complex128 frame: the most any array holds per frame
 
 DATASET_MAGIC = b"STBC"
 DATASET_VERSION = 1
@@ -92,6 +93,13 @@ class DatasetConfig:
             raise ParameterError(f"shift must satisfy 0 < shift <= {FRAME_LEN}")
         if self.burst_len < FRAME_LEN:
             raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {self.burst_len}")
+        per_burst = 2 * len(self.snr_grid) * (  # most bytes any array takes per burst of each cell
+            _SAMPLE_BYTES * self.burst_len + _FRAME_BYTES * self.frames_per_burst)
+        if per_burst >= _MAX_ARRAY_BYTES:
+            raise ParameterError(f"burst_len {self.burst_len} sizes arrays of 2**62 bytes or more")
+        if self.bursts_per_cell > (most := (_MAX_ARRAY_BYTES - 1) // per_burst):
+            raise ParameterError(f"bursts_per_cell must be <= {most} at burst_len "
+                                 f"{self.burst_len} on {len(self.snr_grid)} SNRs")
 
     @property
     def frames_per_burst(self) -> int:
@@ -143,12 +151,12 @@ def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarr
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> np.ndarray:
     """The complex samples of one burst: one channel, one block offset, fresh random bits.
 
-    They are row 0 of ``baseline_corr.synth_batch(scheme, snr_db, burst_len,
-    [seed])``: one generator serves the dataset and the baseline's calibration.
+    They are row 0 of ``baseline_corr.synth_from_words`` for the seed: one
+    generator serves the dataset and the baseline's calibration.
     """
     if burst_len < FRAME_LEN:
         raise ParameterError(f"burst_len must be >= {FRAME_LEN}, got {burst_len}")
-    return synth_batch(scheme, snr_db, burst_len, [seed])[1][0]
+    return synth_from_words(scheme, snr_db, burst_len, seeding.rng_words([seed]))[1][0]
 
 
 def window_frames(samples, window: int, shift: int) -> np.ndarray:
@@ -422,7 +430,7 @@ def read_frames_csv(path) -> FrameSet:
 MANIFEST_VERSION = 1
 
 
-def _manifest_lines(cfg: DatasetConfig, count: int) -> list[str]:
+def _manifest_lines(cfg: DatasetConfig) -> list[str]:
     return [
         f"manifest_version={MANIFEST_VERSION}",
         f"format_version={DATASET_VERSION}",
@@ -433,19 +441,19 @@ def _manifest_lines(cfg: DatasetConfig, count: int) -> list[str]:
         f"window={FRAME_LEN}",
         f"shift={cfg.shift}",
         f"normalize={int(cfg.normalize)}",
-        f"frames={count}",
+        f"frames={cfg.total_frames}",
     ]
 
 
-def write_manifest(cfg: DatasetConfig, count: int, path) -> None:
-    """Text manifest recording everything needed to regenerate the dataset."""
+def write_manifest(cfg: DatasetConfig, path) -> None:
+    """Text manifest recording everything needed to regenerate the dataset, and its size."""
     with open(path, "w") as f:
-        f.write("\n".join(_manifest_lines(cfg, count)) + "\n")
+        f.write("\n".join(_manifest_lines(cfg)) + "\n")
 
 
 def read_manifest(path) -> tuple[DatasetConfig, int]:
     """The config and frame count of a manifest, which must be line for line what
-    ``write_manifest`` writes for them (blank and ``#`` lines aside); anything else raises."""
+    ``write_manifest`` writes for the config (blank and ``#`` lines aside); anything else raises."""
     try:
         with open(path) as f:
             lines = [(n, s) for n, s in enumerate(map(str.strip, f), start=1) if s and s[0] != "#"]
@@ -474,7 +482,7 @@ def read_manifest(path) -> tuple[DatasetConfig, int]:
     )
     count = value("frames")
     # the file has a frames= line, the last one written, so it never runs out first
-    for (n, line), written in zip_longest(lines, _manifest_lines(cfg, count)):
+    for (n, line), written in zip_longest(lines, _manifest_lines(cfg)):
         if line != written:  # e.g. a reordered or repeated line, or int() reading "1_0" as 10
             raise DatasetFormatError(f"{path}: manifest line {n} (key {line.partition('=')[0]!r}) "
                                      f"is {line!r}; write_manifest writes {written!r}")

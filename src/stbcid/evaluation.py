@@ -25,16 +25,16 @@ CLASS_NAMES = ("SM", "AL")
 
 @dataclass(frozen=True)
 class AccuracyCurve:
-    """(snr_db, accuracy, n_frames) triples, sorted by unique SNR."""
+    """(snr_db, accuracy, n_frames) triples, sorted by unique finite SNR, each of n >= 1."""
 
     points: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self) -> None:
         snrs = [p[0] for p in self.points]
-        if sorted(set(snrs)) != snrs:
-            raise ParameterError("snr points must be unique and sorted")
-        if any(not 0.0 <= p[1] <= 1.0 for p in self.points):
-            raise ParameterError("accuracies must lie in [0, 1]")
+        if not np.isfinite(snrs).all() or sorted(set(snrs)) != snrs:
+            raise ParameterError("snr points must be finite, unique and sorted")
+        if any(not (0.0 <= acc <= 1.0 and n >= 1) for _, acc, n in self.points):
+            raise ParameterError("accuracies must lie in [0, 1], each over n >= 1 frames")
 
 
 @dataclass(frozen=True)

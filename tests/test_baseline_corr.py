@@ -14,10 +14,10 @@ from stbcid.baseline_corr import (
     classify_corr,
     correlation_feature,
     correlation_features,
-    synth_batch,
+    synth_from_words,
     synth_sequence,
 )
-from stbcid import baseline_corr
+from stbcid import baseline_corr, seeding
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import _MASK64, ChannelRealization, CodingScheme
 
@@ -91,16 +91,16 @@ def pair_correlations(r) -> np.ndarray:
     return baseline_corr._pair_correlations(np.asarray(r, dtype=np.complex128)[np.newaxis])[:, 0]
 
 
-class TestSynthBatch:
+class TestSynthFromWords:
     SEEDS = [0, 1, 7, 2**32 + 5, 2**63 + 11, (1 << 70) + 3, 123456789]
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5, 128, 301, 1024])
     @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL], ids=SCHEME_IDS)
     def test_rows_equal_one_row_calls(self, scheme, length):
-        h, r = synth_batch(scheme, 3.0, length, self.SEEDS)
+        h, r = synth_from_words(scheme, 3.0, length, seeding.rng_words(self.SEEDS))
         assert h.shape == (len(self.SEEDS), 2) and r.shape == (len(self.SEEDS), length)
         for i, seed in enumerate(self.SEEDS):
-            gains, seqs = synth_batch(scheme, 3.0, length, [seed])
+            gains, seqs = synth_from_words(scheme, 3.0, length, seeding.rng_words([seed]))
             assert h[i].tobytes() == gains[0].tobytes()
             assert r[i].tobytes() == seqs[0].tobytes()
             assert synth_sequence(scheme, 3.0, length, seed).tobytes() == r[i].tobytes()
@@ -115,8 +115,9 @@ class TestSynthBatch:
         assert offsets == {0, 1}
 
     def test_row_does_not_depend_on_its_neighbours(self):
-        _, r = synth_batch(CodingScheme.AL, 0.0, 64, self.SEEDS)
-        _, reversed_rows = synth_batch(CodingScheme.AL, 0.0, 64, self.SEEDS[::-1])
+        _, r = synth_from_words(CodingScheme.AL, 0.0, 64, seeding.rng_words(self.SEEDS))
+        _, reversed_rows = synth_from_words(CodingScheme.AL, 0.0, 64,
+                                            seeding.rng_words(self.SEEDS[::-1]))
         assert r.tobytes() == reversed_rows[::-1].tobytes()
 
     def test_calibration_memory_is_bounded_by_the_block(self):

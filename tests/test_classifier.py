@@ -276,22 +276,22 @@ class TestCheckpoint:
 
     def test_descriptor_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.stbcnn"
-        # well-formed stacks that do not map a 2 x 128 frame to the two classes
-        for units, input_shape in [(4, (1, 2, FRAME_LEN)), (1, (1, 2, FRAME_LEN)),
-                                   (2, (1, 2, 64))]:
-            spec = ModelSpec(layers=(LayerSpec("flatten"), LayerSpec("dense", units=units),
-                                     LayerSpec("softmax")),
-                             input_shape=input_shape)
+        # well-formed stacks that do not map a 2 x 128 frame to the two classes; CNN2's
+        # layers map a 2 x 64 frame to (2,), with a dense1 input other than 10480
+        def small(units):
+            return (LayerSpec("flatten"), LayerSpec("dense", units=units), LayerSpec("softmax"))
+
+        for layers, input_shape in [(small(4), (1, 2, FRAME_LEN)), (small(1), (1, 2, FRAME_LEN)),
+                                    (small(2), (1, 2, 64)), (build_cnn2().layers, (1, 2, 64))]:
+            spec = ModelSpec(layers=layers, input_shape=input_shape)
             net = Network(spec.layers, spec.input_shape, np.random.default_rng(0))
             save_checkpoint(Model(spec=spec, net=net), path)
             with pytest.raises(DescriptorMismatchError):
                 load_checkpoint(path)
-            if units != 2:
-                with pytest.raises(ShapeError):
-                    initialize(spec)
+            with pytest.raises(ShapeError):  # initialize builds no model that fails to load
+                initialize(spec)
         # the same small stack with two classes over 2 x 128 frames loads fine
-        spec = ModelSpec(layers=(LayerSpec("flatten"), LayerSpec("dense", units=2),
-                                 LayerSpec("softmax")))
+        spec = ModelSpec(layers=small(2))
         save_checkpoint(initialize(spec), path)
         assert load_checkpoint(path).spec == spec
 

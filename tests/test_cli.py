@@ -346,17 +346,45 @@ def _limit_address_space():  # in the child only: about 3 GB of address space
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-@pytest.mark.parametrize("command", ["generate", "eval"])
-def test_request_beyond_memory_exits_one(tiny_dataset, tmp_path, command):
+# the largest --bursts the default grid takes: 21 SNRs x 2 schemes, each burst 1024
+# samples of at most 64 bytes and 15 frames of at most 2048 bytes in any array
+MOST_BURSTS = ((1 << 62) - 1) // (42 * (64 * 1024 + 2048 * 15))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--bursts", "100000000"], None),  # 31.3 GiB of burst seeds
+    (["generate", "--bursts", str(MOST_BURSTS)], None),
+    (["generate", "--bursts", str(MOST_BURSTS + 1)], "--bursts"),
+    (["generate", "--bursts", "99999999999999999999"], "--bursts"),  # beyond int64
+    (["generate", "--bursts", str(2 ** 62)], "--bursts"),
+    (["generate", "--snr-min", "0", "--snr-max", "0", "--bursts", "2",
+      "--burst-len", str(2 ** 50)], None),
+    (["generate", "--burst-len", str(2 ** 60)], "--burst-len"),
+    (["eval", "--calibrate-trials", "100000000000"], None),  # 1.46 TiB of trial seeds
+    (["eval", "--calibrate-trials", str(2 ** 55 - 1)], None),
+    (["eval", "--calibrate-trials", str(2 ** 55)], "--calibrate-trials"),
+    (["eval", "--calibrate-trials", str(2 ** 62)], "--calibrate-trials"),
+    (["eval", "--calibrate-trials", str(2 ** 63)], "--calibrate-trials"),
+], ids=["bursts-1e8", "bursts-most", "bursts-over", "bursts-20-digits", "bursts-2**62",
+        "burst-len-2**50", "burst-len-2**60", "trials-1e11", "trials-most", "trials-2**55",
+        "trials-2**62", "trials-2**63"])
+def test_size_flag_beyond_memory(tiny_dataset, tmp_path, argv, flag):
+    # below the array bound the arrays are sized and the allocation fails (exit 1); above
+    # it the flag is refused before numpy's size arithmetic could overflow (exit 2)
     out = tmp_path / "out"
-    argv = {"generate": ["generate", "--bursts", "100000000", "-o", str(out)],  # 31.3 GiB
-            "eval": ["eval", "--dataset", tiny_dataset, "--baseline", "corr", "-o", str(out),
-                     "--calibrate-trials", "100000000000"]}[command]  # 1.46 TiB
+    command, *flags = argv
+    where = ["--dataset", tiny_dataset, "--baseline", "corr"] if command == "eval" else []
     env = {**_fresh_process_env(), "OPENBLAS_NUM_THREADS": "1"}
-    run = subprocess.run([sys.executable, "-m", "stbcid", *argv], env=env, capture_output=True,
-                         text=True, timeout=120, preexec_fn=_limit_address_space)
-    assert run.returncode == 1, run.stderr
-    assert run.stderr.startswith("error: Unable to allocate") and "Traceback" not in run.stderr
+    run = subprocess.run([sys.executable, "-m", "stbcid", command, *where, *flags, "-o", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120,
+                         preexec_fn=_limit_address_space)
+    assert "Traceback" not in run.stderr
+    if flag is None:
+        assert run.returncode == 1, run.stderr
+        assert run.stderr.startswith("error: Unable to allocate")
+    else:
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"usage error: {flag}: ")
     assert list(tmp_path.iterdir()) == []  # nothing written: no dataset, manifest or out dir
 
 
@@ -386,6 +414,15 @@ def test_manifest_extra_key_exits_one(tiny_dataset, tmp_path, capsys, extra, key
     lines = pathlib.Path(tiny_dataset + ".manifest").read_text().splitlines()
     assert "seed=7" in lines and not any(line.startswith("snr_step=") for line in lines)
     _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines + [extra], key)
+
+
+def test_manifest_whose_frame_count_is_not_its_config_exits_one(tiny_dataset, tmp_path, capsys):
+    # read as written, 192-sample bursts of 2 windows would cut the file's 3-window bursts
+    # into pseudo-bursts, and the split could put windows of one burst on both sides
+    lines = pathlib.Path(tiny_dataset + ".manifest").read_text().splitlines()
+    assert "burst_len=256" in lines and "frames=24" in lines
+    lines = [line.replace("burst_len=256", "burst_len=192") for line in lines]
+    _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines, "frames")
 
 
 def _assert_manifest_rejected(tiny_dataset, tmp_path, capsys, lines, key):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbcid import seeding
-from stbcid.baseline_corr import synth_batch, synth_sequence
+from stbcid.baseline_corr import synth_from_words, synth_sequence
 from stbcid.dataset import (
     BadMagicError,
     DatasetConfig,
@@ -137,7 +137,7 @@ class TestSynthesizeBurst:
         a = synthesize_burst(CodingScheme.AL, 10.0, 1024, seed=1)
         b = synthesize_burst(CodingScheme.AL, 10.0, 1024, seed=1)
         np.testing.assert_array_equal(a, b)
-        channels = synth_batch(CodingScheme.AL, 10.0, 1024, [1, 1])[0]
+        channels = synth_from_words(CodingScheme.AL, 10.0, 1024, seeding.rng_words([1, 1]))[0]
         assert channels[0].tobytes() == channels[1].tobytes()
 
     def test_too_short_rejected(self):
@@ -470,7 +470,7 @@ class TestManifest:
         cfg = small_config()
         frames = generate_dataset(cfg)
         path = tmp_path / "d.manifest"
-        write_manifest(cfg, len(frames), path)
+        write_manifest(cfg, path)
         cfg2, count = read_manifest(path)
         assert cfg2 == cfg
         assert count == len(frames)
@@ -478,15 +478,15 @@ class TestManifest:
     def test_rewrites_the_text_it_reads(self, tmp_path):
         cfg = small_config(snr_grid=(0, 10), seed=(1 << 64) + 3)  # int SNRs are written as floats
         path = tmp_path / "d.manifest"
-        write_manifest(cfg, cfg.total_frames, path)
+        write_manifest(cfg, path)
         text = path.read_text()
-        write_manifest(*read_manifest(path), path)
+        write_manifest(read_manifest(path)[0], path)
         assert path.read_text() == text and "snr_grid=0.0,10.0\n" in text
 
     def test_window_other_than_frame_len_rejected(self, tmp_path):
         cfg = small_config()
         path = tmp_path / "d.manifest"
-        write_manifest(cfg, cfg.total_frames, path)
+        write_manifest(cfg, path)
         text = path.read_text()
         assert f"window={FRAME_LEN}\n" in text
         path.write_text(text.replace(f"window={FRAME_LEN}\n", "window=64\n"))
@@ -497,11 +497,14 @@ class TestManifest:
         # line 1 is a comment; then manifest_version, format_version, seed, snr_grid, ...
         (lambda lines: [*lines[:2], lines[3], lines[2], *lines[4:]], 3, "seed"),  # reordered
         (lambda lines: [*lines[:5], lines[4], *lines[5:]], 6, "snr_grid"),  # duplicated
-    ], ids=["reordered", "duplicated"])
+        # 192-sample bursts give 2 windows, not the 3 that frames= counts
+        (lambda lines: [s.replace("burst_len=256", "burst_len=192") for s in lines], 11,
+         "frames"),
+    ], ids=["reordered", "duplicated", "frames-not-the-config-count"])
     def test_lines_other_than_written_rejected(self, tmp_path, edit, line, key):
         cfg = small_config()
         path = tmp_path / "d.manifest"
-        write_manifest(cfg, cfg.total_frames, path)
+        write_manifest(cfg, path)
         lines = edit(["# comment", *path.read_text().splitlines()])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=f"line {line} .*'{key}'"):

@@ -123,11 +123,17 @@ class TestCsvRoundTrips:
         # rows that parse but do not make an AccuracyCurve
         (read_accuracy_csv, "snr_db,accuracy,n", ["5.0,0.5,3", "0.0,0.5,3"], None),
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,1.5,3"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["nan,0.5,-10"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["-inf,0.5,3"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,3", "nan,0.5,3"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,0"], None),
+        (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,-10"], None),
         # rows that parse but are not the text the writer gives their values
         (read_accuracy_csv, "snr_db,accuracy,n", ["-2.0,0.5,3", "5,0.5,3"], 3),
         (read_loss_csv, "epoch,train_loss,val_loss", ["7,0.7,0.71", "3,0.5,0.52"], 2),
     ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "acc-unsorted",
-            "acc-range", "acc-snr-int", "loss-epoch-order"])
+            "acc-range", "acc-nan-snr", "acc-inf-snr", "acc-nan-snr-last", "acc-n-zero",
+            "acc-n-negative", "acc-snr-int", "loss-epoch-order"])
     def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([header, *rows]) + "\n")
@@ -185,3 +191,7 @@ class TestSvg:
             AccuracyCurve(points=((0.0, 0.5, 10), (0.0, 0.6, 10)))
         with pytest.raises(ParameterError):
             AccuracyCurve(points=((0.0, 1.5, 10),))
+        with pytest.raises(ParameterError, match="finite"):
+            AccuracyCurve(points=((float("nan"), 0.5, 10),))
+        with pytest.raises(ParameterError, match="n >= 1 frames"):
+            AccuracyCurve(points=((0.0, 0.5, 0),))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbcid import seeding
-from stbcid.baseline_corr import calibrate_threshold, synth_batch
+from stbcid.baseline_corr import calibrate_threshold, synth_from_words
 from stbcid.dataset import DatasetConfig, generate_dataset
 from stbcid.errors import ParameterError
 from stbcid.signal_model import CodingScheme
@@ -83,9 +83,9 @@ class TestRejection:
         with pytest.raises(ParameterError, match=f"row {row}" if row is not None else "integers"):
             seeding.rng_words(seeds)
 
-    def test_synth_batch_rejects_a_negative_seed(self):
+    def test_synthesis_rejects_a_negative_seed(self):
         with pytest.raises(ParameterError, match="row 1"):
-            synth_batch(CodingScheme.AL, 0.0, 16, [4, -3])
+            synth_from_words(CodingScheme.AL, 0.0, 16, seeding.rng_words([4, -3]))
 
 
 @pytest.fixture

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stbcid.baseline_corr import synth_batch
+from stbcid import seeding
+from stbcid.baseline_corr import synth_from_words
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import (
     ChannelRealization,
@@ -122,8 +123,9 @@ class TestDrawChannel:
         assert abs(ratio - (1 + 1 / 3.0)) < 0.05
 
     def test_same_seed_bit_identical(self):
-        a = synth_batch(CodingScheme.AL, 0.0, 4, [42])[0]
-        b = synth_batch(CodingScheme.SM, 10.0, 8, [42])[0]  # the channel is drawn first
+        a = synth_from_words(CodingScheme.AL, 0.0, 4, seeding.rng_words([42]))[0]
+        # the channel is drawn first
+        b = synth_from_words(CodingScheme.SM, 10.0, 8, seeding.rng_words([42]))[0]
         assert a.tobytes() == b.tobytes()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from stbcid.classifier import (
     CorruptCheckpointError,
+    Model,
     ModelSpec,
     build_cnn2,
     initialize,
@@ -385,7 +386,8 @@ class TestNetworkValidation:
         # a valid checkpoint with the relu moved between the zeropad and the conv
         spec = ModelSpec(layers=(specs[0], specs[2], specs[1], *specs[3:]), input_shape=(1, 2, 4))
         path = tmp_path / "m.stbcnn"
-        save_checkpoint(initialize(spec), path)
+        net = Network(spec.layers, spec.input_shape, np.random.default_rng(0))
+        save_checkpoint(Model(spec, net), path)
         conv_desc = struct.pack("<BIIIf", LAYER_KINDS.index("conv2d"), 2, 1, 2, 0.0)
         relu_desc = struct.pack("<BIIIf", LAYER_KINDS.index("relu"), 0, 0, 0, 0.0)
         raw = path.read_bytes()
@@ -498,7 +500,8 @@ class TestWidthMajorEngine:
             input_shape=(1, 3, 8),
         )
         path = tmp_path / "m.stbcnn"
-        save_checkpoint(initialize(spec), path)
+        net = Network(spec.layers, spec.input_shape, np.random.default_rng(0))
+        save_checkpoint(Model(spec, net), path)
         conv = LAYER_KINDS.index("conv2d")
         full_height = struct.pack("<BIII", conv, 2, 3, 2)
         raw = path.read_bytes()
