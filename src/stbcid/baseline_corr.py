@@ -149,9 +149,9 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     buffered half-word and the channel's draws take whole words; the half left
     over after the bits is never read, since the noise takes whole words too.
     """
-    if length < 2:
-        raise ParameterError(f"length must be >= 2, got {length}")
     n = len(words)
+    if not 2 <= length < (most := _MAX_ARRAY_BYTES // (_SAMPLE_BYTES * max(n, 1))):
+        raise ParameterError(f"length must be >= 2 and < {most} for {n} seed(s), got {length}")
     noise_std = np.sqrt(noise_variance_for_snr(snr_db).variance / 2.0)
     al = int(scheme == CodingScheme.AL)
     width = _n_bits(scheme, length + block_slots(scheme) - 1)  # the widest row's bits

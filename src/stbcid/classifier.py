@@ -304,7 +304,8 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model bit-exactly; ``DescriptorMismatchError`` unless its stack maps a
     (1, 2, FRAME_LEN) frame to two class probabilities, so callers check no shapes.
     It holds no copy of the file: after the descriptors, one size comparison rejects a
-    truncated or over-claimed file and trailing bytes, then each tensor is read in place."""
+    truncated or over-claimed file and trailing bytes, then each tensor is read in place.
+    The model holds its parameters only; gradient buffers wait for a first training step."""
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
 

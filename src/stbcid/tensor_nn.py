@@ -29,6 +29,10 @@ in eval mode from several threads:
   follows". An eval forward (``train=False``) writes nothing to a layer; a
   training forward's state lives until its backward, which releases it.
   Dropout drops units only in a training forward given an ``rng``.
+
+Gradient buffers arrive with the first training step, so only a model that
+has run a backward holds them: a model that only scores frames holds its
+parameters and nothing else.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .errors import ParameterError, ShapeError
 from .signal_model import _MASK64
 
 LOSS_CLAMP = 1e-12
+INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
 
 
 @dataclass(frozen=True)
@@ -120,29 +125,38 @@ class Layer:
 class _Weighted(Layer):
     """A layer with weights w of its ``weight_shapes`` shape (filters or units first) and bias b.
 
-    The weights are drawn He- or Glorot-uniform from ``rng``, or left zero when
-    ``rng`` is None (a checkpoint is about to overwrite them).
+    The weights are drawn He- or Glorot-uniform from ``rng``, ``INIT_BLOCK`` at a
+    time straight into w (each float64 uniform takes one stream word, so w equals
+    one whole-tensor draw cast to its dtype), or left zero when ``rng`` is None
+    (a checkpoint is about to overwrite them). The gradients gw and gb wait for
+    ``make_grads``, and ``grads()`` is empty until then.
     """
 
     def __init__(self, spec: LayerSpec, shape: tuple[int, ...], rng: np.random.Generator | None,
                  dtype=np.float32, init: str = "he"):
         super().__init__(spec)
-        fan_in = math.prod(shape[1:])
-        if rng is None:
-            self.w = np.zeros(shape, dtype=dtype)
-        else:
+        self.w = np.zeros(shape, dtype=dtype)
+        if rng is not None:
+            fan_in = math.prod(shape[1:])
             limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
-            self.w = rng.uniform(-limit, limit, size=shape).astype(dtype)
+            flat = self.w.reshape(-1)
+            for lo in range(0, flat.size, INIT_BLOCK):
+                block = flat[lo:lo + INIT_BLOCK]
+                block[...] = rng.uniform(-limit, limit, size=block.size)
         self.b = np.zeros(shape[0], dtype=dtype)
-        self.gw = np.zeros(shape, dtype=dtype)  # not zeros_like, which writes every page
-        self.gb = np.zeros_like(self.b)
+        self.gw = self.gb = None
         self._x = None  # what forward(train=True) stores for backward
+
+    def make_grads(self) -> None:
+        """Allocate gw and gb, once: ``Network.loss_and_grads`` calls it before its forward."""
+        if self.gw is None:
+            self.gw, self.gb = np.empty_like(self.w), np.empty_like(self.b)
 
     def params(self):
         return [self.w, self.b]
 
     def grads(self):
-        return [self.gw, self.gb]
+        return [] if self.gw is None else [self.gw, self.gb]
 
 
 def _flip(x: np.ndarray) -> np.ndarray:
@@ -517,8 +531,14 @@ class Network:
         softmax input. It runs down to the first layer that is not a ZeroPad,
         so every layer releases what its forward stored; if that layer has
         weights it skips its input gradient, which nothing reads.
+
+        The first call allocates the gradient buffers before its forward: made
+        among a B=128 CNN2 step's activations, they raised the process peak ~5 MB.
         """
         onehot = np.asarray(onehot, dtype=self.dtype)
+        for layer in self._backprop_layers:
+            if isinstance(layer, _Weighted):
+                layer.make_grads()
         probs = self.forward(x, train=True, rng=rng)
         if probs.shape != onehot.shape:
             raise ShapeError(f"one-hot shape {onehot.shape} != output shape {probs.shape}")

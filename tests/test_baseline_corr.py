@@ -272,6 +272,17 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             calibrate_threshold(10.0, 1024, trials=99, seed=0)
 
+    def test_oversized_length_rejected_before_allocating(self):
+        # numpy used to fail in its own size arithmetic ("array is too big")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="length must be"):
+                calibrate_threshold(10.0, 2 ** 62, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peaked at {peak / 1e6:.1f} MB"
+
     def test_calibration_metadata(self):
         rule = calibrate_threshold(0.0, 64, trials=100, seed=3)
         assert rule.snr_db == 0.0

@@ -375,12 +375,37 @@ class TestCheckpoint:
             tracemalloc.stop()
 
     def test_load_peak_memory(self, tmp_path):
-        # a copy of the file plus a copy of each tensor peaked at 3.96x the parameter bytes;
-        # read in place, the parameters and their zeroed gradients are 2.01x
+        # a copy of the file plus a copy of each tensor peaked at 3.96x the parameter bytes,
+        # and reading in place with zeroed gradients allocated up front at 2.01x; the
+        # parameters alone, with gradients left to the first backward, are 1.01x
         path = tmp_path / "m.stbcnn"
         save_checkpoint(initialize(build_cnn2(), seed=4), path)
         peak = self._traced_peak(load_checkpoint, path) / (4 * sum(TABLE_COUNTS))
-        assert peak < 3, f"load_checkpoint peaked at {peak:.2f}x the parameter bytes"
+        assert peak < 1.5, f"load_checkpoint peaked at {peak:.2f}x the parameter bytes"
+
+    def test_initialize_peak_memory(self):
+        # drawing each weight tensor in float64 and casting it peaked at 2.96x the parameter
+        # bytes (with the zeroed gradients); drawn in blocks straight into the parameters, 1.05x
+        peak = self._traced_peak(initialize, build_cnn2()) / (4 * sum(TABLE_COUNTS))
+        assert peak < 1.5, f"initialize peaked at {peak:.2f}x the parameter bytes"
+
+    def test_loaded_model_holds_no_gradients_until_a_backward(self, tmp_path):
+        def held(model):  # layer attributes, other than parameters, holding arrays
+            return [(i, name) for i, layer in enumerate(model.net.layers)
+                    for name, value in vars(layer).items()
+                    if isinstance(value, np.ndarray) and name not in ("w", "b")]
+
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(initialize(build_cnn2(), seed=4), path)
+        model = load_checkpoint(path)
+        assert held(model) == [] and model.net.gradients() == []
+        frames = np.random.default_rng(3).standard_normal((4, 2, FRAME_LEN)).astype(np.float32)
+        predict_batch(model, frames)
+        assert held(model) == [] and model.net.gradients() == []
+        onehot = np.eye(2, dtype=np.float32)[[0, 1, 1, 0]]
+        _, grads = model.net.loss_and_grads(frames[:, None], onehot, rng=np.random.default_rng(0))
+        params = model.net.parameters()
+        assert [(g.shape, g.dtype) for g in grads] == [(p.shape, p.dtype) for p in params]
 
     def test_bad_magic_rejected_without_reading_the_file(self, tmp_path):
         path = tmp_path / "big.stbcnn"

@@ -144,6 +144,17 @@ class TestSynthesizeBurst:
         with pytest.raises(ParameterError):
             synthesize_burst(CodingScheme.SM, 0.0, 64, seed=0)
 
+    def test_oversized_length_rejected_before_allocating(self):
+        # numpy used to fail in its own size arithmetic ("Maximum allowed dimension exceeded")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="length must be"):
+                synthesize_burst(CodingScheme.SM, 0.0, 2 ** 62, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peaked at {peak / 1e6:.1f} MB"
+
     def test_returns_the_samples(self):
         b = synthesize_burst(CodingScheme.SM, -4.0, 256, seed=9)
         assert b.shape == (256,) and b.dtype == np.complex128

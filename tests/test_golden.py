@@ -7,9 +7,11 @@ draw order shows here even when every path changes together.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from stbcid import baseline_corr, cli, dataset
+from stbcid.classifier import build_cnn2, initialize
 from stbcid.dataset import DatasetConfig
 
 
@@ -57,3 +59,29 @@ def test_generate_then_eval_corr_bytes(tmp_path):
                      "--split", "all", "--calibrate-trials", "300", "--seed", "21"]) == 0
     assert (_sha256(out / "accuracy.csv")
             == "0ba5f317a665e91787ab44b1d1935c610fc054ebf88e4f2dfed25cd519da5a5e")
+
+
+@pytest.mark.parametrize("seed, dtype, digest", [
+    (3, np.float32, "81628b3cbbce887e8075ae30f9cb13eacfa67450cdb48a19f98dd23a7e90d974"),
+    (3, np.float64, "3dc8d8d0a3b6d9387976b098bb82649bff29c4a9ffd2a883a0ffcc5c78e8e6dc"),
+    ((1 << 64) + 5, np.float32,
+     "dfe7bebd376d0c37edc9fcd8dd8cb65efeffb0c0cf9882f8fdcb4ad864ff9d97"),
+], ids=["3-float32", "3-float64", "2**64+5-float32"])
+def test_initial_parameters(seed, dtype, digest):
+    h = hashlib.sha256()
+    for p in initialize(build_cnn2(), seed=seed, dtype=dtype).net.parameters():
+        h.update(p.astype(p.dtype.newbyteorder("<"), copy=False).tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_train_bytes(tmp_path):
+    data = tmp_path / "g.bin"
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "3", "--burst-len", "256", "--seed", "5", "-o", str(data)]) == 0
+    out = tmp_path / "tr"
+    assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
+                     "--batch-size", "16", "--patience", "0", "--seed", "5"]) == 0
+    assert (_sha256(out / "checkpoint.stbcnn")
+            == "ad73dbeecaf7b4d6acb5910b38b92272c929f734989f66d634b0a612bdc2e3d3")
+    assert _sha256(out / "loss.csv") == (
+        "da4aa9e7184c8015e1b0cf1d94cb4667c9fae022e236424e3d389cc6af0dde48")

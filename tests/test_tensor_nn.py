@@ -611,9 +611,11 @@ class TestCallContracts:
 
     def test_training_step_peak_memory(self):
         # one B=32 CNN2 step measured 19.1 MB (27.6 MB when conv2's input gradient
-        # and dense1's weight gradient were fresh arrays); conv1's output alone is 8.5 MB
+        # and dense1's weight gradient were fresh arrays); conv1's output alone is 8.5 MB.
+        # The first step also allocates the 11.2 MB of gradient buffers, so it runs untraced
         model = initialize(build_cnn2(), seed=2)
         x, onehot = _cnn2_batch(32, seed=1)
+        model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
         tracemalloc.start()
         try:
             model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
