@@ -33,6 +33,16 @@ in eval mode from several threads:
 Gradient buffers arrive with the first training step, so only a model that
 has run a backward holds them: a model that only scores frames holds its
 parameters and nothing else.
+
+Between a training forward and its backward a layer holds only what that
+backward reads: a Dense its input, a shifted Conv2D its input (a windowed one
+its patch matrix), a Flatten the shape, a ReLU its bool mask of positive
+inputs and a Dropout its keep bits, packed 8 to a byte. A ReLU directly before
+a Dropout that draws holds nothing: the Dropout holds the pair's one packed
+mask, ``keep & (x > 0)``, so relu1 and drop1 of a B=128 CNN2 step hold 1.1 MB
+instead of two 8.5 MB bool masks. A shifted Conv2D forms its per-shift
+products and shifted gradients ``CONV_BLOCK`` batch elements at a time (its
+weight gradient one shift at a time), and none of them outlives the call.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .signal_model import _MASK64
 
 LOSS_CLAMP = 1e-12
 INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
+CONV_BLOCK = 16  # batch elements per chunk of a shifted Conv2D's forward and input gradient
 
 
 @dataclass(frozen=True)
@@ -174,19 +185,27 @@ class Conv2D(_Weighted):
     zero columns flanked it, so the output is [B, OW, G, F] with
     OW = W + 2*pad - kw + 1 and no padded copy is made.
 
-    Forward is one GEMM of the unpadded input against all kw shift weights,
-    [B*W*G, K] @ [K, kw*F]. Output column o starts from the bias and adds
-    shift j's product of input column o + j - pad, for j = 0..kw-1 in order;
-    the column ranges are clipped, so a shift that would read padding adds
-    nothing, as a zero column would have added an exact zero.
+    Forward multiplies the unpadded input by all kw shift weights at once,
+    ``CONV_BLOCK`` batch elements (n) at a time, [n*W*G, K] @ [K, kw*F], and
+    adds each chunk's product into the output: output column o starts from the
+    bias and adds shift j's product of input column o + j - pad, for
+    j = 0..kw-1 in order; the column ranges are clipped, so a shift that would
+    read padding adds nothing, as a zero column would have added an exact zero.
 
-    Backward writes the output gradient once per shift into a zeroed
-    [B, W, G, kw, F] array whose slot j holds it j - pad columns over, clipped
-    the same way, so the weight gradient is one GEMM (input^T @ shifted
-    gradient) and the unpadded input gradient another (shifted gradient @
-    weights^T), both with kw*F on the shared side. The stored input is dead
-    once the weight gradient is formed, so the input gradient is written over
-    it (the windowed path below stores patches instead and allocates it).
+    Backward forms the bias gradient, then the weight gradient one shift at a
+    time: shift j's output gradient is copied j - pad columns over into a
+    zeroed, contiguous [B*W*G, F] array, clipped the same way, and the input is
+    multiplied by it, input^T @ shifted_j. Each of these GEMMs sums over all
+    B*W*G rows, so for a layer of CNN2's size the result is bit-equal to one
+    GEMM against all kw shifted gradients side by side, [B*W*G, kw*F], in 1/kw
+    of its scratch (BLAS's small-matrix kernels may round a tiny layer's
+    differently). The stored input is dead once the weight gradient is formed,
+    so the unpadded input gradient is written over it (the windowed path below
+    stores patches instead and allocates it), ``CONV_BLOCK`` elements at a
+    time: each chunk's output gradient goes into a zeroed [n, W, G, kw, F]
+    array whose slot j holds it j - pad columns over, and one GEMM with the
+    weights, shifted @ weights^T, fills the chunk. Either pass builds the
+    weight relayout once, not once per chunk.
 
     When a kw-wide window of K values is no larger than the F outputs it feeds
     (conv1 of CNN2), forward instead pads the tiny input and builds its window
@@ -233,11 +252,14 @@ class Conv2D(_Weighted):
             return out.reshape(b, ow, g, f)
         if train:
             self._x = x
-        per_shift = (x.reshape(-1, k) @ wt.reshape(k, kw * f)).reshape(b, w, g, kw, f)
-        out = np.empty((b, ow, g, f), dtype=per_shift.dtype)
+        wt = wt.reshape(k, kw * f)
+        out = np.empty((b, ow, g, f), dtype=x.dtype)
         out[...] = self.b
-        for j, lo, hi in self._shifts(w, ow):
-            out[:, lo:hi] += per_shift[:, lo + j - p:hi + j - p, :, j]
+        for start in range(0, b, CONV_BLOCK):
+            chunk = x[start:start + CONV_BLOCK]
+            per_shift = (chunk.reshape(-1, k) @ wt).reshape(chunk.shape[0], w, g, kw, f)
+            for j, lo, hi in self._shifts(w, ow):
+                out[start:start + CONV_BLOCK, lo:hi] += per_shift[:, lo + j - p:hi + j - p, :, j]
         return out
 
     def backward(self, grad, input_grad=True):
@@ -247,24 +269,34 @@ class Conv2D(_Weighted):
         b, ow, g, _ = grad.shape
         p = self.pad
         k, w = kh * c, ow + kw - 1 - 2 * p
-        if input_grad or not self._windowed:
-            shifted = np.zeros((b, w, g, kw, f), dtype=grad.dtype)
-            for j, lo, hi in self._shifts(w, ow):
-                shifted[:, lo + j - p:hi + j - p, :, j] = grad[:, lo:hi]
-            shifted = shifted.reshape(-1, kw * f)
         if self._windowed:
             # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
             gwb = np.matmul(x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
             gwt, self.gb[...] = gwb[:-1], gwb[-1]
         else:
-            gwt = x.reshape(-1, k).T @ shifted
             self.gb[...] = grad.sum(axis=(0, 1, 2))
+            xt = x.reshape(-1, k).T
+            gwt = np.zeros((k, kw, f), dtype=grad.dtype)  # a shift reading only padding adds 0
+            shifted = np.empty((b, w, g, f), dtype=grad.dtype)
+            for j, lo, hi in self._shifts(w, ow):
+                shifted[...] = 0.0
+                shifted[:, lo + j - p:hi + j - p] = grad[:, lo:hi]
+                gwt[:, j] = xt @ shifted.reshape(-1, f)
+            del shifted  # not held through the input gradient's chunks
         self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
         if not input_grad:
             return None
         # a windowed x holds patches; otherwise it is the input, dead now and owned by this layer
-        dx = np.empty((b * w, k), dtype=grad.dtype) if self._windowed else x.reshape(-1, k)
-        np.matmul(shifted, self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T, out=dx)
+        dx = np.empty((b * w * g, k), dtype=grad.dtype) if self._windowed else x.reshape(-1, k)
+        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T
+        rows = w * g  # of dx per batch element
+        for start in range(0, b, CONV_BLOCK):
+            chunk = grad[start:start + CONV_BLOCK]
+            shifted = np.zeros((chunk.shape[0], w, g, kw, f), dtype=grad.dtype)
+            for j, lo, hi in self._shifts(w, ow):
+                shifted[:, lo + j - p:hi + j - p, :, j] = chunk[:, lo:hi]
+            np.matmul(shifted.reshape(-1, kw * f), wt,
+                      out=dx[start * rows:(start + chunk.shape[0]) * rows])
         return dx.reshape(b, w, kh * g, c)
 
 
@@ -284,19 +316,31 @@ class Dense(_Weighted):
 
 
 class ReLU(Layer):
-    """In place, forward and backward; builds the bool mask of positive inputs only when read."""
+    """In place, forward and backward; builds the bool mask of positive inputs only when read.
+
+    A ReLU directly before a Dropout is handed to it (``dropout``, set by
+    ``Network``): in a training forward where that Dropout draws, the Dropout
+    stores the pair's one mask, so the ReLU stores nothing and its backward
+    passes the gradient through.
+    """
+
+    def __init__(self, spec: LayerSpec):
+        super().__init__(spec)
+        self.dropout: Dropout | None = None
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        mask = x > 0 if train or sign_trace is not None else None
+        handed = self.dropout is not None and self.dropout.draws(train, rng)
+        mask = x > 0 if (train and not handed) or sign_trace is not None else None
         if train:
-            self._mask = mask
+            self._mask = None if handed else mask
         if sign_trace is not None:
             sign_trace.append(mask)
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad):
         mask, self._mask = self._mask, None
-        grad *= mask
+        if mask is not None:
+            grad *= mask
         return grad
 
 
@@ -312,27 +356,42 @@ class Dropout(Layer):
     """Inverted dropout, in place: survivors scaled by 1/(1-rate).
 
     A training forward given an ``rng`` draws the keep bits width-major with
-    ``keep_mask`` (PCG64 only) and backward reuses that mask; any other forward
-    is the identity, and so is the backward after it.
+    ``keep_mask`` (PCG64 only) and stores them packed 8 to a byte for backward;
+    any other forward is the identity, and so is the backward after it. After
+    a ReLU (``after_relu``, set by ``Network``) the stored mask also clears the
+    units the ReLU zeroed, ``keep & (x > 0)``, so the pair holds one bit per unit
+    and its backward, ``grad * mask * scale``, is the ReLU's and Dropout's in one.
     """
+
+    def __init__(self, spec: LayerSpec):
+        super().__init__(spec)
+        self.after_relu = False
 
     def _scale(self, dtype):
         return dtype.type(1.0) / dtype.type(1.0 - self.spec.rate)
 
+    def draws(self, train: bool, rng) -> bool:
+        """Whether a forward with these arguments drops units (and stores a mask)."""
+        return train and rng is not None and self.spec.rate != 0.0
+
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        if not train:
+        if train:
+            self._keep = None
+        if not self.draws(train, rng):
             return x
-        self._keep = None
-        if rng is not None and self.spec.rate != 0.0:
-            self._keep = keep = keep_mask(rng, x.shape, self.spec.rate)
-            x *= keep
-            x *= self._scale(x.dtype)
+        keep = keep_mask(rng, x.shape, self.spec.rate)
+        if self.after_relu:  # x is the ReLU's output, positive where its input was
+            for element, xe in zip(keep, x):  # one element's comparison at a time
+                element &= xe > 0
+        x *= keep
+        x *= self._scale(x.dtype)
+        self._keep = np.packbits(keep)
         return x
 
     def backward(self, grad):
         keep, self._keep = self._keep, None
         if keep is not None:
-            grad *= keep
+            grad *= np.unpackbits(keep, count=grad.size).reshape(grad.shape).view(bool)
             grad *= self._scale(grad.dtype)
         return grad
 
@@ -467,7 +526,9 @@ class Network:
                  dtype=np.float32):
         """``rng`` draws the initial weights; None leaves them zero, for a checkpoint to fill.
 
-        Each zeropad's width goes to the conv2d after it (see ``Conv2D``).
+        Each zeropad's width goes to the conv2d after it (see ``Conv2D``), and
+        each ReLU directly before a Dropout goes to that Dropout, which then
+        holds the pair's one mask (see ``Dropout``).
         """
         specs = tuple(specs)
         if not specs or specs[-1].kind != "softmax":
@@ -486,6 +547,8 @@ class Network:
                 layer = cls(spec)
             if i and specs[i - 1].kind == "zeropad":  # a conv2d, checked by trace_shapes
                 layer.pad = specs[i - 1].pad
+            if i and spec.kind == "dropout" and specs[i - 1].kind == "relu":
+                self.layers[i - 1].dropout, layer.after_relu = layer, True
             self.layers.append(layer)
         self.output_shape = shapes[-1]
         # backprop reaches the first layer that is not a ZeroPad, which stores nothing

@@ -85,3 +85,19 @@ def test_train_bytes(tmp_path):
             == "ad73dbeecaf7b4d6acb5910b38b92272c929f734989f66d634b0a612bdc2e3d3")
     assert _sha256(out / "loss.csv") == (
         "da4aa9e7184c8015e1b0cf1d94cb4667c9fae022e236424e3d389cc6af0dde48")
+
+
+def test_chunked_train_bytes(tmp_path):
+    # 60 training frames in batches of 40: conv2 chunks of 16, 16 and 8, then 16 and 4;
+    # dropout 0.3 after each ReLU
+    data = tmp_path / "g.bin"
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "10", "--burst-len", "256", "--seed", "5", "-o", str(data)]) == 0
+    out = tmp_path / "tr"
+    assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
+                     "--batch-size", "40", "--dropout", "0.3", "--patience", "0",
+                     "--seed", "5"]) == 0
+    assert (_sha256(out / "checkpoint.stbcnn")
+            == "4bb926f5deb00850ccff42c535d6d58b433d11549b475a099102a72f85b63b64")
+    assert _sha256(out / "loss.csv") == (
+        "82e518d6dec58c8a66c4a2cda03fdadca5616329708af42d6e1e7558d082b83f")
