@@ -2,7 +2,6 @@
 
 from .signal_model import (
     CodingScheme,
-    NoiseSpec,
     encode,
     modulate_qpsk,
     noise_variance_for_snr,

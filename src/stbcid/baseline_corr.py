@@ -152,7 +152,7 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     n = len(words)
     if not 2 <= length < (most := _MAX_ARRAY_BYTES // (_SAMPLE_BYTES * max(n, 1))):
         raise ParameterError(f"length must be >= 2 and < {most} for {n} seed(s), got {length}")
-    noise_std = np.sqrt(noise_variance_for_snr(snr_db).variance / 2.0)
+    noise_std = np.sqrt(noise_variance_for_snr(snr_db) / 2.0)
     al = int(scheme == CodingScheme.AL)
     width = _n_bits(scheme, length + block_slots(scheme) - 1)  # the widest row's bits
     g, u = np.empty((n, 2)), np.empty((n, 2))

@@ -68,18 +68,19 @@ def confusion_matrix(preds, truths) -> np.ndarray:
     return cm
 
 
-def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = False):
+def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = True):
     """Bucket frames by their exact SNR label and score the classifier per bucket.
 
-    Returns (AccuracyCurve, {snr_db: confusion matrix}). ``vectorized`` means
-    classify_fn maps an [N, 2, window] array to N predictions in one call.
+    ``classify_fn`` maps the whole [N, 2, window] array to N predictions in one
+    call. Returns (AccuracyCurve, {snr_db: confusion matrix}). ``vectorized``
+    selects nothing: it remains only because callers in ``cli`` and
+    ``perfbench/`` pass ``vectorized=True``, and ``False`` raises ``ParameterError``.
     """
+    if not vectorized:
+        raise ParameterError("classify_fn is called once on all frames; vectorized must be True")
     if len(frames) == 0:
         raise ParameterError("cannot evaluate an empty frame set")
-    if vectorized:
-        preds = np.asarray(classify_fn(frames.frames), dtype=np.int64)
-    else:
-        preds = np.asarray([int(classify_fn(f)) for f in frames.frames], dtype=np.int64)
+    preds = np.asarray(classify_fn(frames.frames), dtype=np.int64)
     truths = frames.schemes.astype(np.int64)
     points = []
     confusions = {}

@@ -8,7 +8,6 @@ elsewhere in the process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -32,39 +31,6 @@ NAKAGAMI_M, NAKAGAMI_OMEGA = 3.0, 1.0
 # Gray-mapped unit-energy QPSK, indexed by bit pair (2*b0 + b1):
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2
 QPSK_CONSTELLATION = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One flat-fading draw, constant over a burst."""
-
-    h0: complex
-    h1: complex
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Total complex noise variance sigma_w^2 (split evenly re/im)."""
-
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ParameterError(f"noise variance must be >= 0, got {self.variance}")
-
-
-@dataclass(frozen=True)
-class ReceiveConfig:
-    """Interception window: block offset k1 and sample count."""
-
-    k1: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.k1 < 0:
-            raise ParameterError(f"k1 must be >= 0, got {self.k1}")
-        if self.length <= 0:
-            raise ParameterError(f"length must be positive, got {self.length}")
 
 
 def block_slots(scheme: CodingScheme) -> int:
@@ -123,8 +89,8 @@ def channel_gains(power, phase) -> np.ndarray:
     return np.sqrt(power) * np.exp(1j * phase)
 
 
-def noise_variance_for_snr(snr_db: float) -> NoiseSpec:
-    """Total noise variance for a target SNR.
+def noise_variance_for_snr(snr_db: float) -> float:
+    """Total noise variance sigma_w^2 (split evenly re/im) for a target SNR.
 
     Mean received power is 2 (unit-energy symbols, omega=1 per coefficient,
     two antennas), so sigma_w^2 = 2 * 10^(-snr_db/10). An SNR that is not
@@ -137,32 +103,34 @@ def noise_variance_for_snr(snr_db: float) -> NoiseSpec:
         variance = math.inf
     if not (math.isfinite(snr_db) and math.isfinite(variance)):
         raise ParameterError(f"snr_db must give a finite noise variance, got {snr_db:g} dB")
-    return NoiseSpec(variance=variance)
+    return variance
 
 
-def receive(
-    tx: np.ndarray,
-    ch: ChannelRealization,
-    noise: NoiseSpec,
-    cfg: ReceiveConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Flat-fading single-antenna reception starting cfg.k1 slots into tx.
+def receive(tx, h, noise_variance: float, k1: int, length: int,
+            rng: np.random.Generator) -> np.ndarray:
+    """Flat-fading single-antenna reception of ``length`` samples starting k1 slots into tx.
 
-    r(k) = h0*tx[0, k+k1] + h1*tx[1, k+k1] + w(k), with w complex Gaussian of
-    total variance ``noise.variance``.
+    r(k) = h0*tx[0, k+k1] + h1*tx[1, k+k1] + w(k), with gains h = (h0, h1) and w
+    complex Gaussian of total variance ``noise_variance``. The package synthesizes
+    through ``mix`` in whole batches; this one-row reference stays because the
+    benchmark in ``perfbench/`` patches it by name.
     """
     tx = np.asarray(tx)
     if tx.ndim != 2 or tx.shape[0] != 2:
         raise ShapeError(f"transmit matrix must be 2 x L, got shape {tx.shape}")
-    if cfg.k1 + cfg.length > tx.shape[1]:
+    if k1 < 0:
+        raise ParameterError(f"k1 must be >= 0, got {k1}")
+    if length <= 0:
+        raise ParameterError(f"length must be positive, got {length}")
+    if noise_variance < 0:
+        raise ParameterError(f"noise variance must be >= 0, got {noise_variance}")
+    if k1 + length > tx.shape[1]:
         raise ShapeError(
-            f"cannot intercept {cfg.length} samples at offset {cfg.k1} "
+            f"cannot intercept {length} samples at offset {k1} "
             f"from {tx.shape[1]} transmit slots"
         )
-    sl = slice(cfg.k1, cfg.k1 + cfg.length)
-    w = rng.normal(0.0, np.sqrt(noise.variance / 2.0), size=(2, cfg.length))
-    return mix(tx[:, sl], np.array([ch.h0, ch.h1]), w)
+    w = rng.normal(0.0, np.sqrt(noise_variance / 2.0), size=(2, length))
+    return mix(tx[:, k1:k1 + length], np.asarray(h), w)
 
 
 def mix(tx: np.ndarray, h: np.ndarray, w: np.ndarray) -> np.ndarray:

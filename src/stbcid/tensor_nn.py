@@ -10,10 +10,8 @@ padding, inverted dropout, softmax + cross-entropy fused in the backward
 pass. A ``zeropad`` must come directly before a ``conv2d``, which owns that
 padding: ``Network`` hands the conv the pad width, the conv reads its unpadded
 input as if zero columns flanked it (no padded copy is made), and the ZeroPad
-layer passes activations and gradients through. Besides the batch loss
-``batch_cross_entropy``, the functional section holds only the references that
-the tests compare the layers with: single-sample, channel-first float64
-``conv2d_forward``, ``dense_forward``, ``relu`` and ``softmax``.
+layer passes activations and gradients through. The functional section holds
+only the batch loss, ``batch_cross_entropy``.
 
 Three rules keep the layers lean and let a library caller run one shared model
 in eval mode from several threads:
@@ -619,49 +617,7 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# functional references and the batch loss
-
-
-def conv2d_forward(x, weights, bias) -> np.ndarray:
-    """Valid cross-correlation of one [C, H, W] input, plus per-filter bias."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 3 or weights.ndim != 4 or weights.shape[1] != x.shape[0]:
-        raise ShapeError(f"incompatible conv shapes {x.shape} and {weights.shape}")
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-    _, _, kh, kw = weights.shape
-    _, h, w = x.shape
-    if kh > h or kw > w:
-        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
-    patches = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    out = np.einsum("chwij,fcij->fhw", patches, weights, optimize=True)
-    return out + bias[:, None, None]
-
-
-def dense_forward(x, weights, bias) -> np.ndarray:
-    """y = W x + b for one flat input."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 1 or weights.ndim != 2 or weights.shape[1] != x.size:
-        raise ShapeError(f"incompatible dense shapes {x.shape} and {weights.shape}")
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
-    return weights @ x + bias
-
-
-def relu(x) -> np.ndarray:
-    x = np.asarray(x)
-    return np.where(x > 0, x, np.zeros((), dtype=x.dtype))
-
-
-def softmax(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+# the batch loss
 
 
 def _check_onehot(onehot) -> None:

@@ -19,7 +19,7 @@ from stbcid.baseline_corr import (
 )
 from stbcid import baseline_corr, seeding
 from stbcid.errors import ParameterError, ShapeError
-from stbcid.signal_model import _MASK64, ChannelRealization, CodingScheme
+from stbcid.signal_model import _MASK64, CodingScheme
 
 
 def scalar_feature(seq) -> float:
@@ -208,20 +208,20 @@ class TestCorrelationFeatures:
 
 
 class TestPopulationStatistic:
-    CH = ChannelRealization(h0=0.6, h1=1.2 + 0.4j)
+    H = (0.6, 1.2 + 0.4j)  # the channel gains (h0, h1)
 
     def _noiseless(self, scheme, length, seed):
-        """A sequence through CH without noise, mixed by the block path from the bits of
+        """A sequence through H without noise, mixed by the block path from the bits of
         ``default_rng(seed)``, its pairs starting at r(0)."""
         bits = np.random.default_rng(seed).integers(
             0, 2, size=(1, baseline_corr._n_bits(scheme, length)))
         return baseline_corr._received(
-            scheme, bits, np.zeros(1, dtype=np.intp), np.array([[self.CH.h0, self.CH.h1]]),
+            scheme, bits, np.zeros(1, dtype=np.intp), np.array([self.H]),
             np.zeros((1, 2, length)))[0]
 
     def test_al_population_value_is_zero(self):
         # h0*h1*(|x0|^2 - |x1|^2) vanishes for QPSK, the rest averages out; the pairs as
-        # eq. (7) prints them would give h1^2 - h0^2 at alignment 0 (|.| ~ 1.3 for CH)
+        # eq. (7) prints them would give h1^2 - h0^2 at alignment 0 (|.| ~ 1.3 for H)
         seq = self._noiseless(CodingScheme.AL, 200_000, 0)
         assert np.all(np.abs(pair_correlations(seq)) < 0.03)
 

@@ -63,14 +63,13 @@ class TestConfusionMatrix:
 class TestAccuracyVsSnr:
     def test_perfect_classifier(self):
         frames = _frames([SM, AL] * 10, [0.0] * 10 + [10.0] * 10)
-        truth = iter(frames.schemes.tolist())
-        curve, confusions = accuracy_vs_snr(lambda f: next(truth), frames)
+        curve, confusions = accuracy_vs_snr(lambda a: frames.schemes, frames)
         assert all(acc == 1.0 for _, acc, _ in curve.points)
         assert set(confusions) == {0.0, 10.0}
 
     def test_constant_sm_classifier_on_balanced_data(self):
         frames = _frames([SM, AL] * 10, [5.0] * 20)
-        curve, _ = accuracy_vs_snr(lambda f: SM, frames)
+        curve, _ = accuracy_vs_snr(lambda a: np.full(len(a), SM), frames)
         assert curve.points == ((5.0, 0.5, 20),)
 
     def test_accuracy_equals_trace_over_total(self):
@@ -83,9 +82,25 @@ class TestAccuracyVsSnr:
         assert curve.points[0][1] == pytest.approx(np.trace(cm) / cm.sum())
         assert cm.sum() == 40
 
+    def test_one_call_on_all_frames(self):
+        frames = _frames([SM, AL] * 3, [0.0, 5.0] * 3)
+        calls = []
+
+        def classify(a):
+            calls.append(a)
+            return np.zeros(len(a), np.int64)
+
+        accuracy_vs_snr(classify, frames)
+        assert len(calls) == 1
+        assert calls[0] is frames.frames and calls[0].shape == (6, 2, FRAME_LEN)
+
+    def test_per_frame_calls_rejected(self):
+        with pytest.raises(ParameterError):
+            accuracy_vs_snr(lambda a: np.zeros(len(a)), _frames([SM], [0.0]), vectorized=False)
+
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            accuracy_vs_snr(lambda f: SM, _frames([], []))
+            accuracy_vs_snr(lambda a: np.full(len(a), SM), _frames([], []))
 
 
 CM_HEAD = "snr_db,true,pred,count"

@@ -9,10 +9,7 @@ from stbcid import seeding
 from stbcid.baseline_corr import synth_from_words
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import (
-    ChannelRealization,
     CodingScheme,
-    NoiseSpec,
-    ReceiveConfig,
     NAKAGAMI_M,
     block_slots,
     channel_gains,
@@ -132,16 +129,12 @@ class TestDrawChannel:
 class TestNoiseVariance:
     @pytest.mark.parametrize("snr_db,expected", [(0.0, 2.0), (10.0, 0.2), (20.0, 0.02)])
     def test_normalization(self, snr_db, expected):
-        assert noise_variance_for_snr(snr_db).variance == pytest.approx(expected, rel=1e-12)
+        assert noise_variance_for_snr(snr_db) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("snr_db", [-4000.0, -1e308, np.nan, np.inf, -np.inf])
     def test_no_finite_variance_rejected(self, snr_db):
         with pytest.raises(ParameterError, match="^snr_db "):
             noise_variance_for_snr(snr_db)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ParameterError):
-            NoiseSpec(variance=-1.0)
 
 
 class TestReceive:
@@ -151,57 +144,54 @@ class TestReceive:
 
     def test_degenerate_channel_row0(self):
         tx = self._tx()
-        ch = ChannelRealization(h0=1.0, h1=0.0)
-        cfg = ReceiveConfig(k1=0, length=tx.shape[1])
-        r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
+        r = receive(tx, (1.0, 0.0), 0.0, 0, tx.shape[1], np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[0], atol=1e-15)
 
     def test_degenerate_channel_row1(self):
         tx = self._tx()
-        ch = ChannelRealization(h0=0.0, h1=1.0)
-        cfg = ReceiveConfig(k1=0, length=tx.shape[1])
-        r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
+        r = receive(tx, (0.0, 1.0), 0.0, 0, tx.shape[1], np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[1], atol=1e-15)
 
     def test_offset_shifts_columns(self):
         tx = self._tx()
-        ch = ChannelRealization(h0=1.0, h1=0.0)
-        cfg = ReceiveConfig(k1=3, length=5)
-        r = receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
+        r = receive(tx, (1.0, 0.0), 0.0, 3, 5, np.random.default_rng(0))
         np.testing.assert_allclose(r, tx[0, 3:8], atol=1e-15)
 
     def test_noise_variance_oracle(self):
         # all-zero tx isolates w(k); sample variance ~ sigma_w^2 within 2%
         tx = np.zeros((2, 100_000), dtype=complex)
-        cfg = ReceiveConfig(k1=0, length=100_000)
-        spec = noise_variance_for_snr(0.0)
-        r = receive(tx, ChannelRealization(1.0, 1.0), spec, cfg, np.random.default_rng(3))
+        variance = noise_variance_for_snr(0.0)
+        r = receive(tx, (1.0, 1.0), variance, 0, 100_000, np.random.default_rng(3))
         measured = np.mean(np.abs(r) ** 2)
-        assert abs(measured - spec.variance) / spec.variance < 0.02
+        assert abs(measured - variance) / variance < 0.02
 
     def test_linearity_in_tx(self):
         rng_tx = np.random.default_rng(9)
         a = rng_tx.standard_normal((2, 12)) + 1j * rng_tx.standard_normal((2, 12))
         b = rng_tx.standard_normal((2, 12)) + 1j * rng_tx.standard_normal((2, 12))
-        ch = ChannelRealization(h0=0.3 - 0.2j, h1=1.1 + 0.7j)
-        cfg = ReceiveConfig(k1=0, length=12)
 
         def rx(tx):
-            return receive(tx, ch, NoiseSpec(0.0), cfg, np.random.default_rng(0))
+            return receive(tx, (0.3 - 0.2j, 1.1 + 0.7j), 0.0, 0, 12, np.random.default_rng(0))
 
         np.testing.assert_allclose(rx(2.0 * a + 0.5 * b), 2.0 * rx(a) + 0.5 * rx(b), atol=1e-12)
 
+    @pytest.mark.parametrize("k1,length", [(-1, 8), (0, 0)], ids=["k1", "length"])
+    def test_bad_window_rejected(self, k1, length):
+        with pytest.raises(ParameterError):
+            receive(self._tx(), (1.0, 0.0), 0.0, k1, length, np.random.default_rng(0))
+
+    def test_negative_variance_rejected(self):
+        with pytest.raises(ParameterError):
+            receive(self._tx(), (1.0, 0.0), -1.0, 0, 8, np.random.default_rng(0))
+
     def test_length_overrun_rejected(self):
         tx = self._tx(n=4)
-        cfg = ReceiveConfig(k1=1, length=tx.shape[1])
         with pytest.raises(ShapeError):
-            receive(tx, ChannelRealization(1.0, 0.0), NoiseSpec(0.0), cfg, np.random.default_rng(0))
+            receive(tx, (1.0, 0.0), 0.0, 1, tx.shape[1], np.random.default_rng(0))
 
     def test_same_seed_identical(self):
         tx = self._tx()
-        ch = ChannelRealization(h0=0.5 + 0.5j, h1=-0.2j)
-        cfg = ReceiveConfig(k1=0, length=8)
-        spec = noise_variance_for_snr(5.0)
-        r1 = receive(tx, ch, spec, cfg, np.random.default_rng(7))
-        r2 = receive(tx, ch, spec, cfg, np.random.default_rng(7))
+        h, variance = (0.5 + 0.5j, -0.2j), noise_variance_for_snr(5.0)
+        r1 = receive(tx, h, variance, 0, 8, np.random.default_rng(7))
+        r2 = receive(tx, h, variance, 0, 8, np.random.default_rng(7))
         np.testing.assert_array_equal(r1, r2)

@@ -35,13 +35,9 @@ from stbcid.tensor_nn import (
     adam_init,
     adam_step,
     batch_cross_entropy,
-    conv2d_forward,
-    dense_forward,
     grad_check,
     keep_mask,
     random_micro_network,
-    relu,
-    softmax,
     trace_shapes,
     weight_shapes,
 )
@@ -49,6 +45,52 @@ from stbcid.tensor_nn import (
 
 # flatten, then two classes: the tail of most test stacks
 HEAD = (LayerSpec("flatten"), LayerSpec("dense", units=2), LayerSpec("softmax"))
+
+
+# Single-sample, channel-first float64 references that the batched, width-major
+# layers are compared with. They share no code with the engine.
+
+
+def conv2d_forward(x, weights, bias) -> np.ndarray:
+    """Valid cross-correlation of one [C, H, W] input, plus per-filter bias."""
+    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if x.ndim != 3 or weights.ndim != 4 or weights.shape[1] != x.shape[0]:
+        raise ShapeError(f"incompatible conv shapes {x.shape} and {weights.shape}")
+    if bias.shape != (weights.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
+    _, _, kh, kw = weights.shape
+    _, h, w = x.shape
+    if kh > h or kw > w:
+        raise ShapeError(f"kernel {kh}x{kw} larger than input {h}x{w}")
+    patches = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    out = np.einsum("chwij,fcij->fhw", patches, weights, optimize=True)
+    return out + bias[:, None, None]
+
+
+def dense_forward(x, weights, bias) -> np.ndarray:
+    """y = W x + b for one flat input."""
+    x = np.asarray(x, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    bias = np.asarray(bias, dtype=np.float64)
+    if x.ndim != 1 or weights.ndim != 2 or weights.shape[1] != x.size:
+        raise ShapeError(f"incompatible dense shapes {x.shape} and {weights.shape}")
+    if bias.shape != (weights.shape[0],):
+        raise ShapeError(f"bias shape {bias.shape} != ({weights.shape[0]},)")
+    return weights @ x + bias
+
+
+def relu(x) -> np.ndarray:
+    x = np.asarray(x)
+    return np.where(x > 0, x, np.zeros((), dtype=x.dtype))
+
+
+def softmax(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class TestConv2dForward:
