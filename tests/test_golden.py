@@ -6,12 +6,15 @@ draw order shows here even when every path changes together.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from test_cli import _fresh_process_env
 
 from stbcid import baseline_corr, cli, dataset
-from stbcid.classifier import build_cnn2, initialize
+from stbcid.classifier import build_cnn2, initialize, save_checkpoint
 from stbcid.dataset import DatasetConfig
 
 
@@ -59,6 +62,40 @@ def test_generate_then_eval_corr_bytes(tmp_path):
                      "--split", "all", "--calibrate-trials", "300", "--seed", "21"]) == 0
     assert (_sha256(out / "accuracy.csv")
             == "0ba5f317a665e91787ab44b1d1935c610fc054ebf88e4f2dfed25cd519da5a5e")
+
+
+def _eval_cnn_argv(tmp_path) -> list[str]:
+    """``eval --split all`` of an untrained CNN2 (seed 11) on the corr golden case's grid;
+    15 of its 126 frames are called AL, none within 0.009 of a tie."""
+    data = tmp_path / "g.bin"
+    assert cli.main(["generate", "--snr-min", "-10", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "3", "--burst-len", "512", "--seed", "21", "-o", str(data)]) == 0
+    checkpoint = tmp_path / "m.stbcnn"
+    save_checkpoint(initialize(build_cnn2(), seed=11), checkpoint)
+    return ["eval", "--dataset", str(data), "--checkpoint", str(checkpoint),
+            "-o", str(tmp_path / "ev"), "--split", "all"]
+
+
+def _assert_eval_cnn_bytes(out) -> None:
+    assert (_sha256(out / "accuracy.csv")
+            == "210dbe1c55581bbdb80d64756bff6da0a697c8d4d253c1d314e2c4cff89d2bac")
+    confusions = b"".join((out / f"confusion_{snr}dB.csv").read_bytes() for snr in (-10, 0, 10))
+    assert (hashlib.sha256(confusions).hexdigest()
+            == "31cc44d53e0e977442beb6ca1de3cecd66ec1e20c6cf1c008812282555ed0698")
+
+
+def test_eval_cnn_bytes(tmp_path):
+    assert cli.main(_eval_cnn_argv(tmp_path)) == 0
+    _assert_eval_cnn_bytes(tmp_path / "ev")
+
+
+def test_eval_cnn_bytes_at_one_blas_thread(tmp_path):
+    # unlike the train digests below, this one holds whatever the BLAS thread count
+    run = subprocess.run([sys.executable, "-m", "stbcid", *_eval_cnn_argv(tmp_path)],
+                         env={**_fresh_process_env(), "OPENBLAS_NUM_THREADS": "1"},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    _assert_eval_cnn_bytes(tmp_path / "ev")
 
 
 @pytest.mark.parametrize("seed, dtype, digest", [
