@@ -40,7 +40,7 @@ from .signal_model import (
     receive,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
 )
 
-# Frames scored per correlation_features call in classify_frames: bounds its
+# Frames scored per correlation_features call in frame_scores: bounds its
 # complex temporaries (scoring all 6300 frames of the default grid at once took
 # peak RSS from 67 to 78 MB in `perfbench/run.py --workload baseline`).
 CORR_BLOCK = 256
@@ -244,24 +244,19 @@ def calibrate_threshold(
                                    snr_db=snr_db, seq_len=seq_len)
 
 
-def _decide(features, rule: ThresholdRule) -> np.ndarray:
-    """The decision rule: feature > threshold -> AL (1), ties -> SM (0)."""
-    return (np.asarray(features) > rule.threshold).astype(np.int64)
-
-
 def classify_corr(feature: float, rule: ThresholdRule) -> CodingScheme:
-    """One feature's class under ``rule``."""
-    return CodingScheme(int(_decide(feature, rule)))
+    """One feature's class under ``rule``: feature > threshold -> AL, ties -> SM."""
+    return CodingScheme(int(feature > rule.threshold))
 
 
-def classify_frames(frames, rule: ThresholdRule) -> np.ndarray:
-    """Class of each IQ frame [N, 2, L] (rows I, Q) under ``rule``, from ``CORR_BLOCK``
-    frames' ``correlation_features`` at a time; frame i's class equals
-    ``classify_corr(correlation_feature(I + jQ), rule)`` of its rows I and Q."""
+def frame_scores(frames, rule: ThresholdRule) -> np.ndarray:
+    """Score ``feature - threshold`` of each IQ frame [N, 2, L] (rows I, Q), from
+    ``CORR_BLOCK`` frames' ``correlation_features`` at a time. A score is > 0 exactly
+    where ``classify_corr`` calls the frame's feature AL: for finite floats, IEEE
+    subtraction gives 0 only for equal operands and never flips their order."""
     frames = np.asarray(frames)
-    out = np.empty(frames.shape[0], dtype=np.int64)
+    out = np.empty(frames.shape[0])
     for start in range(0, frames.shape[0], CORR_BLOCK):
         block = frames[start : start + CORR_BLOCK]
-        feats = correlation_features(block[:, 0] + 1j * block[:, 1])
-        out[start : start + CORR_BLOCK] = _decide(feats, rule)
-    return out
+        out[start : start + CORR_BLOCK] = correlation_features(block[:, 0] + 1j * block[:, 1])
+    return out - rule.threshold

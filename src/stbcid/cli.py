@@ -258,7 +258,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _baseline_classifier(args, normalize: bool):
+def _baseline_scorer(args, normalize: bool):
+    """Calibrate the correlation rule and return its scorer, ``baseline_corr.frame_scores``."""
     trials = 2000 if args.calibrate_trials is None else args.calibrate_trials
     with _flags(trials="--calibrate-trials"):
         rule = baseline_corr.calibrate_threshold(
@@ -267,12 +268,13 @@ def _baseline_classifier(args, normalize: bool):
     print(f"calibrated threshold {rule.threshold:.5f} at {rule.snr_db:g} dB "
           f"(training error {rule.achieved_error:.3f}"
           + (", degenerate)" if rule.degenerate else ")"))
-    return lambda arr: baseline_corr.classify_frames(arr, rule)
+    return lambda arr: baseline_corr.frame_scores(arr, rule)
 
 
-def _cnn_classifier(args):
+def _cnn_scorer(args):
+    """Score P_AL - P_SM of each frame: > 0 exactly where ``classifier.decide`` says AL."""
     model = classifier.load_checkpoint(args.checkpoint)
-    return lambda arr: classifier.decide(classifier.predict_batch(model, arr))
+    return lambda arr: np.diff(classifier.predict_batch(model, arr))[:, 0]
 
 
 def cmd_eval(args) -> int:
@@ -288,11 +290,8 @@ def cmd_eval(args) -> int:
     if args.split != "all":
         train_side, val_side = dataset.split_train_val(frames, seed=data_cfg.seed)
         frames = val_side if args.split == "val" else train_side
-    classify_frames = (
-        _baseline_classifier(args, data_cfg.normalize) if args.baseline
-        else _cnn_classifier(args)
-    )
-    curve, confusions = evaluation.accuracy_vs_snr(classify_frames, frames, vectorized=True)
+    score_fn = _baseline_scorer(args, data_cfg.normalize) if args.baseline else _cnn_scorer(args)
+    curve, confusions = evaluation.accuracy_vs_snr(score_fn, frames, vectorized=True)
     os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
@@ -322,6 +321,10 @@ def cmd_classify(args) -> int:
     if len(frames) == 0:
         return 0
     probs = classifier.predict_batch(model, frames.frames)
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise ParameterError(f"frame {bad[0]} of {len(frames)} has non-finite probabilities "
+                             f"P_SM={probs[bad[0], 0]}, P_AL={probs[bad[0], 1]}")
     for i, ((p_sm, p_al), label) in enumerate(zip(probs, classifier.decide(probs))):
         print(f"{i},{p_sm:.6f},{p_al:.6f},{evaluation.CLASS_NAMES[label]}")
     return 0

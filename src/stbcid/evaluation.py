@@ -68,29 +68,35 @@ def confusion_matrix(preds, truths) -> np.ndarray:
     return cm
 
 
-def accuracy_vs_snr(classify_fn, frames: FrameSet, vectorized: bool = True):
-    """Bucket frames by their exact SNR label and score the classifier per bucket.
+def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
+    """Call each frame from its score and count the calls per exact SNR label.
 
-    ``classify_fn`` maps the whole [N, 2, window] array to N predictions in one
-    call. Returns (AccuracyCurve, {snr_db: confusion matrix}). ``vectorized``
-    selects nothing: it remains only because callers in ``cli`` and
+    ``score_fn`` maps the whole [N, 2, window] array to N scores in one call.
+    This is the one place where eval turns a method's output into a class: AL iff
+    the score is > 0, so a tie at 0 goes to SM and 0/1 labels are scores too. Any
+    count but N raises ``ShapeError``, a non-finite score ``ParameterError`` naming
+    the first such frame. Returns (AccuracyCurve, {snr_db: confusion matrix}).
+    ``vectorized`` selects nothing: it remains only because callers in ``cli`` and
     ``perfbench/`` pass ``vectorized=True``, and ``False`` raises ``ParameterError``.
     """
     if not vectorized:
-        raise ParameterError("classify_fn is called once on all frames; vectorized must be True")
+        raise ParameterError("score_fn is called once on all frames; vectorized must be True")
     if len(frames) == 0:
         raise ParameterError("cannot evaluate an empty frame set")
-    preds = np.asarray(classify_fn(frames.frames), dtype=np.int64)
-    truths = frames.schemes.astype(np.int64)
-    points = []
+    scores = np.asarray(score_fn(frames.frames), dtype=np.float64)
+    if scores.shape != (len(frames),):
+        raise ShapeError(f"need {len(frames)} scores, one per frame, got shape {scores.shape}")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ParameterError(f"frame {bad[0]} of {len(frames)}: non-finite score {scores[bad[0]]}")
+    preds = (scores > 0).astype(np.int64)
     confusions = {}
     for snr in sorted(set(float(s) for s in frames.snrs_db)):
         mask = frames.snrs_db == snr
-        cm = confusion_matrix(preds[mask], truths[mask])
-        n = int(cm.sum())
-        points.append((snr, float(np.trace(cm)) / n, n))
-        confusions[snr] = cm
-    return AccuracyCurve(points=tuple(points)), confusions
+        confusions[snr] = confusion_matrix(preds[mask], frames.schemes[mask])
+    points = tuple((snr, float(np.trace(cm) / cm.sum()), int(cm.sum()))
+                   for snr, cm in confusions.items())
+    return AccuracyCurve(points=points), confusions
 
 
 # ---------------------------------------------------------------------------

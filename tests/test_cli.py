@@ -107,9 +107,9 @@ def test_train_and_eval_share_the_split(tmp_path, monkeypatch, capsys):
         seen.append(val_set.frames.tobytes())
         return train(model, train_set, val_set, cfg)
 
-    def traced_accuracy(classify_frames, frames, **kwargs):
+    def traced_accuracy(score_fn, frames, **kwargs):
         seen.append(frames.frames.tobytes())
-        return accuracy_vs_snr(classify_frames, frames, **kwargs)
+        return accuracy_vs_snr(score_fn, frames, **kwargs)
 
     monkeypatch.setattr(classifier, "train", traced_train)
     monkeypatch.setattr(evaluation, "accuracy_vs_snr", traced_accuracy)
@@ -460,6 +460,41 @@ def test_classify_prints_each_frame_decision(tiny_dataset, tmp_path, capsys):
     assert 0 < labels.sum() < len(labels)
     for i, (line, (p_sm, p_al), label) in enumerate(zip(printed[0], probs, labels)):
         assert line == f"{i},{p_sm:.6f},{p_al:.6f},{evaluation.CLASS_NAMES[label]}"
+
+
+@pytest.fixture
+def overflowing_checkpoint(tmp_path):
+    """A CNN2 checkpoint whose forward overflows to NaN: every weight 3e38 and every bias 0,
+    all finite, so ``load_checkpoint`` accepts it."""
+    model = classifier.initialize(classifier.build_cnn2(), seed=1)
+    for layer in model.net.layers:
+        if hasattr(layer, "w"):
+            layer.w[...] = 3e38
+            layer.b[...] = 0.0
+    path = str(tmp_path / "overflow.stbcnn")
+    classifier.save_checkpoint(model, path)
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warning of the overflow
+def test_eval_refuses_a_non_finite_score(tiny_dataset, overflowing_checkpoint, tmp_path,
+                                         capsys):
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--dataset", tiny_dataset, "--checkpoint", overflowing_checkpoint,
+                     "-o", str(out), "--split", "all"]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: frame 0 of 24: non-finite score nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warning of the overflow
+def test_classify_refuses_non_finite_probabilities(tiny_dataset, overflowing_checkpoint, capsys):
+    assert cli.main(["classify", "--checkpoint", overflowing_checkpoint,
+                     "--input", tiny_dataset]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""  # no frame line before the error
+    assert printed.err == "error: frame 0 of 24 has non-finite probabilities P_SM=nan, P_AL=nan\n"
 
 
 @pytest.mark.parametrize("rate", [None, 0.2])

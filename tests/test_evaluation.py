@@ -5,6 +5,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from stbcid import cli, dataset
+from stbcid.baseline_corr import (
+    CORR_BLOCK,
+    ThresholdRule,
+    classify_corr,
+    correlation_feature,
+    frame_scores,
+)
+from stbcid.classifier import build_cnn2, initialize, predict_batch, save_checkpoint
 from stbcid.dataset import FRAME_LEN, FrameSet
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.evaluation import (
@@ -102,6 +111,68 @@ class TestAccuracyVsSnr:
         with pytest.raises(ParameterError):
             accuracy_vs_snr(lambda a: np.full(len(a), SM), _frames([], []))
 
+
+    def test_zero_is_sm_and_the_tiniest_scores_keep_their_side(self):
+        frames = _frames([SM, SM, AL, SM], [0.0] * 4)
+        curve, confusions = accuracy_vs_snr(lambda a: np.array([0.0, -0.0, 1e-300, -1e-300]),
+                                            frames)
+        assert curve.points == ((0.0, 1.0, 4),)
+        np.testing.assert_array_equal(confusions[0.0], [[3, 0], [0, 1]])
+
+    def test_class_labels_are_scores(self):
+        frames = _frames([SM, AL, SM, AL, AL], [0.0, 0.0, 5.0, 5.0, 5.0])
+        labels = np.array([SM, AL, AL, AL, SM], np.int64)
+        curve, confusions = accuracy_vs_snr(lambda a: labels, frames)
+        assert curve.points == ((0.0, 1.0, 2), (5.0, 1 / 3, 3))
+        np.testing.assert_array_equal(confusions[0.0], [[1, 0], [0, 1]])
+        np.testing.assert_array_equal(confusions[5.0], [[0, 1], [1, 1]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_the_first_such_frame(self, bad):
+        frames = _frames([SM, AL, SM], [0.0] * 3)
+        with pytest.raises(ParameterError, match=f"^frame 1 of 3: non-finite score {bad}$"):
+            accuracy_vs_snr(lambda a: np.array([0.5, bad, bad]), frames)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_score_per_frame(self, count):
+        with pytest.raises(ShapeError, match="need 3 scores"):
+            accuracy_vs_snr(lambda a: np.zeros(count), _frames([SM, AL, SM], [0.0] * 3))
+
+
+def test_corr_feature_at_the_threshold_is_sm_in_any_block():
+    n = CORR_BLOCK + 5  # a ragged last block of 5 frames
+    frames = np.random.default_rng(0).standard_normal((n, 2, FRAME_LEN)).astype(np.float32)
+    feats = [correlation_feature(f[0] + 1j * f[1]) for f in frames]
+    # every frame truly AL, in a bucket of its own, so each confusion matrix shows one call
+    frame_set = FrameSet(frames=frames, schemes=np.full(n, AL, np.uint8),
+                         snrs_db=np.arange(n, dtype=np.float64))
+    for k in (3, n - 2):  # the first block, the ragged last one
+        rule = ThresholdRule(threshold=feats[k], snr_db=10.0, seq_len=FRAME_LEN, trials=100,
+                             achieved_error=0.5)
+        assert frame_scores(frames, rule)[k] == 0.0
+        _, confusions = accuracy_vs_snr(lambda a: frame_scores(a, rule), frame_set)
+        calls = [int(confusions[float(i)][AL, AL]) for i in range(n)]
+        assert calls == [int(classify_corr(f, rule)) for f in feats]
+        assert calls[k] == SM and 0 < sum(calls) < n
+
+
+def test_eval_calls_an_exact_cnn_tie_sm(tmp_path):
+    data = str(tmp_path / "tiny.bin")
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "2", "--burst-len", "256", "-o", data]) == 0
+    model = initialize(build_cnn2(), seed=2)
+    dense2 = model.net.layers[-2]
+    dense2.w[...] = 0.0
+    dense2.b[...] = 0.0
+    assert (predict_batch(model, dataset.deserialize_frames(data).frames) == 0.5).all()
+    save_checkpoint(model, tmp_path / "tie.stbcnn")
+    out = tmp_path / "eval"
+    assert cli.main(["eval", "--dataset", data, "--checkpoint", str(tmp_path / "tie.stbcnn"),
+                     "-o", str(out), "--split", "all"]) == 0
+    for snr in (0, 10):
+        _, sm_sm, sm_al, al_sm, al_al = (out / f"confusion_{snr}dB.csv").read_text().splitlines()
+        assert sm_al.endswith(",SM,AL,0") and al_al.endswith(",AL,AL,0")
+        assert sm_sm.endswith(",SM,SM,6") and al_sm.endswith(",AL,SM,6")
 
 CM_HEAD = "snr_db,true,pred,count"
 
