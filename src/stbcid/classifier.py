@@ -38,7 +38,8 @@ CHECKPOINT_MAGIC = b"STBCNN"
 CHECKPOINT_VERSION = 1
 
 # predict_batch block sizes: frames per call of the conv layers (up to the Flatten),
-# and rows per call of the dense head after it, a multiple of INFER_BLOCK
+# at most tensor_nn.CONV_BLOCK so each conv call is one chunk, and rows per call of
+# the dense head after it, a multiple of INFER_BLOCK
 INFER_BLOCK = 16
 HEAD_BLOCK = 128
 

@@ -272,9 +272,16 @@ def _baseline_scorer(args, normalize: bool):
 
 
 def _cnn_scorer(args):
-    """Score P_AL - P_SM of each frame: > 0 exactly where ``classifier.decide`` says AL."""
+    """Score P_AL - P_SM of each frame: > 0 exactly where ``classifier.decide`` says AL.
+
+    numpy's overflow warnings are silenced: ``accuracy_vs_snr`` names a non-finite score.
+    """
     model = classifier.load_checkpoint(args.checkpoint)
-    return lambda arr: np.diff(classifier.predict_batch(model, arr))[:, 0]
+
+    def score(arr):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.diff(classifier.predict_batch(model, arr))[:, 0]
+    return score
 
 
 def cmd_eval(args) -> int:
@@ -320,7 +327,8 @@ def cmd_classify(args) -> int:
         frames = dataset.read_frames_csv(args.input)
     if len(frames) == 0:
         return 0
-    probs = classifier.predict_batch(model, frames.frames)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports the failure
+        probs = classifier.predict_batch(model, frames.frames)
     bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
     if bad.size:
         raise ParameterError(f"frame {bad[0]} of {len(frames)} has non-finite probabilities "

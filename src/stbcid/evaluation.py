@@ -75,9 +75,11 @@ def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
     This is the one place where eval turns a method's output into a class: AL iff
     the score is > 0, so a tie at 0 goes to SM and 0/1 labels are scores too. Any
     count but N raises ``ShapeError``, a non-finite score ``ParameterError`` naming
-    the first such frame. Returns (AccuracyCurve, {snr_db: confusion matrix}).
-    ``vectorized`` selects nothing: it remains only because callers in ``cli`` and
-    ``perfbench/`` pass ``vectorized=True``, and ``False`` raises ``ParameterError``.
+    the first such frame by its index, its burst id (when ``frames`` carries
+    them; ``cli`` attaches file-order ids) and its SNR. Returns (AccuracyCurve,
+    {snr_db: confusion matrix}). ``vectorized`` selects nothing: it remains
+    only because callers in ``cli`` and ``perfbench/`` pass ``vectorized=True``,
+    and ``False`` raises ``ParameterError``.
     """
     if not vectorized:
         raise ParameterError("score_fn is called once on all frames; vectorized must be True")
@@ -88,7 +90,10 @@ def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
         raise ShapeError(f"need {len(frames)} scores, one per frame, got shape {scores.shape}")
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
-        raise ParameterError(f"frame {bad[0]} of {len(frames)}: non-finite score {scores[bad[0]]}")
+        i = bad[0]
+        burst = "" if frames.burst_ids is None else f"burst {frames.burst_ids[i]}, "
+        raise ParameterError(f"frame {i} of {len(frames)} ({burst}{frames.snrs_db[i]:g} dB): "
+                             f"non-finite score {scores[i]}")
     preds = (scores > 0).astype(np.int64)
     confusions = {}
     for snr in sorted(set(float(s) for s in frames.snrs_db)):

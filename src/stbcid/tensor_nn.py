@@ -36,11 +36,16 @@ Between a training forward and its backward a layer holds only what that
 backward reads: a Dense its input, a shifted Conv2D its input (a windowed one
 its patch matrix), a Flatten the shape, a ReLU its bool mask of positive
 inputs and a Dropout its keep bits, packed 8 to a byte. A ReLU directly before
-a Dropout that draws holds nothing: the Dropout holds the pair's one packed
-mask, ``keep & (x > 0)``, so relu1 and drop1 of a B=128 CNN2 step hold 1.1 MB
-instead of two 8.5 MB bool masks. A shifted Conv2D forms its per-shift
-products and shifted gradients ``CONV_BLOCK`` batch elements at a time (its
-weight gradient one shift at a time), and none of them outlives the call.
+a Dropout that draws holds nothing and hands its max to the Dropout, which
+holds the pair's one packed mask, ``keep & (x > 0)``: relu1 and drop1 of a
+B=128 CNN2 step hold 1.1 MB, and the pair's forward and backward work one
+batch element at a time, so no whole-batch bool mask is made. A shifted
+Conv2D makes its per-shift products and shifted gradients ``CONV_BLOCK``
+batch elements at a time, and none of them outlives the call.
+
+Every GEMM whose shared dimension K can exceed 400 goes through ``_matmul``,
+which sums a K above 400 as a multiple of 32 plus the rest, so a training
+step's bytes do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -56,7 +61,31 @@ from .signal_model import _MASK64
 
 LOSS_CLAMP = 1e-12
 INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
-CONV_BLOCK = 16  # batch elements per chunk of a shifted Conv2D's forward and input gradient
+# batch elements per chunk of a shifted Conv2D's passes; a multiple of 32, so a full
+# chunk's weight-gradient GEMM sums over K = 32*W*G rows, a multiple of 32 (see _matmul)
+CONV_BLOCK = 32
+MASK_GROUP = 8  # batch elements per packed group of a Dropout's mask: whole bytes of bits
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, a shared dimension K above 400 summed as its largest multiple of 32 + the rest.
+
+    OpenBLAS (0.3.31, Haswell kernels) gives a float32 GEMM the same bits at any
+    thread count when K is a multiple of 32 or at most 400, and other bits at one
+    thread than at two or more for other K above 512. Both parts are of the first
+    kind, so the result does not depend on the thread count. A K of 400 or less
+    stays whole: its tail's product would need a temporary of the output's size.
+    Every GEMM whose K can exceed 400 comes here: a Dense forward (K = 10480 for
+    CNN2's dense1), a Dense weight gradient (K = the batch) and a shifted Conv2D's
+    chunk weight gradient (K = n*W*G).
+    """
+    k = a.shape[-1]
+    cut = k // 32 * 32
+    if k <= 400 or cut == k:
+        return np.matmul(a, b, out=out)
+    out = np.matmul(a[..., :cut], b[:cut], out=out)
+    out += a[..., cut:] @ b[cut:]
+    return out
 
 
 @dataclass(frozen=True)
@@ -184,26 +213,25 @@ class Conv2D(_Weighted):
     OW = W + 2*pad - kw + 1 and no padded copy is made.
 
     Forward multiplies the unpadded input by all kw shift weights at once,
-    ``CONV_BLOCK`` batch elements (n) at a time, [n*W*G, K] @ [K, kw*F], and
-    adds each chunk's product into the output: output column o starts from the
-    bias and adds shift j's product of input column o + j - pad, for
-    j = 0..kw-1 in order; the column ranges are clipped, so a shift that would
-    read padding adds nothing, as a zero column would have added an exact zero.
+    ``CONV_BLOCK`` batch elements (n) at a time, [n*W*G, K] @ [K, kw*F], into
+    one product buffer allocated per call, and adds each chunk's product into
+    the output: output column o starts from the bias and adds shift j's
+    product of input column o + j - pad, for j = 0..kw-1 in order; the column
+    ranges are clipped, so a shift that would read padding adds nothing, as a
+    zero column would have added an exact zero.
 
-    Backward forms the bias gradient, then the weight gradient one shift at a
-    time: shift j's output gradient is copied j - pad columns over into a
-    zeroed, contiguous [B*W*G, F] array, clipped the same way, and the input is
-    multiplied by it, input^T @ shifted_j. Each of these GEMMs sums over all
-    B*W*G rows, so for a layer of CNN2's size the result is bit-equal to one
-    GEMM against all kw shifted gradients side by side, [B*W*G, kw*F], in 1/kw
-    of its scratch (BLAS's small-matrix kernels may round a tiny layer's
-    differently). The stored input is dead once the weight gradient is formed,
-    so the unpadded input gradient is written over it (the windowed path below
-    stores patches instead and allocates it), ``CONV_BLOCK`` elements at a
-    time: each chunk's output gradient goes into a zeroed [n, W, G, kw, F]
-    array whose slot j holds it j - pad columns over, and one GEMM with the
-    weights, shifted @ weights^T, fills the chunk. Either pass builds the
-    weight relayout once, not once per chunk.
+    Backward forms the bias gradient, then makes one pass over the batch,
+    ``CONV_BLOCK`` elements (n) at a time. Each chunk's output gradient goes
+    into an [n, W, G, kw, F] array, allocated once per call, whose slot j holds
+    it j - pad columns over, clipped the same way (the columns no shift writes
+    are zeroed once; CNN2's conv2 has none). The chunk's weight-gradient term,
+    input^T @ shifted, is added into the weight gradient, so gw sums chunk by
+    chunk. It goes through ``_matmul``: a K = n*W*G above 400 that is not a
+    multiple of 32 is summed in two parts, and a full chunk's K = 32*W*G needs
+    no split. That slice of the stored input is then dead, so the chunk's
+    unpadded input gradient, shifted @ weights^T, is written over it (the
+    windowed path below stores patches instead and allocates it). The weight
+    relayout is built once per call, not per chunk.
 
     When a kw-wide window of K values is no larger than the F outputs it feeds
     (conv1 of CNN2), forward instead pads the tiny input and builds its window
@@ -253,9 +281,10 @@ class Conv2D(_Weighted):
         wt = wt.reshape(k, kw * f)
         out = np.empty((b, ow, g, f), dtype=x.dtype)
         out[...] = self.b
+        products = np.empty((min(b, CONV_BLOCK) * w * g, kw * f), dtype=x.dtype)
         for start in range(0, b, CONV_BLOCK):
-            chunk = x[start:start + CONV_BLOCK]
-            per_shift = (chunk.reshape(-1, k) @ wt).reshape(chunk.shape[0], w, g, kw, f)
+            chunk = x[start:start + CONV_BLOCK].reshape(-1, k)
+            per_shift = np.matmul(chunk, wt, out=products[:len(chunk)]).reshape(-1, w, g, kw, f)
             for j, lo, hi in self._shifts(w, ow):
                 out[start:start + CONV_BLOCK, lo:hi] += per_shift[:, lo + j - p:hi + j - p, :, j]
         return out
@@ -271,31 +300,33 @@ class Conv2D(_Weighted):
             # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
             gwb = np.matmul(x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
             gwt, self.gb[...] = gwb[:-1], gwb[-1]
+            if not input_grad:
+                self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
+                return None
+            dx = np.empty((b * w * g, k), dtype=grad.dtype)  # x holds patches
         else:
             self.gb[...] = grad.sum(axis=(0, 1, 2))
-            xt = x.reshape(-1, k).T
-            gwt = np.zeros((k, kw, f), dtype=grad.dtype)  # a shift reading only padding adds 0
-            shifted = np.empty((b, w, g, f), dtype=grad.dtype)
-            for j, lo, hi in self._shifts(w, ow):
-                shifted[...] = 0.0
-                shifted[:, lo + j - p:hi + j - p] = grad[:, lo:hi]
-                gwt[:, j] = xt @ shifted.reshape(-1, f)
-            del shifted  # not held through the input gradient's chunks
-        self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
-        if not input_grad:
-            return None
-        # a windowed x holds patches; otherwise it is the input, dead now and owned by this layer
-        dx = np.empty((b * w * g, k), dtype=grad.dtype) if self._windowed else x.reshape(-1, k)
+            gwt = np.zeros((k, kw * f), dtype=grad.dtype)
+            x = dx = x.reshape(-1, k)  # the input, owned by this layer: dx goes over it
         wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T
-        rows = w * g  # of dx per batch element
+        rows = w * g  # of x and dx per batch element
+        shifted = np.empty((min(b, CONV_BLOCK), w, g, kw, f), dtype=grad.dtype)
+        written = {j: (lo + j - p, hi + j - p) for j, lo, hi in self._shifts(w, ow)}
+        for j in range(kw):  # every chunk writes the same columns; zero the others once
+            first, end = written.get(j, (0, 0))
+            shifted[:, :first, :, j] = shifted[:, end:, :, j] = 0.0
         for start in range(0, b, CONV_BLOCK):
             chunk = grad[start:start + CONV_BLOCK]
-            shifted = np.zeros((chunk.shape[0], w, g, kw, f), dtype=grad.dtype)
-            for j, lo, hi in self._shifts(w, ow):
-                shifted[:, lo + j - p:hi + j - p, :, j] = chunk[:, lo:hi]
-            np.matmul(shifted.reshape(-1, kw * f), wt,
-                      out=dx[start * rows:(start + chunk.shape[0]) * rows])
-        return dx.reshape(b, w, kh * g, c)
+            n = chunk.shape[0]
+            for j, (first, end) in written.items():
+                shifted[:n, first:end, :, j] = chunk[:, first - j + p:end - j + p]
+            part, flat = slice(start * rows, (start + n) * rows), shifted[:n].reshape(-1, kw * f)
+            if not self._windowed:  # this chunk's term, before dx overwrites its input
+                gwt += _matmul(x[part].T, flat)
+            if input_grad:
+                np.matmul(flat, wt, out=dx[part])
+        self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
+        return dx.reshape(b, w, kh * g, c) if input_grad else None
 
 
 class Dense(_Weighted):
@@ -304,11 +335,11 @@ class Dense(_Weighted):
             raise ShapeError(f"dense expects [B, {self.w.shape[1]}], got {x.shape}")
         if train:
             self._x = x
-        return x @ self.w.T + self.b
+        return _matmul(x, self.w.T) + self.b
 
     def backward(self, grad, input_grad=True):
         x, self._x = self._x, None
-        np.matmul(grad.T, x, out=self.gw)
+        _matmul(grad.T, x, out=self.gw)
         self.gb[...] = grad.sum(axis=0)
         return grad @ self.w if input_grad else None
 
@@ -318,8 +349,8 @@ class ReLU(Layer):
 
     A ReLU directly before a Dropout is handed to it (``dropout``, set by
     ``Network``): in a training forward where that Dropout draws, the Dropout
-    stores the pair's one mask, so the ReLU stores nothing and its backward
-    passes the gradient through.
+    applies the max and stores the pair's one mask, so the ReLU passes its
+    input through, stores nothing, and its backward passes the gradient through.
     """
 
     def __init__(self, spec: LayerSpec):
@@ -333,7 +364,7 @@ class ReLU(Layer):
             self._mask = None if handed else mask
         if sign_trace is not None:
             sign_trace.append(mask)
-        return np.maximum(x, 0, out=x)
+        return x if handed else np.maximum(x, 0, out=x)
 
     def backward(self, grad):
         mask, self._mask = self._mask, None
@@ -354,11 +385,16 @@ class Dropout(Layer):
     """Inverted dropout, in place: survivors scaled by 1/(1-rate).
 
     A training forward given an ``rng`` draws the keep bits width-major with
-    ``keep_mask`` (PCG64 only) and stores them packed 8 to a byte for backward;
-    any other forward is the identity, and so is the backward after it. After
-    a ReLU (``after_relu``, set by ``Network``) the stored mask also clears the
-    units the ReLU zeroed, ``keep & (x > 0)``, so the pair holds one bit per unit
-    and its backward, ``grad * mask * scale``, is the ReLU's and Dropout's in one.
+    ``keep_mask`` (PCG64 only), ``MASK_GROUP`` batch elements per call, and
+    stores them packed 8 to a byte for backward; any other forward is the
+    identity, and so is the backward after it. After a ReLU (``after_relu``,
+    set by ``Network``) x is the ReLU's input: the stored mask also clears the
+    units the ReLU zeroes, ``keep & (x > 0)``, and the max is applied here, so
+    the pair holds one bit per unit and its backward, ``grad * mask * scale``,
+    is the ReLU's and Dropout's in one. Both directions work one element at a
+    time, while its activations are in cache, and pack or unpack one group's
+    bits at a time: a group of ``MASK_GROUP`` elements packs to whole bytes, so
+    the held bytes equal the whole batch's ``np.packbits``.
     """
 
     def __init__(self, spec: LayerSpec):
@@ -377,21 +413,37 @@ class Dropout(Layer):
             self._keep = None
         if not self.draws(train, rng):
             return x
-        keep = keep_mask(rng, x.shape, self.spec.rate)
-        if self.after_relu:  # x is the ReLU's output, positive where its input was
-            for element, xe in zip(keep, x):  # one element's comparison at a time
-                element &= xe > 0
-        x *= keep
-        x *= self._scale(x.dtype)
-        self._keep = np.packbits(keep)
+        scale = self._scale(x.dtype)
+        self._keep = np.empty(-(-x.size // 8), dtype=np.uint8)
+        for group, bits in self._groups(x, self._keep):
+            keep = keep_mask(rng, group.shape, self.spec.rate)
+            for kept, xe in zip(keep, group):  # one element at a time, while it is in cache
+                if self.after_relu:  # x is the ReLU's input: its max is applied here
+                    kept &= xe > 0
+                    np.maximum(xe, 0, out=xe)
+                xe *= kept
+                xe *= scale
+            bits[...] = np.packbits(keep)
         return x
 
     def backward(self, grad):
         keep, self._keep = self._keep, None
         if keep is not None:
-            grad *= np.unpackbits(keep, count=grad.size).reshape(grad.shape).view(bool)
-            grad *= self._scale(grad.dtype)
+            scale = self._scale(grad.dtype)
+            for group, bits in self._groups(grad, keep):
+                kept = np.unpackbits(bits, count=group.size).reshape(group.shape).view(bool)
+                for ke, ge in zip(kept, group):
+                    ge *= ke
+                    ge *= scale
         return grad
+
+    @staticmethod
+    def _groups(x, packed):
+        """(group, its bytes of ``packed``) for each group of ``MASK_GROUP`` elements of x."""
+        per = math.prod(x.shape[1:])
+        for start in range(0, x.shape[0], MASK_GROUP):
+            group = x[start:start + MASK_GROUP]
+            yield group, packed[start * per // 8:-(-(start * per + group.size) // 8)]
 
 
 def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:

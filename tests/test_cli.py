@@ -476,19 +476,24 @@ def overflowing_checkpoint(tmp_path):
     return path
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warning of the overflow
 def test_eval_refuses_a_non_finite_score(tiny_dataset, overflowing_checkpoint, tmp_path,
                                          capsys):
-    out = tmp_path / "eval"
-    assert cli.main(["eval", "--dataset", tiny_dataset, "--checkpoint", overflowing_checkpoint,
-                     "-o", str(out), "--split", "all"]) == 1
-    printed = capsys.readouterr()
-    assert printed.out == ""
-    assert printed.err == "error: frame 0 of 24: non-finite score nan\n"
-    assert not out.exists()
+    # no numpy warning escapes either: pyproject.toml turns every warning into an error
+    frames, cfg = cli._load_dataset(tiny_dataset)
+    train, val = dataset.split_train_val(frames, seed=cfg.seed)
+    for split, side in (("all", frames), ("val", val), ("train", train)):
+        out = tmp_path / f"eval-{split}"
+        assert cli.main(["eval", "--dataset", tiny_dataset, "--checkpoint",
+                         overflowing_checkpoint, "-o", str(out), "--split", split]) == 1
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        # the burst id counts the file's bursts, so it finds the frame in the file
+        assert printed.err == (f"error: frame 0 of {len(side)} (burst {side.burst_ids[0]}, "
+                               f"{side.snrs_db[0]:g} dB): non-finite score nan\n")
+        assert not out.exists()
+    assert train.burst_ids[0] != 0  # a side's frame 0 need not be the file's burst 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's warning of the overflow
 def test_classify_refuses_non_finite_probabilities(tiny_dataset, overflowing_checkpoint, capsys):
     assert cli.main(["classify", "--checkpoint", overflowing_checkpoint,
                      "--input", tiny_dataset]) == 1

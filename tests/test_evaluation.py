@@ -1,5 +1,6 @@
 """Tests for metrics aggregation and CSV/SVG export."""
 
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -129,8 +130,13 @@ class TestAccuracyVsSnr:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_names_the_first_such_frame(self, bad):
-        frames = _frames([SM, AL, SM], [0.0] * 3)
-        with pytest.raises(ParameterError, match=f"^frame 1 of 3: non-finite score {bad}$"):
+        frames = _frames([SM, AL, SM], [0.0, 2.5, -1.0])
+        with pytest.raises(ParameterError,
+                           match=rf"^frame 1 of 3 \(2.5 dB\): non-finite score {bad}$"):
+            accuracy_vs_snr(lambda a: np.array([0.5, bad, bad]), frames)
+        frames = dataclasses.replace(frames, burst_ids=np.array([4, 9, 9]))
+        with pytest.raises(ParameterError,
+                           match=rf"^frame 1 of 3 \(burst 9, 2.5 dB\): non-finite score {bad}$"):
             accuracy_vs_snr(lambda a: np.array([0.5, bad, bad]), frames)
 
     @pytest.mark.parametrize("count", [2, 4])

@@ -90,7 +90,6 @@ def test_eval_cnn_bytes(tmp_path):
 
 
 def test_eval_cnn_bytes_at_one_blas_thread(tmp_path):
-    # unlike the train digests below, this one holds whatever the BLAS thread count
     run = subprocess.run([sys.executable, "-m", "stbcid", *_eval_cnn_argv(tmp_path)],
                          env={**_fresh_process_env(), "OPENBLAS_NUM_THREADS": "1"},
                          capture_output=True, text=True, timeout=120)
@@ -119,22 +118,39 @@ def test_train_bytes(tmp_path):
     assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
                      "--batch-size", "16", "--patience", "0", "--seed", "5"]) == 0
     assert (_sha256(out / "checkpoint.stbcnn")
-            == "ad73dbeecaf7b4d6acb5910b38b92272c929f734989f66d634b0a612bdc2e3d3")
+            == "8779166f80d5ee825ab942a15323df4da19797aaf4bad49a129995e23ed7d4de")
     assert _sha256(out / "loss.csv") == (
-        "da4aa9e7184c8015e1b0cf1d94cb4667c9fae022e236424e3d389cc6af0dde48")
+        "8157383992f24b0c95810e47b8fc4c8de296ac64914ebae538d36f903445567e")
 
 
-def test_chunked_train_bytes(tmp_path):
-    # 60 training frames in batches of 40: conv2 chunks of 16, 16 and 8, then 16 and 4;
-    # dropout 0.3 after each ReLU
+def _chunked_train_argv(tmp_path) -> list[str]:
+    """``train`` on 60 frames in batches of 40: conv2 runs chunks of 32 and 8, then 20, so
+    the weight-gradient GEMMs of the 8- and 20-element chunks split K; dropout 0.3 after
+    each ReLU."""
     data = tmp_path / "g.bin"
     assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
                      "--bursts", "10", "--burst-len", "256", "--seed", "5", "-o", str(data)]) == 0
-    out = tmp_path / "tr"
-    assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
-                     "--batch-size", "40", "--dropout", "0.3", "--patience", "0",
-                     "--seed", "5"]) == 0
+    return ["train", "--dataset", str(data), "-o", str(tmp_path / "tr"), "--epochs", "2",
+            "--batch-size", "40", "--dropout", "0.3", "--patience", "0", "--seed", "5"]
+
+
+def _assert_chunked_train_bytes(out) -> None:
     assert (_sha256(out / "checkpoint.stbcnn")
-            == "4bb926f5deb00850ccff42c535d6d58b433d11549b475a099102a72f85b63b64")
+            == "ad57553aa515fd9c4912aa90d56556bc962157bf36935fd25f7185f39a49d36a")
     assert _sha256(out / "loss.csv") == (
-        "82e518d6dec58c8a66c4a2cda03fdadca5616329708af42d6e1e7558d082b83f")
+        "ab07f63561f22fe21c344c6d49554534e9b9afbc73cf88cc055b0e3930db9f4f")
+
+
+def test_chunked_train_bytes(tmp_path):
+    assert cli.main(_chunked_train_argv(tmp_path)) == 0
+    _assert_chunked_train_bytes(tmp_path / "tr")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_chunked_train_bytes_at_blas_threads(tmp_path, threads):
+    # OpenBLAS reads its thread count once, when numpy loads, so each count needs a process
+    run = subprocess.run([sys.executable, "-m", "stbcid", *_chunked_train_argv(tmp_path)],
+                         env={**_fresh_process_env(), "OPENBLAS_NUM_THREADS": threads},
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    _assert_chunked_train_bytes(tmp_path / "tr")

@@ -557,12 +557,12 @@ class TestWidthMajorEngine:
 
 
 def _one_gemm_conv(x, weights, bias, pad, grad):
-    """A shifted Conv2D's output and (gw, gb, input gradient), each from one whole-batch GEMM.
+    """A shifted Conv2D's output, gb, input gradient and [B*W*G, kw*F] shifted gradient.
 
     ``x`` is the width-major [B, W, G, K] input, ``grad`` the [B, OW, G, F] output
     gradient. The output adds the bias, then each shift's columns in order; the
     backward writes each shift's gradient into slot j of a zeroed [B, W, G, kw, F]
-    array, so gw = x^T @ shifted and dx = shifted @ weights^T are one GEMM each.
+    array, so the output and dx = shifted @ weights^T are one GEMM each.
     """
     f, c, kh, kw = weights.shape
     b, w, g, k = x.shape
@@ -578,22 +578,45 @@ def _one_gemm_conv(x, weights, bias, pad, grad):
             out[:, lo:hi] += per_shift[:, lo + j - pad:hi + j - pad, :, j]
             shifted[:, lo + j - pad:hi + j - pad, :, j] = grad[:, lo:hi]
     shifted = shifted.reshape(-1, kw * f)
-    gw = (x.reshape(-1, k).T @ shifted).reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
-    return out, gw, grad.sum(axis=(0, 1, 2)), (shifted @ wt.T).reshape(b, w, kh * g, c)
+    return out, grad.sum(axis=(0, 1, 2)), (shifted @ wt.T).reshape(b, w, kh * g, c), shifted
+
+
+def _chunked_gw(x, shifted, shape):
+    """gw as the sum, in chunk order, of one GEMM per 32 batch elements; a GEMM whose
+    K rows exceed 400 sums them as their largest multiple of 32, then the rest.
+
+    ``x`` is the [B, W, G, K] input and ``shifted`` the [B*W*G, kw*F] shifted
+    gradient; ``shape`` is the weight's [F, C, kh, kw].
+    """
+    f, c, kh, kw = shape
+    b, rows = x.shape[0], x.shape[1] * x.shape[2]
+    x = x.reshape(b * rows, -1)
+    gwt = np.zeros((x.shape[1], kw * f), dtype=x.dtype)
+    for start in range(0, b, 32):
+        xc, sc = (a[start * rows:(start + 32) * rows] for a in (x, shifted))
+        cut = len(xc) // 32 * 32 if len(xc) > 400 else len(xc)
+        term = xc[:cut].T @ sc[:cut]
+        if cut < len(xc):
+            term += xc[cut:].T @ sc[cut:]
+        gwt += term
+    return gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
 
 
 class TestChunkedConv:
-    """A shifted Conv2D forms its products CONV_BLOCK elements at a time and gw one shift at a time."""
+    """A shifted Conv2D runs CONV_BLOCK = 32 elements at a time and sums gw chunk by chunk."""
 
+    # B = 31 and 118 end in a chunk whose K = n*W*G exceeds 400 and is not a multiple
+    # of 32, so its GEMM is split; B = 1 and 33 end in one of K <= 400, which is not
     @pytest.mark.parametrize("batch", [1, CONV_BLOCK - 1, CONV_BLOCK, CONV_BLOCK + 1, 118, 128])
     @pytest.mark.parametrize("filters, kernel, channels, height, width, pad, exact", [
         (80, (2, 3), 256, 2, 129, 2, True),  # CNN2's conv2: every column of every slot written
         (64, (1, 5), 64, 2, 40, 1, True),  # pad < kw - 1: each shift slot keeps zero columns
         # a layer this small meets OpenBLAS's small-matrix kernels, which round a
-        # one-element chunk's input gradient (B=17) and a 16-column gw differently
+        # one-element chunk's input gradient (B=33) and a 16-column gw differently
         (16, (1, 5), 8, 2, 40, 1, False),
     ], ids=["conv2", "narrow-pad", "tiny"])
     def test_equal_to_one_gemm(self, batch, filters, kernel, channels, height, width, pad, exact):
+        # out, gb and dx against one whole-batch GEMM each; gw against _chunked_gw
         rng = np.random.default_rng(batch)
         shape = (filters, channels, *kernel)
         layer = Conv2D(LayerSpec("conv2d", filters=filters, kernel=kernel), shape, rng)
@@ -606,9 +629,12 @@ class TestChunkedConv:
         grad = rng.standard_normal(out.shape).astype(np.float32)
         dx = layer.backward(grad.copy())
         g = height // kernel[0]
-        want = _one_gemm_conv(x.reshape(batch, width, g, -1), layer.w, layer.b, pad,
-                              grad.reshape(batch, -1, g, filters))
-        for got, ref in zip((out.reshape(batch, -1, g, filters), layer.gw, layer.gb, dx), want):
+        x = x.reshape(batch, width, g, -1)
+        want_out, want_gb, want_dx, shifted = _one_gemm_conv(
+            x, layer.w, layer.b, pad, grad.reshape(batch, -1, g, filters))
+        pairs = ((out.reshape(batch, -1, g, filters), want_out), (layer.gb, want_gb),
+                 (dx, want_dx), (layer.gw, _chunked_gw(x, shifted, shape)))
+        for got, ref in pairs:
             assert got.dtype == ref.dtype and got.shape == ref.shape
             if exact:
                 assert got.tobytes() == ref.tobytes()
