@@ -39,7 +39,7 @@ class AccuracyCurve:
 
 @dataclass(frozen=True)
 class LossCurve:
-    """Per-epoch train/validation losses, epochs consecutive from 1."""
+    """Per-epoch train/validation losses, epochs consecutive from 1, each finite and >= 0."""
 
     train_loss: tuple[float, ...]
     val_loss: tuple[float, ...]
@@ -47,6 +47,8 @@ class LossCurve:
     def __post_init__(self) -> None:
         if len(self.train_loss) != len(self.val_loss):
             raise ShapeError("train and validation loss lengths differ")
+        if any(not 0.0 <= loss < np.inf for loss in (*self.train_loss, *self.val_loss)):
+            raise ParameterError("losses must be finite and >= 0")
 
     @property
     def epochs(self) -> range:

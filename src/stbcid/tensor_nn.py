@@ -34,12 +34,12 @@ parameters and nothing else.
 
 Between a training forward and its backward a layer holds only what that
 backward reads: a Dense its input, a shifted Conv2D its input (a windowed one
-its patch matrix), a Flatten the shape, a ReLU its bool mask of positive
-inputs and a Dropout its keep bits, packed 8 to a byte. A ReLU directly before
-a Dropout that draws holds nothing and hands its max to the Dropout, which
-holds the pair's one packed mask, ``keep & (x > 0)``: relu1 and drop1 of a
-B=128 CNN2 step hold 1.1 MB, and the pair's forward and backward work one
-batch element at a time, so no whole-batch bool mask is made. A shifted
+its patch matrix), a Flatten the shape, and a ReLU or Dropout its mask, packed
+8 to a byte. ``Network`` folds a ReLU directly before a Dropout into it, as it
+folds a ZeroPad into its Conv2D: the ReLU passes activations and gradients
+through, and the Dropout applies the max and holds the pair's one mask, so
+relu1 and drop1 of a B=128 CNN2 step hold 1.1 MB. Both work one slab of about
+``SLAB_UNITS`` units at a time, so no whole-batch bool mask is made. A shifted
 Conv2D makes its per-shift products and shifted gradients ``CONV_BLOCK``
 batch elements at a time, and none of them outlives the call.
 
@@ -64,7 +64,7 @@ INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
 # batch elements per chunk of a shifted Conv2D's passes; a multiple of 32, so a full
 # chunk's weight-gradient GEMM sums over K = 32*W*G rows, a multiple of 32 (see _matmul)
 CONV_BLOCK = 32
-MASK_GROUP = 8  # batch elements per packed group of a Dropout's mask: whole bytes of bits
+SLAB_UNITS = 65536  # units per slab of a ReLU's or Dropout's masked pass (see _Masked)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -344,33 +344,78 @@ class Dense(_Weighted):
         return grad @ self.w if input_grad else None
 
 
-class ReLU(Layer):
-    """In place, forward and backward; builds the bool mask of positive inputs only when read.
+class _Masked(Layer):
+    """The one masked pass of ReLU and Dropout, in place: ``x * mask * scale`` after the max.
 
-    A ReLU directly before a Dropout is handed to it (``dropout``, set by
-    ``Network``): in a training forward where that Dropout draws, the Dropout
-    applies the max and stores the pair's one mask, so the ReLU passes its
-    input through, stores nothing, and its backward passes the gradient through.
+    A ReLU applies the max, ``x > 0`` is its mask, and it scales nothing. A
+    Dropout draws its keep bits width-major with ``keep_mask`` (PCG64 only) and
+    scales the survivors by 1/(1-rate), but only in a training forward given an
+    ``rng``, at a rate above 0. A ReLU directly before a Dropout is folded into
+    it (``relu``, set by ``Network``): the ReLU passes activations and
+    gradients through, and the Dropout applies the max and holds the pair's one
+    mask, ``keep & (x > 0)``. A training forward holds its mask packed 8 to a
+    byte for backward, which multiplies the gradient by it and by the scale.
+
+    Both directions work one slab of whole batch elements at a time, while it
+    is in cache: about ``SLAB_UNITS`` units, and a whole number of bytes of
+    bits in every slab but the last, so the held bytes equal the whole batch's
+    ``np.packbits`` and ``keep_mask`` draws each slab in turn on one stream.
     """
 
     def __init__(self, spec: LayerSpec):
         super().__init__(spec)
-        self.dropout: Dropout | None = None
+        self.rate = spec.rate or 0.0  # a ReLU's spec has none
+        self.relu = spec.kind == "relu"  # whether this layer applies a ReLU's max
+        self._bits = self._scale = None  # what forward(train=True) stores for backward
 
     def forward(self, x, train=False, rng=None, sign_trace=None):
-        handed = self.dropout is not None and self.dropout.draws(train, rng)
-        mask = x > 0 if (train and not handed) or sign_trace is not None else None
+        if sign_trace is not None and self.spec.kind == "relu":
+            sign_trace.append(x > 0)
+        draws = train and rng is not None and self.rate != 0.0
         if train:
-            self._mask = None if handed else mask
-        if sign_trace is not None:
-            sign_trace.append(mask)
-        return x if handed else np.maximum(x, 0, out=x)
+            self._bits = self._scale = None
+        if not (self.relu or draws):
+            return x
+        scale = x.dtype.type(1.0) / x.dtype.type(1.0 - self.rate)
+        bits = np.empty(-(-x.size // 8), dtype=np.uint8) if train else None
+        for slab, held in _slabs(x, bits):
+            mask = keep_mask(rng, slab.shape, self.rate) if draws else None
+            if self.relu:
+                if train:
+                    mask = slab > 0 if mask is None else np.logical_and(mask, slab > 0, out=mask)
+                np.maximum(slab, 0, out=slab)
+            if draws:
+                slab *= mask
+                slab *= scale
+            if train:
+                held[...] = np.packbits(mask)
+        if train:
+            self._bits, self._scale = bits, scale if draws else None
+        return x
 
     def backward(self, grad):
-        mask, self._mask = self._mask, None
-        if mask is not None:
-            grad *= mask
+        bits, scale, self._bits, self._scale = self._bits, self._scale, None, None
+        if bits is not None:
+            for slab, held in _slabs(grad, bits):
+                slab *= np.unpackbits(held, count=slab.size).reshape(slab.shape).view(bool)
+                if scale is not None:
+                    slab *= scale
         return grad
+
+
+def _slabs(x, packed):
+    """(slab, its bytes of ``packed`` or None) for each slab of whole batch elements of x."""
+    per = math.prod(x.shape[1:])
+    step = 8 // math.gcd(per, 8)  # elements whose bits fill whole bytes
+    n = max(1, SLAB_UNITS // (per * step)) * step
+    for start in range(0, x.shape[0], n):
+        slab = x[start:start + n]
+        yield slab, None if packed is None else packed[
+            start * per // 8:-(-(start * per + slab.size) // 8)]
+
+
+class ReLU(_Masked):
+    """max(x, 0); see ``_Masked``."""
 
 
 class Softmax(Layer):
@@ -381,69 +426,8 @@ class Softmax(Layer):
         return e / e.sum(axis=-1, keepdims=True)
 
 
-class Dropout(Layer):
-    """Inverted dropout, in place: survivors scaled by 1/(1-rate).
-
-    A training forward given an ``rng`` draws the keep bits width-major with
-    ``keep_mask`` (PCG64 only), ``MASK_GROUP`` batch elements per call, and
-    stores them packed 8 to a byte for backward; any other forward is the
-    identity, and so is the backward after it. After a ReLU (``after_relu``,
-    set by ``Network``) x is the ReLU's input: the stored mask also clears the
-    units the ReLU zeroes, ``keep & (x > 0)``, and the max is applied here, so
-    the pair holds one bit per unit and its backward, ``grad * mask * scale``,
-    is the ReLU's and Dropout's in one. Both directions work one element at a
-    time, while its activations are in cache, and pack or unpack one group's
-    bits at a time: a group of ``MASK_GROUP`` elements packs to whole bytes, so
-    the held bytes equal the whole batch's ``np.packbits``.
-    """
-
-    def __init__(self, spec: LayerSpec):
-        super().__init__(spec)
-        self.after_relu = False
-
-    def _scale(self, dtype):
-        return dtype.type(1.0) / dtype.type(1.0 - self.spec.rate)
-
-    def draws(self, train: bool, rng) -> bool:
-        """Whether a forward with these arguments drops units (and stores a mask)."""
-        return train and rng is not None and self.spec.rate != 0.0
-
-    def forward(self, x, train=False, rng=None, sign_trace=None):
-        if train:
-            self._keep = None
-        if not self.draws(train, rng):
-            return x
-        scale = self._scale(x.dtype)
-        self._keep = np.empty(-(-x.size // 8), dtype=np.uint8)
-        for group, bits in self._groups(x, self._keep):
-            keep = keep_mask(rng, group.shape, self.spec.rate)
-            for kept, xe in zip(keep, group):  # one element at a time, while it is in cache
-                if self.after_relu:  # x is the ReLU's input: its max is applied here
-                    kept &= xe > 0
-                    np.maximum(xe, 0, out=xe)
-                xe *= kept
-                xe *= scale
-            bits[...] = np.packbits(keep)
-        return x
-
-    def backward(self, grad):
-        keep, self._keep = self._keep, None
-        if keep is not None:
-            scale = self._scale(grad.dtype)
-            for group, bits in self._groups(grad, keep):
-                kept = np.unpackbits(bits, count=group.size).reshape(group.shape).view(bool)
-                for ke, ge in zip(kept, group):
-                    ge *= ke
-                    ge *= scale
-        return grad
-
-    @staticmethod
-    def _groups(x, packed):
-        """(group, its bytes of ``packed``) for each group of ``MASK_GROUP`` elements of x."""
-        per = math.prod(x.shape[1:])
-        for start in range(0, x.shape[0], MASK_GROUP):
-            group = x[start:start + MASK_GROUP]
-            yield group, packed[start * per // 8:-(-(start * per + group.size) // 8)]
+class Dropout(_Masked):
+    """Inverted dropout: survivors scaled by 1/(1-rate); see ``_Masked``."""
 
 
 def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -577,8 +561,9 @@ class Network:
         """``rng`` draws the initial weights; None leaves them zero, for a checkpoint to fill.
 
         Each zeropad's width goes to the conv2d after it (see ``Conv2D``), and
-        each ReLU directly before a Dropout goes to that Dropout, which then
-        holds the pair's one mask (see ``Dropout``).
+        each ReLU directly before a dropout is folded into it: the ReLU passes
+        activations and gradients through, and the Dropout applies the max in
+        its one masked pass and holds the pair's one mask (see ``_Masked``).
         """
         specs = tuple(specs)
         if not specs or specs[-1].kind != "softmax":
@@ -598,7 +583,7 @@ class Network:
             if i and specs[i - 1].kind == "zeropad":  # a conv2d, checked by trace_shapes
                 layer.pad = specs[i - 1].pad
             if i and spec.kind == "dropout" and specs[i - 1].kind == "relu":
-                self.layers[i - 1].dropout, layer.after_relu = layer, True
+                self.layers[i - 1].relu, layer.relu = False, True
             self.layers.append(layer)
         self.output_shape = shapes[-1]
         # backprop reaches the first layer that is not a ZeroPad, which stores nothing

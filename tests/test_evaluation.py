@@ -220,12 +220,16 @@ class TestCsvRoundTrips:
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,3", "nan,0.5,3"], None),
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,0"], None),
         (read_accuracy_csv, "snr_db,accuracy,n", ["0.0,0.5,-10"], None),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["1,nan,inf", "2,-1.0,0.5"], None),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.7,0.71", "2,0.5,inf"], None),
+        (read_loss_csv, "epoch,train_loss,val_loss", ["1,0.7,0.71", "2,-1e-300,0.5"], None),
         # rows that parse but are not the text the writer gives their values
         (read_accuracy_csv, "snr_db,accuracy,n", ["-2.0,0.5,3", "5,0.5,3"], 3),
         (read_loss_csv, "epoch,train_loss,val_loss", ["7,0.7,0.71", "3,0.5,0.52"], 2),
     ], ids=["acc-text", "acc-short", "acc-wide", "loss-short", "loss-epoch", "acc-unsorted",
             "acc-range", "acc-nan-snr", "acc-inf-snr", "acc-nan-snr-last", "acc-n-zero",
-            "acc-n-negative", "acc-snr-int", "loss-epoch-order"])
+            "acc-n-negative", "loss-nan", "loss-inf", "loss-negative", "acc-snr-int",
+            "loss-epoch-order"])
     def test_malformed_rows_rejected(self, tmp_path, read, header, rows, line):
         path = tmp_path / "bad.csv"
         path.write_text("\n".join([header, *rows]) + "\n")
@@ -238,6 +242,19 @@ class TestCsvRoundTrips:
         curve = LossCurve(train_loss=(0.7, 0.5, 0.4), val_loss=(0.71, 0.52, 0.45))
         path = tmp_path / "loss.csv"
         write_loss_csv(curve, path)
+        assert read_loss_csv(path) == curve
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0, -5e-324])
+    def test_loss_curve_refuses_a_loss_no_training_writes(self, bad):
+        for train, val in (((0.5, bad), (0.5, 0.4)), ((0.5,), (bad,))):
+            with pytest.raises(ParameterError):
+                LossCurve(train_loss=train, val_loss=val)
+
+    def test_negative_zero_loss_reads_back(self, tmp_path):
+        curve = LossCurve(train_loss=(-0.0, 0.0), val_loss=(0.0, -0.0))
+        path = tmp_path / "loss.csv"
+        write_loss_csv(curve, path)
+        assert path.read_text().splitlines()[1:] == ["1,-0.0,0.0", "2,0.0,-0.0"]
         assert read_loss_csv(path) == curve
 
 

@@ -123,6 +123,21 @@ def test_train_bytes(tmp_path):
         "8157383992f24b0c95810e47b8fc4c8de296ac64914ebae538d36f903445567e")
 
 
+def test_train_bytes_without_dropout(tmp_path):
+    # every ReLU's training mask is its x > 0 alone, held packed, and nothing is drawn
+    data = tmp_path / "g.bin"
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "3", "--burst-len", "256", "--seed", "5", "-o", str(data)]) == 0
+    out = tmp_path / "tr"
+    assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
+                     "--batch-size", "16", "--dropout", "0", "--patience", "0",
+                     "--seed", "5"]) == 0
+    assert (_sha256(out / "checkpoint.stbcnn")
+            == "8e58064e91a1863942392e706cb9e8a7feb79aa8cb13945e7d387ed21d1f8b22")
+    assert _sha256(out / "loss.csv") == (
+        "30a9d49bfe889a3aee73ce83e35dd0b1fa202fa5251264d21c0d5a629799ab15")
+
+
 def _chunked_train_argv(tmp_path) -> list[str]:
     """``train`` on 60 frames in batches of 40: conv2 runs chunks of 32 and 8, then 20, so
     the weight-gradient GEMMs of the 8- and 20-element chunks split K; dropout 0.3 after

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stbcid import tensor_nn
 from stbcid.classifier import (
     CorruptCheckpointError,
     Model,
@@ -743,6 +744,8 @@ class TestReluDropoutPair:
         out = x.copy()
         for layer in layers:
             out = layer.forward(out, train=True, rng=rng)
+        held = [v for layer in layers for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in held) <= -(-x.size // 8)  # any mask is held packed
         # each layer on its own: the ReLU's mask, then the Dropout's keep bits and scale
         mask = x > 0 if specs[0].kind == "relu" else np.ones(shape, dtype=bool)
         drop = specs[-1]
@@ -760,10 +763,112 @@ class TestReluDropoutPair:
         np.testing.assert_array_equal(back, np.where(mask, grad * scale, np.float32(0.0)))
 
 
+class TestMaskedSlabs:
+    """ReLU and Dropout mask one slab of whole batch elements at a time, as one whole-batch pass."""
+
+    @pytest.mark.parametrize("kinds", [("relu",), ("dropout",), ("relu", "dropout")],
+                             ids=["relu", "dropout", "relu-dropout"])
+    @pytest.mark.parametrize("shape, slab", [
+        ((21, 7), 8),  # odd units per element: 8 elements fill whole bytes
+        ((11, 9, 2, 1), 4),  # 18 units, even but not a multiple of 8
+        ((5, 8, 2, 1), 2),  # 16 units, whole bytes per element
+    ], ids=["7-units", "18-units", "16-units"])
+    def test_equal_to_the_whole_batch(self, monkeypatch, kinds, shape, slab):
+        monkeypatch.setattr(tensor_nn, "SLAB_UNITS", 40)
+        specs = [LayerSpec(k, rate=0.3) if k == "dropout" else LayerSpec(k) for k in kinds]
+        layers = Network([*specs, *HEAD], shape[:0:-1], None).layers[:len(kinds)]
+        data = np.random.default_rng(6)
+        x, grad = (data.standard_normal(shape).astype(np.float32) for _ in range(2))
+        x.reshape(-1)[::5] = 0.0  # on the kink: x > 0 is False
+        sizes = [len(s) for s, _ in tensor_nn._slabs(x, None)]
+        assert sizes[0] == slab and len(sizes) >= 3 and 0 < sizes[-1] < slab  # ragged last slab
+        rng = np.random.default_rng(4)
+        out = x.copy()
+        for layer in layers:
+            out = layer.forward(out, train=True, rng=rng)
+        # the whole-batch reference: one keep_mask draw, one max, one multiply per factor
+        reference = np.random.default_rng(4)
+        want, back = x.copy(), grad.copy()
+        mask = np.ones(shape, dtype=bool)
+        if "relu" in kinds:
+            mask &= x > 0
+            np.maximum(want, 0, out=want)
+        if "dropout" in kinds:
+            mask &= keep_mask(reference, shape, 0.3)
+            scale = np.float32(1.0) / np.float32(1.0 - 0.3)
+            want *= mask
+            want *= scale
+        back *= mask
+        if "dropout" in kinds:
+            back *= scale
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert out.tobytes() == want.tobytes()
+        held = [v for layer in layers for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 1 and held[0].tobytes() == np.packbits(mask).tobytes()
+        for layer in reversed(layers):
+            grad = layer.backward(grad)
+        assert grad.tobytes() == back.tobytes()
+        assert not [v for layer in layers for v in vars(layer).values()
+                    if isinstance(v, np.ndarray)]
+
+
+class TestSignTrace:
+    """``sign_trace`` gets one x > 0 mask per ReLU spec, in stack order, folded or not."""
+
+    def test_dense_stack_against_its_pre_activations(self):
+        # a ReLU on its own, then one folded into the Dropout after it
+        specs = [LayerSpec("dense", units=5), LayerSpec("relu"), LayerSpec("dense", units=4),
+                 LayerSpec("relu"), LayerSpec("dropout", rate=0.5), *HEAD[1:]]
+        net = Network(specs, (6,), np.random.default_rng(3), dtype=np.float64)
+        assert (net.layers[3].relu, net.layers[4].relu) == (False, True)
+        x = np.random.default_rng(4).standard_normal((9, 6))
+        (w1, b1), (w2, b2) = ((d.w, d.b) for d in (net.layers[0], net.layers[2]))
+        h1 = x @ w1.T + b1
+        h2 = np.maximum(h1, 0) @ w2.T + b2
+        trace = []
+        probs = net.forward(x, sign_trace=trace)
+        assert len(trace) == 2
+        for got, pre in zip(trace, (h1, h2)):
+            assert got.dtype == bool and 0 < got.sum() < got.size
+            np.testing.assert_array_equal(got, pre > 0)
+        np.testing.assert_array_equal(probs, net.forward(x))
+
+    def test_cnn2_traces_its_three_relus(self):
+        net = initialize(build_cnn2(), seed=2).net
+        inputs = []
+        for layer in net.layers:
+            if layer.spec.kind == "relu":
+                def recorded(x, *args, forward=layer.forward, **kwargs):
+                    inputs.append(x.copy())
+                    return forward(x, *args, **kwargs)
+                layer.forward = recorded
+        x, _ = _cnn2_batch(2, seed=5)
+        trace = []
+        net.forward(x, sign_trace=trace)
+        assert len(trace) == len(inputs) == 3
+        for got, pre in zip(trace, inputs):
+            assert got.dtype == bool and 0 < got.sum() < got.size
+            np.testing.assert_array_equal(got, pre > 0)
+
+
 def _cnn2_batch(n, seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, 1, 2, FRAME_LEN)).astype(np.float32)
     return x, np.eye(2, dtype=np.float32)[rng.integers(0, 2, n)]
+
+
+def _second_step_peak(spec, batch) -> int:
+    """Traced peak bytes of a model's second training step; the first allocates the 11.2 MB
+    of gradient buffers, so it runs untraced."""
+    model = initialize(spec, seed=2)
+    x, onehot = _cnn2_batch(batch, seed=1)
+    model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestCallContracts:
@@ -806,17 +911,13 @@ class TestCallContracts:
         # one CNN2 step measured 15.2 MB at B=32 and 46.8 MB at B=128 (19.1 and 73.6 MB
         # when relu1 and drop1 each held a bool mask and conv2 formed its shift arrays
         # for the whole batch at once); conv1's output alone is 8.5 and 33.8 MB.
-        # The first step also allocates the 11.2 MB of gradient buffers, so it runs untraced
-        model = initialize(build_cnn2(), seed=2)
-        x, onehot = _cnn2_batch(batch, seed=1)
-        model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            model.net.loss_and_grads(x, onehot, rng=np.random.default_rng(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _second_step_peak(build_cnn2(), batch)
         assert peak < bound, f"loss_and_grads peaked at {peak / 1e6:.1f} MB"
+
+    def test_training_step_peak_memory_without_dropout(self):
+        # at rate 0 each ReLU holds its x > 0 packed: 46.6 MB, against 55.1 MB as a bool mask
+        peak = _second_step_peak(build_cnn2(0.0), 128)
+        assert peak < 50e6, f"loss_and_grads peaked at {peak / 1e6:.1f} MB"
 
     def test_batch_sizes_do_not_leak_between_calls(self):
         # 128 -> 118 -> 128 on one model: each call equals the same call on a fresh model
