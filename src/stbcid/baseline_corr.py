@@ -27,7 +27,6 @@ import numpy as np
 from . import seeding
 from .errors import ParameterError, ShapeError
 from .signal_model import (
-    _MASK64,
     NAKAGAMI_M,
     CodingScheme,
     block_slots,
@@ -130,7 +129,7 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     Each row has its own PCG64 generator, so a seed fully determines its row,
     whatever the other seeds and their order. Only the draws run per row, each
     into the row of a block array; the arithmetic runs once over the block. Every
-    value is bit-equal to what ``np.random.default_rng(seed)`` gives through
+    value is bit-equal to what the seed's ``np.random.default_rng`` gives through
     numpy's distribution calls, drawn in this order:
 
     - channel: ``standard_gamma(m)`` twice, then ``random()`` twice, made powers
@@ -216,17 +215,16 @@ def calibrate_threshold(
 
     ``normalize`` scales each sequence to unit mean power first, matching how
     dataset frames are stored. Trial t of a scheme is drawn from the seed
-    ``SeedSequence([seed mod 2**64, scheme, t]).generate_state(1, np.uint64)[0]``;
-    every trial's generator words are derived in one pass up front.
+    ``seeding.derive(seed, scheme, t)``; every trial's generator words are derived
+    in one pass up front.
     """
     if not 100 <= trials < _MAX_ARRAY_BYTES // (2 * _SAMPLE_BYTES):  # 2 x trials seeds
         raise ParameterError(f"trials must be >= 100 and < 2**55, got {trials}")
     if seq_len < 4:
         raise ParameterError(f"seq_len must be >= 4, got {seq_len}")
     schemes = (CodingScheme.AL, CodingScheme.SM)
-    trial_seeds = seeding.generate_state(
-        [seed & _MASK64, np.repeat([int(scheme) for scheme in schemes], trials),
-         np.tile(np.arange(trials), len(schemes))], 1)[:, 0]
+    trial_seeds = seeding.derive(seed, np.repeat([int(scheme) for scheme in schemes], trials),
+                                 np.tile(np.arange(trials), len(schemes)))
     words = seeding.rng_words(trial_seeds).reshape(len(schemes), trials, 4)
     feats = {}
     for scheme, scheme_words in zip(schemes, words):

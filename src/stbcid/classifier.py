@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import seeding
 from .dataset import FRAME_LEN, FrameSet
 from .errors import ParameterError, ShapeError
-from .signal_model import _MASK64
 from .tensor_nn import (
     LAYER_KINDS,
     LAYER_TABLE,
@@ -132,8 +132,7 @@ def _check_frame_classifier(net: Network) -> None:
 
 def initialize(spec: ModelSpec, seed: int = 0, dtype=np.float32) -> Model:
     """Materialize a frame classifier's spec with seeded He/Glorot-uniform weights."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, 0x696E6974]))
-    net = Network(spec.layers, spec.input_shape, rng, dtype=dtype)
+    net = Network(spec.layers, spec.input_shape, seeding.stream(seed, b"init"), dtype=dtype)
     _check_frame_classifier(net)
     return Model(spec=spec, net=net)
 
@@ -222,8 +221,8 @@ def train(model: Model, train_set: FrameSet, val_set: FrameSet,
 
     params = model.net.parameters()
     state = adam_init(params, lr=cfg.learning_rate)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _MASK64, 0x73687566]))
-    dropout_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _MASK64, 0x64726F70]))
+    shuffle_rng = seeding.stream(cfg.seed, b"shuf")
+    dropout_rng = seeding.stream(cfg.seed, b"drop")
 
     history = TrainHistory()
     best_val = np.inf

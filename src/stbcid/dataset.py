@@ -27,7 +27,6 @@ import numpy as np
 from . import seeding
 from .baseline_corr import _MAX_ARRAY_BYTES, _SAMPLE_BYTES, synth_from_words
 from .signal_model import (
-    _MASK64,
     CodingScheme,
     ParameterError,
     ShapeError,
@@ -141,11 +140,9 @@ def _snr_key(snr_db: float) -> int:
 
 
 def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarray:
-    """uint64 seed of each burst, from entropy columns (a scalar serves every burst):
-    the first uint64 of ``SeedSequence([master mod 2**64, scheme, snr key, burst
-    index])``, stable across platforms and run order."""
-    return seeding.generate_state([master_seed & _MASK64, schemes, snr_keys, burst_indices],
-                                  1)[:, 0]
+    """uint64 seed of each burst, ``seeding.derive(master_seed, scheme, snr key, burst
+    index)`` (a scalar column serves every burst), stable across platforms and run order."""
+    return seeding.derive(master_seed, schemes, snr_keys, burst_indices)
 
 
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> np.ndarray:
@@ -258,7 +255,7 @@ def split_train_val(frames: FrameSet, fraction: float = 0.5, seed: int = 0) -> t
         raise ParameterError("split requires burst identity (burst_ids is None)")
     if len(frames) == 0:
         raise ParameterError("cannot split an empty frame set")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _MASK64, 0x73706C69]))
+    rng = seeding.stream(seed, b"spli")
 
     # Bursts in order of first appearance, grouped into (scheme, snr) cells in
     # sorted cell order; the stable sort keeps first-appearance order inside a cell.

@@ -1,9 +1,28 @@
-"""numpy's ``SeedSequence`` hash over a leading row axis.
+"""Every random stream the package draws, and numpy's ``SeedSequence`` hash over a
+leading row axis that derives them.
 
-Row i of every result equals what ``np.random.SeedSequence(entropy_i)`` gives,
-where entropy_i is ``[column[i] for column in columns]``, so seeds derived here
-keep every stream that a per-row ``SeedSequence`` would give. The hash is fixed
-uint32 arithmetic (``hashmix``/``mix`` into a 4-word pool, then
+A seed enters every stream as its low 64 bits (``seed mod 2**64``), so a seed and
+the same seed +- 2**64 draw the same bytes. The streams, each from a user seed:
+
+- ``stream(seed, b"init")``: ``classifier.initialize``'s weights;
+- ``stream(seed, b"shuf")``: ``classifier.train``'s per-epoch batch order;
+- ``stream(seed, b"drop")``: ``classifier.train``'s dropout keep masks;
+- ``stream(seed, b"spli")``: ``dataset.split_train_val``'s training bursts per cell;
+- ``stream(seed)``: ``tensor_nn.random_micro_network``'s shape, weights, input
+  and target, for the gradient check;
+- ``derive(seed, scheme, snr key, burst index)``: ``dataset._burst_seeds``, one
+  seed per burst;
+- ``derive(seed, scheme, trial)``: ``baseline_corr.calibrate_threshold``'s seed
+  of each trial sequence.
+
+A derived seed s synthesizes its burst or trial sequence from
+``generator(rng_words(...)[i])``, the generator ``np.random.default_rng(s)`` gives.
+A new stream gets its own tag or entropy columns here and in this list.
+
+Row i of every hash result equals what ``np.random.SeedSequence(entropy_i)``
+gives, where entropy_i is ``[column[i] for column in columns]``, so seeds derived
+here keep every stream that a per-row ``SeedSequence`` would give. The hash is
+fixed uint32 arithmetic (``hashmix``/``mix`` into a 4-word pool, then
 ``generate_state``); here each step runs once over all rows, on arrays, which
 wrap on overflow without warning.
 """
@@ -17,10 +36,26 @@ from .errors import ParameterError
 
 POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1  # a seed enters every stream as its low 64 bits
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
+
+
+def stream(seed: int, tag: bytes = b"") -> np.random.Generator:
+    """``np.random.default_rng(SeedSequence([seed mod 2**64, tag]))``, the tag read as one
+    big-endian word. No tag reads as word 0, and ``[seed mod 2**64, 0]`` hashes as ``[seed
+    mod 2**64]``, since entropy shorter than ``POOL_SIZE`` words is padded with zero words:
+    so ``stream(seed)`` is ``np.random.default_rng(seed mod 2**64)``."""
+    tag_word = int.from_bytes(tag, "big")
+    return np.random.default_rng(np.random.SeedSequence([seed & _MASK64, tag_word]))
+
+
+def derive(seed: int, *columns) -> np.ndarray:
+    """uint64 [n]: the first uint64 of ``SeedSequence([seed mod 2**64, *row])`` for
+    each row of the entropy columns (a scalar serves every row)."""
+    return generate_state([seed & _MASK64, *columns], 1)[:, 0]
 
 
 def _int_words(value: int) -> list[int]:

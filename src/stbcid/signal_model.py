@@ -22,8 +22,6 @@ class CodingScheme(IntEnum):
     AL = 1
 
 
-_MASK64 = (1 << 64) - 1  # seeds enter a SeedSequence as their low 64 bits
-
 # The channel every burst and calibration sequence sees: Nakagami-m fading,
 # shape m = 3, mean power omega = 1 per coefficient.
 NAKAGAMI_M, NAKAGAMI_OMEGA = 3.0, 1.0

@@ -56,8 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import seeding
 from .errors import ParameterError, ShapeError
-from .signal_model import _MASK64
 
 LOSS_CLAMP = 1e-12
 INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
@@ -436,19 +436,17 @@ def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     Each batch element of n units reads ceil(n/2) PCG64 ``random_raw`` words as
     uint32 pairs, low half first, and keeps a unit iff its ``u >= ceil(rate *
     2**32)``: P(keep) = 1 - rate to within 2**-32. An odd n leaves the last high
-    half unused. Other bit generators are rejected (MT19937's raw words hold
-    only 32 bits).
+    half unused. All elements' words come from one ``random_raw`` call. Other bit
+    generators are rejected (MT19937's raw words hold only 32 bits).
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ParameterError(f"dropout needs a PCG64 generator, got {type(bitgen).__name__}")
     threshold = math.ceil(rate * 2 ** 32)
-    keep = np.empty(shape, dtype=bool)
-    n = int(np.prod(shape[1:]))
-    for element in keep:
-        u = bitgen.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
-        np.greater_equal(u.reshape(element.shape), threshold, out=element)
-    return keep
+    n = math.prod(shape[1:])
+    u = bitgen.random_raw(shape[0] * ((n + 1) // 2)).astype("<u8", copy=False).view("<u4")
+    # each element's 2 ceil(n/2) halves, cut to its n
+    return (u.reshape(-1, n + n % 2)[:, :n] >= threshold).reshape(shape)
 
 
 class ZeroPad(Layer):
@@ -827,7 +825,7 @@ def random_micro_network(seed: int) -> tuple[Network, np.ndarray, np.ndarray]:
     Used by the gradient-check suite; always float64 so finite differences are
     trustworthy. The seed counts by its low 64 bits, as the CLI's other seeds do.
     """
-    rng = np.random.default_rng(seed & _MASK64)
+    rng = seeding.stream(seed)
     c = int(rng.integers(1, 3))
     h = int(rng.integers(2, 4))
     w = int(rng.integers(6, 10))

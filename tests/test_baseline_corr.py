@@ -19,7 +19,8 @@ from stbcid.baseline_corr import (
 )
 from stbcid import baseline_corr, seeding
 from stbcid.errors import ParameterError, ShapeError
-from stbcid.signal_model import _MASK64, CodingScheme
+from stbcid.seeding import _MASK64
+from stbcid.signal_model import CodingScheme
 
 
 def scalar_feature(seq) -> float:

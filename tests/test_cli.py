@@ -28,6 +28,37 @@ def test_gradcheck_takes_a_seed_by_its_low_64_bits(capsys):
     assert capsys.readouterr().out == negative
 
 
+def _seeded_outputs(root: pathlib.Path, seed: int, capsys) -> dict:
+    """Each file that generate, a 1-epoch train and eval --baseline corr write at ``seed``,
+    by its path under ``root``, and gradcheck's report; the manifest without its seed line."""
+    root.mkdir()
+    data, at = str(root / "d.bin"), f"--seed={seed}"
+    assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
+                     "--bursts", "2", "--burst-len", "256", at, "-o", data]) == 0
+    assert cli.main(["train", "--dataset", data, "-o", str(root / "train"), "--epochs", "1",
+                     "--batch-size", "8", at]) == 0  # 12 train frames: the last batch ragged
+    assert cli.main(["eval", "--dataset", data, "--baseline", "corr", "--calibrate-trials",
+                     "200", "-o", str(root / "eval"), at]) == 0
+    capsys.readouterr()
+    assert cli.main(["gradcheck", "--nets", "3", at]) == 0
+    outputs = {str(path.relative_to(root)): path.read_bytes()
+               for path in sorted(root.rglob("*")) if path.is_file()}
+    manifest = outputs.pop("d.bin.manifest").decode().splitlines()
+    assert f"seed={seed}" in manifest
+    outputs["manifest"] = [line for line in manifest if not line.startswith("seed=")]
+    outputs["gradcheck"] = capsys.readouterr().out
+    return outputs
+
+
+@pytest.mark.parametrize("alias", [5 + 2 ** 64, 5 - 2 ** 64])
+def test_a_seed_and_its_alias_mod_2_64_write_the_same_bytes(tmp_path, capsys, alias):
+    # burst seeds, the split, weights, batch order, dropout, calibration trials, micro-nets
+    outputs = _seeded_outputs(tmp_path / "5", 5, capsys)
+    assert {"d.bin", "train/checkpoint.stbcnn", "train/loss.csv", "eval/accuracy.csv"} <= set(
+        outputs)
+    assert _seeded_outputs(tmp_path / "alias", alias, capsys) == outputs
+
+
 def test_gradcheck_fails_on_a_wrong_gradient(monkeypatch, capsys):
     backward = tensor_nn.Dense.backward
 

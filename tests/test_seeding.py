@@ -1,6 +1,9 @@
-"""Tests for the row-vectorized SeedSequence hash, with numpy's own as the oracle."""
+"""Tests for the named streams and the row-vectorized SeedSequence hash, with numpy's own
+as the oracle."""
 
+import ast
 import collections
+import pathlib
 
 import numpy as np
 import pytest
@@ -117,3 +120,68 @@ class TestHashOncePerCommand:
         generate_dataset(DatasetConfig(snr_grid=tuple(-20.0 + 2 * i for i in range(21)),
                                        bursts_per_cell=10))
         assert dict(construction_counts) == small and sum(small.values()) <= 2
+
+
+LOW64 = 2**64 - 1
+# the salt each tag's stream was first built with: the tag's ASCII word
+SALTS = {b"init": 0x696E6974, b"shuf": 0x73687566, b"drop": 0x64726F70, b"spli": 0x73706C69}
+SEEDS = [0, 7, -1, 2**64 + 5]
+
+
+def assert_same_stream(rng, reference):
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.permutation(9).tolist() == reference.permutation(9).tolist()
+    assert rng.uniform(-1, 1, 5).tobytes() == reference.uniform(-1, 1, 5).tobytes()
+    assert (rng.bit_generator.random_raw(3).tolist()
+            == reference.bit_generator.random_raw(3).tolist())
+
+
+class TestNamedStreams:
+    @pytest.mark.parametrize("tag", list(SALTS))
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_tagged_stream_is_the_salted_one(self, seed, tag):
+        reference = np.random.default_rng(np.random.SeedSequence([seed & LOW64, SALTS[tag]]))
+        assert_same_stream(seeding.stream(seed, tag), reference)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_untagged_stream_is_the_masked_seed(self, seed):
+        assert_same_stream(seeding.stream(seed), np.random.default_rng(seed & LOW64))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_derive_matches_a_per_row_seed_sequence(self, seed):
+        schemes = np.array([0, 1, 1, 0, 1])
+        wide = np.array([3, 2**40, 2**40 + 7, 2**63, 5], dtype=np.uint64)  # words past the first
+        big = [1, 2**64 - 1, 2**40, 0, 2**70 + 9]  # Python ints of one to three words
+        derived = seeding.derive(seed, schemes, wide, 9, big)
+        assert derived.dtype == np.uint64 and derived.shape == (5,)
+        for i in range(5):
+            row = [seed & LOW64, int(schemes[i]), int(wide[i]), 9, big[i]]
+            assert derived[i] == np.random.SeedSequence(row).generate_state(1, np.uint64)[0]
+
+
+STREAM_BUILDERS = {"default_rng", "SeedSequence"}
+
+
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_only_seeding_builds_a_stream():
+    """Outside ``seeding``, no module builds a generator or seed sequence, masks a seed
+    or carries a stream's salt: the seed rule lives in one module."""
+    offences = []
+    for path in sorted(pathlib.Path(seeding.__file__).parent.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and _name(node.func) in STREAM_BUILDERS
+                    or _name(node) == "_MASK64"
+                    or isinstance(node, ast.Constant) and node.value in SALTS.values()):
+                offences.append(f"{path.name}:{node.lineno}")
+    assert offences == []
