@@ -31,12 +31,12 @@ from .signal_model import (
     CodingScheme,
     block_slots,
     channel_gains,
-    encode,
+    encode,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
     fading_law,
-    mix,
-    modulate_qpsk,
     noise_variance_for_snr,
-    receive,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
+    pair_signals,
+    receive,  # noqa: F401 -- likewise
+    slot_pairs,
 )
 
 # Frames scored per correlation_features call in frame_scores: bounds its
@@ -52,8 +52,8 @@ _SAMPLE_BYTES = 64
 
 # Calibration sequences synthesized per synth_from_words call: bounds the block's
 # temporaries at no measured cost in speed. The traced peak of
-# calibrate_threshold(10, 128, 4000) is ~1.4 MB at 64, ~5.1 MB at 256, and
-# ~16 MB with every trial in one block.
+# calibrate_threshold(10, 128, 4000) is 1.48 MB at 64, 4.25 MB at 256, and
+# 58.8 MB with every trial in one block.
 SYNTH_BLOCK = 64
 
 
@@ -111,15 +111,6 @@ def _n_bits(scheme: CodingScheme, n_cols: int) -> int:
     return 2 * (n_cols + (n_cols % 2) if scheme == CodingScheme.AL else 2 * n_cols)
 
 
-def _received(scheme: CodingScheme, bits: np.ndarray, k1: np.ndarray, h: np.ndarray,
-              w: np.ndarray) -> np.ndarray:
-    """Sequences [n, L] from bits [n, B] (rows zero-padded past their own count),
-    offsets k1 [n], gains h [n, 2] and noise w [n, 2, L]: encode, slice at k1, mix."""
-    tx = encode(scheme, modulate_qpsk(bits))
-    windows = np.lib.stride_tricks.sliding_window_view(tx, w.shape[-1], axis=2)
-    return mix(windows[np.arange(k1.size), :, k1], h, w)  # row i's window starts at k1[i]
-
-
 def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
                      words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains (h0, h1) complex [n, 2] and received sequences complex [n, length], one
@@ -130,52 +121,63 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     whatever the other seeds and their order. Only the draws run per row, each
     into the row of a block array; the arithmetic runs once over the block. Every
     value is bit-equal to what the seed's ``np.random.default_rng`` gives through
-    numpy's distribution calls, drawn in this order:
+    numpy's distribution calls (channel: ``standard_gamma`` and ``random``; AL's
+    block offset k1 and the bits: ``integers(0, 2)``; noise: ``normal``). Per row,
+    the draws are:
 
-    - channel: ``standard_gamma(m)`` twice, then ``random()`` twice, made powers
-      and phases by ``fading_law`` with ``rng.gamma``'s and ``rng.uniform``'s own
-      arithmetic;
-    - block offset k1 (AL only; SM's ``integers(0, 1)`` draws nothing): numpy's
-      Lemire draw for range 2 keeps the top bit of one 32-bit half-word, taken
-      low half first from one 64-bit word, so k1 is bit 31 of a ``random_raw``
-      word;
-    - bits: the same range-2 draw, so each bit is the top bit of the next
-      half-word, starting at the high half of k1's word for AL;
-    - noise: ``standard_normal`` into [2, length], made ``0.0 + std * z`` as
-      ``rng.normal`` computes it (the ``0.0 +`` turns a -0.0 into +0.0).
+    - ``standard_gamma(m)`` twice, for the channel powers;
+    - one ``random_raw`` call for the two uniform words of the channel phases,
+      AL's k1 word and the bits' words for k1 = 0. An AL row whose k1 is 1 and
+      whose length is even needs two more bit words and draws them in a second
+      call;
+    - ``standard_normal`` into [2, length], made ``0.0 + std * z`` as ``rng.normal``
+      computes it (the ``0.0 +`` turns a -0.0 into +0.0).
 
-    The half-words come from the raw words because a fresh PCG64 holds no
-    buffered half-word and the channel's draws take whole words; the half left
-    over after the bits is never read, since the noise takes whole words too.
+    A uniform is ``(word >> 11) * 2**-53``, as ``random()`` computes it, and the
+    powers and phases are made by ``fading_law``. numpy's Lemire draw for range 2
+    keeps the top bit of one 32-bit half-word, taken low half first from one 64-bit
+    word. So k1 is bit 31 of its word, and each bit is the top bit of the next
+    half-word, starting at the high half of k1's word for AL (SM's ``integers(0, 1)``
+    draws nothing). The half-words come from the raw words because a fresh PCG64
+    holds no buffered half-word and the channel's draws take whole words; the half
+    left over after the bits is never read, since the noise takes whole words too.
+
+    Every slot sends one of the 16 ``QPSK_PAIRS``, so each row's signal is a lookup:
+    ``slot_pairs`` indexes the slots from the bits, and the row's ``pair_signals``
+    table of 16 samples ``h0*C[a] + h1*C[b]`` is gathered at the slots of its window,
+    which starts k1 slots in. The noise is then added as ``mix`` adds it.
     """
     n = len(words)
     if not 2 <= length < (most := _MAX_ARRAY_BYTES // (_SAMPLE_BYTES * max(n, 1))):
         raise ParameterError(f"length must be >= 2 and < {most} for {n} seed(s), got {length}")
     noise_std = np.sqrt(noise_variance_for_snr(snr_db) / 2.0)
     al = int(scheme == CodingScheme.AL)
+    own = _n_bits(scheme, length)  # the bits of a row whose k1 is 0
     width = _n_bits(scheme, length + block_slots(scheme) - 1)  # the widest row's bits
-    g, u = np.empty((n, 2)), np.empty((n, 2))
-    k1 = np.zeros(n, dtype=np.intp)
-    raw = np.zeros((n, al + width // 2), dtype="<u8")  # AL: k1's word, then the bits' words
+    first = 2 + al + own // 2  # the uniform words, AL's k1 word and the bits' words for k1 = 0
+    extra = (width - own) // 2  # AL's k1 = 1 bit words: 2 for an even length, else 0
+    g = np.empty((n, 2))
+    raw = np.zeros((n, first + extra), dtype="<u8")  # rows zero past their own words
     w = np.empty((n, 2, length))
     for i in range(n):
         rng = seeding.generator(words[i])
         bitgen = rng.bit_generator
         rng.standard_gamma(NAKAGAMI_M, out=g[i])
-        rng.random(out=u[i])
-        if al:
-            raw[i, 0] = word = bitgen.random_raw()
-            k1[i] = offset = word >> 31 & 1
-            count = _n_bits(scheme, length + offset) // 2
-            raw[i, 1 : 1 + count] = bitgen.random_raw(count)
-        else:
-            raw[i] = bitgen.random_raw(raw.shape[1])
+        raw[i, :first] = row = bitgen.random_raw(first)
+        if extra and row[2] >> 31 & 1:
+            raw[i, first:] = bitgen.random_raw(extra)
         rng.standard_normal(out=w[i])
-    bits = raw.view("<u4")[:, al : al + width] >> 31  # rows zero past their own count
+    u = (raw[:, :2] >> 11) * 2.0**-53  # random()'s double from each word
+    k1 = (raw[:, 2] >> 31 & 1).astype(np.intp) if al else np.zeros(n, dtype=np.intp)
+    bits = raw.view("<u4")[:, 4 + al : 4 + al + width] >> 31
+    rows = np.arange(n)
+    slots = np.lib.stride_tricks.sliding_window_view(slot_pairs(scheme, bits), length, axis=1)
+    h = channel_gains(*fading_law(g, u))
+    # row i's 16 pair samples start at flat index 16 * i of its table
+    signal = pair_signals(h).take(16 * rows[:, np.newaxis] + slots[rows, k1])
     w *= noise_std
     w += 0.0  # rng.normal's loc + scale * z, with loc = 0.0
-    h = channel_gains(*fading_law(g, u))
-    return h, _received(scheme, bits, k1, h, w)
+    return h, signal + w[:, 0] + 1j * w[:, 1]
 
 
 def synth_sequence(scheme: CodingScheme, snr_db: float, length: int, seed: int) -> np.ndarray:

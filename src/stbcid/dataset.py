@@ -295,7 +295,7 @@ def serialize_frames(frames: FrameSet, path) -> None:
     rec["iq"] = frames.frames.reshape(len(frames), 2 * window)
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, window, len(frames)))
-        f.write(rec.tobytes())
+        f.write(rec)  # through the buffer protocol: no bytes copy of the records
 
 
 def deserialize_frames(path) -> FrameSet:

@@ -30,6 +30,10 @@ NAKAGAMI_M, NAKAGAMI_OMEGA = 3.0, 1.0
 # 00 -> (+1+j)/sqrt2, 01 -> (-1+j)/sqrt2, 10 -> (+1-j)/sqrt2, 11 -> (-1-j)/sqrt2
 QPSK_CONSTELLATION = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
 
+# Every transmit slot sends one of 16 symbol pairs: pair p = 4a + b puts
+# QPSK_CONSTELLATION[a] on antenna 0 and QPSK_CONSTELLATION[b] on antenna 1.
+QPSK_PAIRS = QPSK_CONSTELLATION[np.stack(np.divmod(np.arange(16), 4))]  # [2, 16]
+
 
 def block_slots(scheme: CodingScheme) -> int:
     """Time slots L spanned by one coding block: 1 for SM, 2 for AL."""
@@ -68,6 +72,35 @@ def encode(scheme: CodingScheme, symbols) -> np.ndarray:
     tx[..., 0, 1::2] = -np.conj(x1)
     tx[..., 1, 1::2] = np.conj(x0)
     return tx
+
+
+def slot_pairs(scheme: CodingScheme, bits) -> np.ndarray:
+    """The ``QPSK_PAIRS`` index of each transmit slot, uint8 [..., L], for 0/1 bits
+    [..., 4k]: slot j sends column j of ``encode(scheme, modulate_qpsk(bits))``.
+
+    Four consecutive bits b0..b3 give p = 8*b0 + 4*b1 + 2*b2 + b3, the pair of symbol
+    indices (i0, i1) = (2*b0 + b1, 2*b2 + b3). That is an SM slot, and the first slot
+    of an AL block. The block's second slot sends (-conj(x1), conj(x0)), the pair
+    4*(i1^1) + (i0^2), since -conj(C[i]) is exactly C[i^1] and conj(C[i]) exactly C[i^2].
+    """
+    bits = np.asarray(bits)
+    if bits.ndim == 0 or bits.shape[-1] % 4 != 0:
+        raise ShapeError(f"bit count must be a multiple of 4, got shape {bits.shape}")
+    p = (bits[..., 0::4] << 3 | bits[..., 1::4] << 2 | bits[..., 2::4] << 1
+         | bits[..., 3::4]).astype(np.uint8)
+    if scheme == CodingScheme.SM:
+        return p
+    pairs = np.empty((*p.shape[:-1], 2 * p.shape[-1]), dtype=np.uint8)
+    pairs[..., 0::2] = p
+    pairs[..., 1::2] = (p & 3 ^ 1) << 2 | (p >> 2 ^ 2)
+    return pairs
+
+
+def pair_signals(h) -> np.ndarray:
+    """h0*QPSK_PAIRS[0] + h1*QPSK_PAIRS[1]: the noiseless received sample of each of the
+    16 pairs, complex [..., 16] for gains h [..., 2], computed as ``mix`` computes it."""
+    h = np.asarray(h)[..., np.newaxis]
+    return h[..., 0, :] * QPSK_PAIRS[0] + h[..., 1, :] * QPSK_PAIRS[1]
 
 
 def fading_law(g, u):
@@ -109,9 +142,10 @@ def receive(tx, h, noise_variance: float, k1: int, length: int,
     """Flat-fading single-antenna reception of ``length`` samples starting k1 slots into tx.
 
     r(k) = h0*tx[0, k+k1] + h1*tx[1, k+k1] + w(k), with gains h = (h0, h1) and w
-    complex Gaussian of total variance ``noise_variance``. The package synthesizes
-    through ``mix`` in whole batches; this one-row reference stays because the
-    benchmark in ``perfbench/`` patches it by name.
+    complex Gaussian of total variance ``noise_variance``. The package does not
+    call it: ``baseline_corr.synth_from_words`` synthesizes whole batches by
+    ``slot_pairs`` and ``pair_signals`` lookup. This one-row reference stays
+    because the benchmark in ``perfbench/`` patches it by name.
     """
     tx = np.asarray(tx)
     if tx.ndim != 2 or tx.shape[0] != 2:

@@ -20,7 +20,7 @@ from stbcid.baseline_corr import (
 from stbcid import baseline_corr, seeding
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.seeding import _MASK64
-from stbcid.signal_model import CodingScheme
+from stbcid.signal_model import CodingScheme, pair_signals, slot_pairs
 
 
 def scalar_feature(seq) -> float:
@@ -212,13 +212,10 @@ class TestPopulationStatistic:
     H = (0.6, 1.2 + 0.4j)  # the channel gains (h0, h1)
 
     def _noiseless(self, scheme, length, seed):
-        """A sequence through H without noise, mixed by the block path from the bits of
-        ``default_rng(seed)``, its pairs starting at r(0)."""
-        bits = np.random.default_rng(seed).integers(
-            0, 2, size=(1, baseline_corr._n_bits(scheme, length)))
-        return baseline_corr._received(
-            scheme, bits, np.zeros(1, dtype=np.intp), np.array([self.H]),
-            np.zeros((1, 2, length)))[0]
+        """A sequence through H without noise, looked up as the synthesis looks it up from
+        the bits of ``default_rng(seed)``, its pairs starting at r(0)."""
+        bits = np.random.default_rng(seed).integers(0, 2, size=baseline_corr._n_bits(scheme, length))
+        return pair_signals(np.array(self.H))[slot_pairs(scheme, bits)[:length]]
 
     def test_al_population_value_is_zero(self):
         # h0*h1*(|x0|^2 - |x1|^2) vanishes for QPSK, the rest averages out; the pairs as

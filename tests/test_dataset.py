@@ -338,6 +338,23 @@ class TestSerialization:
         serialize_frames(empty, path)
         assert len(deserialize_frames(path)) == 0
 
+    def test_write_peak_memory(self, tmp_path):
+        # the records are built once; a bytes copy of them for the write would double the peak
+        n = 2000
+        frames = FrameSet(frames=np.ones((n, 2, FRAME_LEN), np.float32),
+                          schemes=np.arange(n, dtype=np.uint8) % 2,
+                          snrs_db=np.linspace(-20.0, 20.0, n))
+        record_bytes = n * (3 + 8 * FRAME_LEN)
+        path = tmp_path / "d.stbc"
+        tracemalloc.start()
+        try:
+            serialize_frames(frames, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == 18 + record_bytes
+        assert peak < 1.25 * record_bytes, f"peaked at {peak / record_bytes:.2f}x the records"
+
     def test_snr_the_writer_refuses_rejected(self, tmp_path):
         frames = generate_dataset(small_config())
         path = tmp_path / "d.stbc"

@@ -9,15 +9,19 @@ from stbcid import seeding
 from stbcid.baseline_corr import synth_from_words
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import (
+    QPSK_PAIRS,
     CodingScheme,
     NAKAGAMI_M,
     block_slots,
     channel_gains,
     encode,
     fading_law,
+    mix,
     modulate_qpsk,
     noise_variance_for_snr,
+    pair_signals,
     receive,
+    slot_pairs,
 )
 
 R2 = 1.0 / np.sqrt(2.0)
@@ -102,6 +106,65 @@ class TestEncode:
             gram = block @ block.conj().T
             energy = abs(symbols[2 * b]) ** 2 + abs(symbols[2 * b + 1]) ** 2
             np.testing.assert_allclose(gram, energy * np.eye(2), atol=1e-12)
+
+
+# Row p holds the four bits of pair p, most significant first: 8*b0 + 4*b1 + 2*b2 + b3 = p.
+PATTERNS = np.arange(16)[:, np.newaxis] >> np.arange(3, -1, -1) & 1
+
+
+class TestSlotPairs:
+    """Each slot's pair index against the public layout ``encode(modulate_qpsk(bits))``."""
+
+    @staticmethod
+    def _pairs_bytes(pairs):
+        """The [..., 2, L] transmit layout of pair indices [..., L], as bytes."""
+        return np.moveaxis(QPSK_PAIRS[:, pairs], 0, -2).tobytes()
+
+    def test_sm_every_four_bit_pattern(self):
+        pairs = slot_pairs(CodingScheme.SM, PATTERNS)
+        assert pairs.dtype == np.uint8 and pairs.tolist() == [[p] for p in range(16)]
+        tx = encode(CodingScheme.SM, modulate_qpsk(PATTERNS))
+        assert self._pairs_bytes(pairs) == tx.tobytes()
+
+    def test_al_every_symbol_pair_at_both_slot_parities(self):
+        # pattern p is the block (x0, x1) = (C[i0], C[i1]) with p = 4*i0 + i1
+        pairs = slot_pairs(CodingScheme.AL, PATTERNS)
+        i0, i1 = np.arange(16) >> 2, np.arange(16) & 3
+        assert pairs[:, 0].tolist() == list(range(16))
+        assert pairs[:, 1].tolist() == (4 * (i1 ^ 1) + (i0 ^ 2)).tolist()
+        tx = encode(CodingScheme.AL, modulate_qpsk(PATTERNS))
+        assert self._pairs_bytes(pairs) == tx.tobytes()
+
+    @pytest.mark.parametrize("scheme", [CodingScheme.SM, CodingScheme.AL], ids=["0-eq2", "1-eq2"])
+    def test_rows_of_many_blocks(self, scheme):
+        bits = np.random.default_rng(6).integers(0, 2, size=(3, 5, 24)).astype(np.uint32)
+        tx = encode(scheme, modulate_qpsk(bits))
+        assert self._pairs_bytes(slot_pairs(scheme, bits)) == tx.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (6,), (2, 10)])
+    def test_bit_count_not_a_multiple_of_four_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            slot_pairs(CodingScheme.SM, np.zeros(shape, dtype=np.uint32))
+
+    @pytest.mark.parametrize("h", [(0.6, 1.2 + 0.4j), (0.0, -0.3 + 0.9j), (1.1 - 0.2j, 0.0),
+                                   (0.0, 0.0), (-0.0, 2.5)])
+    def test_each_table_entry_is_the_mix_of_its_column(self, h):
+        # a zero gain makes signed zeros, which mix's noise sum then sees
+        table = pair_signals(np.array(h))
+        assert table.shape == (16,)
+        rng = np.random.default_rng(8)
+        for noise in (np.zeros((2, 1)), rng.standard_normal((2, 1))):
+            for p, bits in enumerate(PATTERNS):
+                column = encode(CodingScheme.SM, modulate_qpsk(bits))
+                expected = mix(column, np.array(h), noise)
+                assert (table[p] + noise[0] + 1j * noise[1]).tobytes() == expected.tobytes()
+
+    def test_table_rows_equal_one_row_calls(self):
+        h = np.random.default_rng(9).standard_normal((4, 3, 2, 2)) @ np.array([1, 1j])
+        tables = pair_signals(h)
+        assert tables.shape == (4, 3, 16)
+        for i, j in np.ndindex(4, 3):
+            assert tables[i, j].tobytes() == pair_signals(h[i, j]).tobytes()
 
 
 class TestDrawChannel:
