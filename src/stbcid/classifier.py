@@ -304,7 +304,8 @@ def load_checkpoint(path) -> Model:
     """Rebuild a model bit-exactly; ``DescriptorMismatchError`` unless its stack maps a
     (1, 2, FRAME_LEN) frame to two class probabilities, so callers check no shapes.
     It holds no copy of the file: after the descriptors, one size comparison rejects a
-    truncated or over-claimed file and trailing bytes, then each tensor is read in place.
+    truncated or over-claimed file and trailing bytes, then each tensor is read in place
+    (a conv kernel, held transposed, through a one-filter temporary).
     The model holds its parameters only; gradient buffers wait for a first training step."""
     with open(path, "rb") as f:
         left = os.fstat(f.fileno()).st_size
@@ -354,7 +355,13 @@ def load_checkpoint(path) -> Model:
         for i, p in enumerate(params):
             if take(len(header := _tensor_header(p.shape))) != header:
                 raise DescriptorMismatchError(f"{path}: tensor {i} is not stored as {p.shape}")
-            f.readinto(p)
+            if p.flags.c_contiguous:
+                f.readinto(p)
+            else:  # a transposed conv kernel, one filter at a time through a small temporary
+                row = np.empty(p.shape[1:], dtype=p.dtype)
+                for out in p:
+                    f.readinto(row)
+                    out[...] = row
             if not np.isfinite(p.sum(dtype=np.float64)):  # as in dataset.deserialize_frames
                 raise CorruptCheckpointError(f"{path}: non-finite values in tensor {i}")
     return Model(spec=ModelSpec(layers=specs, input_shape=input_shape), net=net)

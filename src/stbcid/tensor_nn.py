@@ -4,7 +4,10 @@ Layers operate on batched arrays (leading batch axis). A ``Network`` takes
 channel-first ``[B, C, H, W]`` input, copies and transposes it once and
 stores every activation width-major, ``[B, W, H, C]``; ``Flatten`` emits
 channel-first order, so shapes, parameter layouts and checkpoints stay
-channel-first. The engine is deliberately small: stride-1 convolutions along
+channel-first. A parameter may be a transposed view of one contiguous array
+(a Conv2D kernel is stored in the order its GEMMs read it), so code that
+writes a parameter's elements never goes through ``reshape(-1)``, which would
+return a copy. The engine is deliberately small: stride-1 convolutions along
 the width only (kernel height 1 or the full input height), column-only zero
 padding, inverted dropout, softmax + cross-entropy fused in the backward
 pass. A ``zeropad`` must come directly before a ``conv2d``, which owns that
@@ -38,10 +41,11 @@ its patch matrix), a Flatten the shape, and a ReLU or Dropout its mask, packed
 8 to a byte. ``Network`` folds a ReLU directly before a Dropout into it, as it
 folds a ZeroPad into its Conv2D: the ReLU passes activations and gradients
 through, and the Dropout applies the max and holds the pair's one mask, so
-relu1 and drop1 of a B=128 CNN2 step hold 1.1 MB. Both work one slab of about
-``SLAB_UNITS`` units at a time, so no whole-batch bool mask is made. A shifted
-Conv2D makes its per-shift products and shifted gradients ``CONV_BLOCK``
-batch elements at a time, and none of them outlives the call.
+relu1 and drop1 of a B=128 CNN2 step hold 1.1 MB. A training pass works one
+slab of about ``SLAB_UNITS`` units at a time, so no whole-batch bool mask is
+made; an eval forward applies the max in one pass. A shifted Conv2D makes its
+per-shift products and shifted gradients ``CONV_BLOCK`` batch elements at a
+time, and none of them outlives the call.
 
 Every GEMM whose shared dimension K can exceed 400 goes through ``_matmul``,
 which sums a K above 400 as a multiple of 32 plus the rest, so a training
@@ -60,7 +64,7 @@ from . import seeding
 from .errors import ParameterError, ShapeError
 
 LOSS_CLAMP = 1e-12
-INIT_BLOCK = 65536  # weights drawn per uniform call of a layer's initialization
+INIT_BLOCK = 65536  # weights per uniform call of a layer's initialization, in whole rows
 # batch elements per chunk of a shifted Conv2D's passes; a multiple of 32, so a full
 # chunk's weight-gradient GEMM sums over K = 32*W*G rows, a multiple of 32 (see _matmul)
 CONV_BLOCK = 32
@@ -163,31 +167,37 @@ class Layer:
 class _Weighted(Layer):
     """A layer with weights w of its ``weight_shapes`` shape (filters or units first) and bias b.
 
-    The weights are drawn He- or Glorot-uniform from ``rng``, ``INIT_BLOCK`` at a
-    time straight into w (each float64 uniform takes one stream word, so w equals
-    one whole-tensor draw cast to its dtype), or left zero when ``rng`` is None
-    (a checkpoint is about to overwrite them). The gradients gw and gb wait for
-    ``make_grads``, and ``grads()`` is empty until then.
+    w is a view of one contiguous array that holds w's axes in ``stored_as``
+    order. The weights are drawn He- or Glorot-uniform from ``rng`` straight
+    into w, whole rows (filters or units) of about ``INIT_BLOCK`` weights at a
+    time in w's own (C) element order (each float64 uniform takes one stream
+    word, so w equals one whole-tensor draw cast to its dtype), or left zero
+    when ``rng`` is None (a checkpoint is about to overwrite them). The
+    gradients gw and gb, laid out as w and b, wait for ``make_grads``, and
+    ``grads()`` is empty until then.
     """
+
+    stored_as = (0, 1)  # w's axes in the order its storage array holds them
 
     def __init__(self, spec: LayerSpec, shape: tuple[int, ...], rng: np.random.Generator | None,
                  dtype=np.float32, init: str = "he"):
         super().__init__(spec)
-        self.w = np.zeros(shape, dtype=dtype)
+        storage = np.zeros([shape[a] for a in self.stored_as], dtype=dtype)
+        self.w = storage.transpose([self.stored_as.index(a) for a in range(len(shape))])
         if rng is not None:
             fan_in = math.prod(shape[1:])
             limit = np.sqrt(6.0 / (fan_in if init == "he" else fan_in + shape[0]))
-            flat = self.w.reshape(-1)
-            for lo in range(0, flat.size, INIT_BLOCK):
-                block = flat[lo:lo + INIT_BLOCK]
-                block[...] = rng.uniform(-limit, limit, size=block.size)
+            rows = max(1, INIT_BLOCK // fan_in)
+            for lo in range(0, shape[0], rows):
+                block = self.w[lo:lo + rows]
+                block[...] = rng.uniform(-limit, limit, size=block.shape)
         self.b = np.zeros(shape[0], dtype=dtype)
         self.gw = self.gb = None
         self._x = None  # what forward(train=True) stores for backward
 
     def make_grads(self) -> None:
         """Allocate gw and gb, once: ``Network.loss_and_grads`` calls it before its forward."""
-        if self.gw is None:
+        if self.gw is None:  # empty_like keeps w's memory order
             self.gw, self.gb = np.empty_like(self.w), np.empty_like(self.b)
 
     def params(self):
@@ -212,6 +222,13 @@ class Conv2D(_Weighted):
     zero columns flanked it, so the output is [B, OW, G, F] with
     OW = W + 2*pad - kw + 1 and no padded copy is made.
 
+    The kernel w is a [F, C, kh, kw] view of one contiguous [kh, C, kw, F]
+    array (``stored_as``), which is the [K, kw*F] matrix every GEMM below reads
+    (row k*kw + j of [K*kw, F] for the windowed path); gw is stored the same
+    way. So ``w.transpose(2, 1, 3, 0).reshape(...)`` is a view, the GEMMs read
+    the parameter itself, and backward sums the weight gradient into gw in
+    place.
+
     Forward multiplies the unpadded input by all kw shift weights at once,
     ``CONV_BLOCK`` batch elements (n) at a time, [n*W*G, K] @ [K, kw*F], into
     one product buffer allocated per call, and adds each chunk's product into
@@ -230,8 +247,7 @@ class Conv2D(_Weighted):
     multiple of 32 is summed in two parts, and a full chunk's K = 32*W*G needs
     no split. That slice of the stored input is then dead, so the chunk's
     unpadded input gradient, shifted @ weights^T, is written over it (the
-    windowed path below stores patches instead and allocates it). The weight
-    relayout is built once per call, not per chunk.
+    windowed path below stores patches instead and allocates it).
 
     When a kw-wide window of K values is no larger than the F outputs it feeds
     (conv1 of CNN2), forward instead pads the tiny input and builds its window
@@ -239,6 +255,8 @@ class Conv2D(_Weighted):
     backward gets the weight and bias gradients from one stacked GEMM per
     batch element.
     """
+
+    stored_as = (2, 1, 3, 0)  # [kh, C, kw, F]
 
     def __init__(self, spec: LayerSpec, shape: tuple[int, ...], rng: np.random.Generator | None,
                  dtype=np.float32, init: str = "he"):
@@ -264,7 +282,7 @@ class Conv2D(_Weighted):
         trace_shapes([self.spec], (c, h, w + 2 * p))  # kernel height 1 or h, width at most w + 2p
         g, k, ow = h // kh, kh * c, w + 2 * p - kw + 1
         x = np.ascontiguousarray(x).reshape(b, w, g, k)
-        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)  # [:, j] multiplies shift j
+        wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw, f)  # a view; [:, j] multiplies shift j
         if self._windowed:
             padded = np.zeros((b, w + 2 * p, g, k), dtype=x.dtype)
             padded[:, p:p + w] = x
@@ -296,17 +314,17 @@ class Conv2D(_Weighted):
         b, ow, g, _ = grad.shape
         p = self.pad
         k, w = kh * c, ow + kw - 1 - 2 * p
+        gwt = self.gw.transpose(2, 1, 3, 0).reshape(k, kw * f)  # a view, as in forward
         if self._windowed:
             # per element [K*kw + 1, OW*G] @ [OW*G, F]: reads a strided gradient without a copy
             gwb = np.matmul(x.transpose(0, 2, 1), grad.reshape(b, ow * g, f)).sum(axis=0)
-            gwt, self.gb[...] = gwb[:-1], gwb[-1]
+            gwt[...], self.gb[...] = gwb[:-1].reshape(k, kw * f), gwb[-1]
             if not input_grad:
-                self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
                 return None
             dx = np.empty((b * w * g, k), dtype=grad.dtype)  # x holds patches
         else:
             self.gb[...] = grad.sum(axis=(0, 1, 2))
-            gwt = np.zeros((k, kw * f), dtype=grad.dtype)
+            gwt[...] = 0.0
             x = dx = x.reshape(-1, k)  # the input, owned by this layer: dx goes over it
         wt = self.w.transpose(2, 1, 3, 0).reshape(k, kw * f).T
         rows = w * g  # of x and dx per batch element
@@ -325,7 +343,6 @@ class Conv2D(_Weighted):
                 gwt += _matmul(x[part].T, flat)
             if input_grad:
                 np.matmul(flat, wt, out=dx[part])
-        self.gw[...] = gwt.reshape(kh, c, kw, f).transpose(3, 1, 0, 2)
         return dx.reshape(b, w, kh * g, c) if input_grad else None
 
 
@@ -356,10 +373,12 @@ class _Masked(Layer):
     mask, ``keep & (x > 0)``. A training forward holds its mask packed 8 to a
     byte for backward, which multiplies the gradient by it and by the scale.
 
-    Both directions work one slab of whole batch elements at a time, while it
-    is in cache: about ``SLAB_UNITS`` units, and a whole number of bytes of
-    bits in every slab but the last, so the held bytes equal the whole batch's
-    ``np.packbits`` and ``keep_mask`` draws each slab in turn on one stream.
+    A training forward and its backward work one slab of whole batch elements
+    at a time, while it is in cache: about ``SLAB_UNITS`` units, and a whole
+    number of bytes of bits in every slab but the last, so the held bytes
+    equal the whole batch's ``np.packbits`` and ``keep_mask`` draws each slab
+    in turn on one stream. An eval forward makes no mask and applies the max
+    in one pass.
     """
 
     def __init__(self, spec: LayerSpec):
@@ -371,26 +390,24 @@ class _Masked(Layer):
     def forward(self, x, train=False, rng=None, sign_trace=None):
         if sign_trace is not None and self.spec.kind == "relu":
             sign_trace.append(x > 0)
-        draws = train and rng is not None and self.rate != 0.0
-        if train:
-            self._bits = self._scale = None
+        if not train:
+            return np.maximum(x, 0, out=x) if self.relu else x
+        draws = rng is not None and self.rate != 0.0
+        self._bits = self._scale = None
         if not (self.relu or draws):
             return x
         scale = x.dtype.type(1.0) / x.dtype.type(1.0 - self.rate)
-        bits = np.empty(-(-x.size // 8), dtype=np.uint8) if train else None
+        bits = np.empty(-(-x.size // 8), dtype=np.uint8)
         for slab, held in _slabs(x, bits):
             mask = keep_mask(rng, slab.shape, self.rate) if draws else None
             if self.relu:
-                if train:
-                    mask = slab > 0 if mask is None else np.logical_and(mask, slab > 0, out=mask)
+                mask = slab > 0 if mask is None else np.logical_and(mask, slab > 0, out=mask)
                 np.maximum(slab, 0, out=slab)
             if draws:
                 slab *= mask
                 slab *= scale
-            if train:
-                held[...] = np.packbits(mask)
-        if train:
-            self._bits, self._scale = bits, scale if draws else None
+            held[...] = np.packbits(mask)
+        self._bits, self._scale = bits, scale if draws else None
         return x
 
     def backward(self, grad):
@@ -704,22 +721,31 @@ def adam_step(params, grads, state: OptimizerState):
     ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``. Each parameter is updated
     in flat blocks of ``ADAM_BLOCK`` elements through two block-sized scratch
     arrays (256 KB each in float32), not a temporary per operation; every
-    operation is elementwise, so the blocking changes no value. Parameters and
-    the state's m and v are updated through flat views, so they must be
-    C-contiguous.
+    operation is elementwise, so the blocking changes no value. Each parameter,
+    its gradient and the state's m and v are walked through flat views in
+    memory order (``ravel(order="K")``), so each must be one dense block, and
+    the four must share one memory order (equal strides on every axis longer
+    than 1), as ``empty_like`` and ``zeros_like`` give a transposed Conv2D
+    kernel; a strided array, or one in another order, raises ``ShapeError``.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads, and optimizer state must align")
+    flats = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        if not (p.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous):
-            raise ShapeError("adam_step updates C-contiguous parameters and state only")
+        group = (p, g, m, v)
+        flat = [a.ravel(order="K") for a in group]  # a copy unless a is one dense block
+        orders = {tuple(s // a.itemsize for s, n in zip(a.strides, a.shape) if n > 1)
+                  for a in group}
+        if len(orders) > 1 or not all(map(np.may_share_memory, flat, group)):
+            raise ShapeError("adam_step updates a parameter, gradient and state that are each "
+                             "one dense block, in one memory order")
+        flats.append(flat)
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1 ** state.t
     bc2 = 1.0 - ADAM_BETA2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p, g, m, v = (a.reshape(-1) for a in (p, g, m, v))
+    for p, g, m, v in flats:
         scratch = np.empty((2, min(p.size, ADAM_BLOCK)), dtype=p.dtype)
         for lo in range(0, p.size, ADAM_BLOCK):
             pb, gb, mb, vb = (a[lo:lo + ADAM_BLOCK] for a in (p, g, m, v))
@@ -785,9 +811,9 @@ def grad_check(network: Network, x, onehot) -> GradCheckReport:
     n_checked = 0
     per_param_max = [0.0 for _ in network.parameters()]
     for pi, p in enumerate(network.parameters()):
-        flat = p.reshape(-1)
-        gflat = analytic[pi].reshape(-1)
-        for k in range(flat.size):
+        flat = p.flat  # element k in C order, also of a transposed view (reshape would copy)
+        gflat = analytic[pi].reshape(-1)  # a C-order copy
+        for k in range(p.size):
             orig = flat[k]
             signs_hi: list = []
             signs_lo: list = []

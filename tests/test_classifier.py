@@ -258,7 +258,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weight_rejected(self, tmp_path, bad):
         model = initialize(build_cnn2(), seed=4)
-        model.net.parameters()[2].reshape(-1)[7] = bad  # conv2's kernel
+        model.net.parameters()[2].flat[7] = bad  # conv2's kernel, element 7 in C order
         path = tmp_path / "m.stbcnn"
         save_checkpoint(model, path)
         with pytest.raises(CorruptCheckpointError, match="non-finite values in tensor 2"):

@@ -309,6 +309,48 @@ class TestAdam:
             adam_step(params, [np.ones((3, 4))], state)
         assert state.t == 0
 
+    def test_transposed_kernel_updated_in_place(self):
+        # a Conv2D kernel is a transposed view of its storage: the update walks that
+        # storage and gives the bits of the same step on a C-contiguous copy
+        model = initialize(build_cnn2(), seed=3)
+        kernel = model.net.parameters()[2]
+        assert not kernel.flags.c_contiguous
+        grads = [np.random.default_rng(t).standard_normal(kernel.shape).astype(np.float32)
+                 for t in range(3)]
+        copy = kernel.copy()
+        state, ref_state = adam_init([kernel], lr=1e-2), adam_init([copy], lr=1e-2)
+        for g in grads:
+            in_kernel_order = np.empty_like(kernel)
+            in_kernel_order[...] = g
+            adam_step([kernel], [in_kernel_order], state)
+            adam_step([copy], [g], ref_state)
+        assert model.net.layers[5].w.tobytes() == copy.tobytes()  # conv2's own kernel
+        assert state.m[0].tobytes() == ref_state.m[0].tobytes()
+        assert state.v[0].tobytes() == ref_state.v[0].tobytes()
+
+    @pytest.mark.parametrize("alike", [False, True], ids=["alone", "state-alike"])
+    def test_strided_parameter_rejected(self, alike):
+        # alike: all four arrays share one memory order but are no dense block
+        params, grads = [np.zeros((3, 8))[:, ::2]], [np.ones((3, 8))[:, ::2]]
+        state = adam_init(params, lr=1e-3)
+        if alike:
+            state.m, state.v = [np.zeros((3, 8))[:, ::2]], [np.zeros((3, 8))[:, ::2]]
+        with pytest.raises(ShapeError):
+            adam_step(params, grads, state)
+        assert state.t == 0
+
+    @pytest.mark.parametrize("shape", [(80, 256, 2, 3), (256, 1, 1, 4)], ids=["conv2", "conv1"])
+    def test_gradient_in_another_memory_order_rejected(self, shape):
+        layer = Conv2D(LayerSpec("conv2d", filters=shape[0], kernel=shape[2:]), shape, None)
+        layer.make_grads()
+        layer.gw[...], layer.gb[...] = 1.0, 1.0
+        state = adam_init(layer.params(), lr=1e-3)
+        # conv1's kernel and its zeros_like differ in stride only on axes of length 1
+        adam_step(layer.params(), layer.grads(), state)
+        with pytest.raises(ShapeError):
+            adam_step(layer.params(), [np.ones(shape, dtype=np.float32), layer.gb], state)
+        assert state.t == 1
+
     def test_zero_gradient_fixed_point(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
         before = [p.copy() for p in params]
@@ -641,6 +683,31 @@ class TestChunkedConv:
                 assert got.tobytes() == ref.tobytes()
             else:  # float32 sums of at most a few thousand terms
                 np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+
+class TestKernelLayout:
+    """A Conv2D kernel is stored as the [kh*C, kw*F] matrix its GEMMs read, so no call copies it."""
+
+    @staticmethod
+    def _assert_gemm_views(model):
+        for layer in model.net.layers:
+            if isinstance(layer, Conv2D):
+                f, c, kh, kw = layer.w.shape
+                for a in (layer.w, *layer.grads()[:1]):
+                    assert np.shares_memory(a.transpose(2, 1, 3, 0).reshape(kh * c, kw * f), a)
+
+    def test_initialized_and_loaded_kernels(self, tmp_path):
+        model = initialize(build_cnn2(), seed=5)
+        self._assert_gemm_views(model)
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        self._assert_gemm_views(loaded)
+        for p, q in zip(loaded.net.parameters(), model.net.parameters()):
+            assert p.tobytes() == q.tobytes()
+        frames = np.random.default_rng(5).standard_normal((4, 1, 2, FRAME_LEN))
+        loaded.net.loss_and_grads(frames, np.eye(2)[[0, 1, 1, 0]])
+        self._assert_gemm_views(loaded)  # and the gradients
 
 
 class TestKeepMask:
