@@ -117,21 +117,22 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     row per seed, from the seeds' ``seeding.rng_words`` ``words`` [n, 4]: the one
     synthesis path, for calibration and dataset bursts alike.
 
-    Each row has its own PCG64 generator, so a seed fully determines its row,
-    whatever the other seeds and their order. Only the draws run per row, each
-    into the row of a block array; the arithmetic runs once over the block. Every
-    value is bit-equal to what the seed's ``np.random.default_rng`` gives through
-    numpy's distribution calls (channel: ``standard_gamma`` and ``random``; AL's
-    block offset k1 and the bits: ``integers(0, 2)``; noise: ``normal``). Per row,
-    the draws are:
+    Each row has its own PCG64 generator, built by ``seeding.generators`` once the
+    block of words is checked, so a seed fully determines its row, whatever the other
+    seeds and their order. Only the draws run per row, each into the row of a block
+    array; the arithmetic runs once over the block. Every value is bit-equal to what
+    the seed's ``np.random.default_rng`` gives through numpy's distribution calls
+    (channel: ``standard_gamma`` and ``random``; AL's block offset k1 and the bits:
+    ``integers(0, 2)``; noise: ``normal``). Per row, in this order, the draws are:
 
-    - ``standard_gamma(m)`` twice, for the channel powers;
+    - ``standard_gamma(m, out=)`` into the row's two channel powers;
     - one ``random_raw`` call for the two uniform words of the channel phases,
-      AL's k1 word and the bits' words for k1 = 0. An AL row whose k1 is 1 and
-      whose length is even needs two more bit words and draws them in a second
-      call;
-    - ``standard_normal`` into [2, length], made ``0.0 + std * z`` as ``rng.normal``
-      computes it (the ``0.0 +`` turns a -0.0 into +0.0).
+      AL's k1 word and the bits' words for k1 = 0. If the row is AL, its length
+      even and its k1 (bit 31 of the k1 word, tested on a Python int) is 1, a
+      second ``random_raw`` call draws the two more bit words it needs;
+    - ``standard_normal(out=)`` into the row's [2, length] noise, made ``0.0 + std * z``
+      over the block as ``rng.normal`` computes it (the ``0.0 +`` turns a -0.0 into
+      +0.0).
 
     A uniform is ``(word >> 11) * 2**-53``, as ``random()`` computes it, and the
     powers and phases are made by ``fading_law``. numpy's Lemire draw for range 2
@@ -141,12 +142,17 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     draws nothing). The half-words come from the raw words because a fresh PCG64
     holds no buffered half-word and the channel's draws take whole words; the half
     left over after the bits is never read, since the noise takes whole words too.
+    The top bit of a little-endian half-word is bit 7 of its high byte, read through
+    a uint8 view of the block's words.
 
     Every slot sends one of the 16 ``QPSK_PAIRS``, so each row's signal is a lookup:
     ``slot_pairs`` indexes the slots from the bits, and the row's ``pair_signals``
     table of 16 samples ``h0*C[a] + h1*C[b]`` is gathered at the slots of its window,
-    which starts k1 slots in. The noise is then added as ``mix`` adds it.
+    which starts k1 slots in (a ``where`` on k1 picks it). The noise is then added
+    into the gathered signal in place, bit-equal to ``mix``'s ``signal + w0 + 1j*w1``
+    because no noise value is -0.0.
     """
+    rngs = seeding.generators(words)  # checks the [n, 4] block before anything is allocated
     n = len(words)
     if not 2 <= length < (most := _MAX_ARRAY_BYTES // (_SAMPLE_BYTES * max(n, 1))):
         raise ParameterError(f"length must be >= 2 and < {most} for {n} seed(s), got {length}")
@@ -159,25 +165,25 @@ def synth_from_words(scheme: CodingScheme, snr_db: float, length: int,
     g = np.empty((n, 2))
     raw = np.zeros((n, first + extra), dtype="<u8")  # rows zero past their own words
     w = np.empty((n, 2, length))
-    for i in range(n):
-        rng = seeding.generator(words[i])
-        bitgen = rng.bit_generator
+    for i, rng in enumerate(rngs):
         rng.standard_gamma(NAKAGAMI_M, out=g[i])
-        raw[i, :first] = row = bitgen.random_raw(first)
-        if extra and row[2] >> 31 & 1:
-            raw[i, first:] = bitgen.random_raw(extra)
+        raw[i, :first] = row = rng.bit_generator.random_raw(first)
+        if extra and row.item(2) >> 31 & 1:
+            raw[i, first:] = rng.bit_generator.random_raw(extra)
         rng.standard_normal(out=w[i])
     u = (raw[:, :2] >> 11) * 2.0**-53  # random()'s double from each word
-    k1 = (raw[:, 2] >> 31 & 1).astype(np.intp) if al else np.zeros(n, dtype=np.intp)
-    bits = raw.view("<u4")[:, 4 + al : 4 + al + width] >> 31
-    rows = np.arange(n)
-    slots = np.lib.stride_tricks.sliding_window_view(slot_pairs(scheme, bits), length, axis=1)
+    # the top bit of half-words 4, 5, ...: bit 7 of each one's high byte (AL's k1, then the bits)
+    top = raw.view(np.uint8)[:, 19 : 19 + 4 * (al + width) : 4] >> 7
+    pairs = slot_pairs(scheme, top[:, al:])
+    slots = np.where(top[:, :1], pairs[:, 1 : length + 1], pairs[:, :length]) if al else pairs
     h = channel_gains(*fading_law(g, u))
     # row i's 16 pair samples start at flat index 16 * i of its table
-    signal = pair_signals(h).take(16 * rows[:, np.newaxis] + slots[rows, k1])
+    signal = pair_signals(h).take(16 * np.arange(n)[:, np.newaxis] + slots)
     w *= noise_std
     w += 0.0  # rng.normal's loc + scale * z, with loc = 0.0
-    return h, signal + w[:, 0] + 1j * w[:, 1]
+    signal.real += w[:, 0]
+    signal.imag += w[:, 1]
+    return h, signal
 
 
 def synth_sequence(scheme: CodingScheme, snr_db: float, length: int, seed: int) -> np.ndarray:
@@ -256,7 +262,10 @@ def frame_scores(frames, rule: ThresholdRule) -> np.ndarray:
     subtraction gives 0 only for equal operands and never flips their order."""
     frames = np.asarray(frames)
     out = np.empty(frames.shape[0])
+    r = np.empty((min(CORR_BLOCK, frames.shape[0]), frames.shape[-1]), dtype=np.complex128)
     for start in range(0, frames.shape[0], CORR_BLOCK):
         block = frames[start : start + CORR_BLOCK]
-        out[start : start + CORR_BLOCK] = correlation_features(block[:, 0] + 1j * block[:, 1])
+        rows = r[: len(block)]
+        rows.real, rows.imag = block[:, 0], block[:, 1]
+        out[start : start + CORR_BLOCK] = correlation_features(rows)
     return out - rule.threshold

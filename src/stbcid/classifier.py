@@ -297,7 +297,9 @@ def save_checkpoint(model: Model, path) -> None:
         f.write(b"".join(header))
         for t in tensors:  # written from their own buffers: no joined copy of the weights
             f.write(_tensor_header(t.shape))
-            f.write(np.ascontiguousarray(t, dtype="<f4").data)
+            # a conv kernel, held transposed, one filter at a time, as load_checkpoint reads it
+            for part in (t,) if t.flags.c_contiguous else t:
+                f.write(np.ascontiguousarray(part, dtype="<f4").data)
 
 
 def load_checkpoint(path) -> Model:

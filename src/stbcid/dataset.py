@@ -171,16 +171,17 @@ def window_frames(samples, window: int, shift: int) -> np.ndarray:
 
 
 def _iq_frames(windows: np.ndarray, normalize: bool) -> np.ndarray:
-    """``to_iq`` of each row: complex windows [n, FRAME_LEN] -> float64 frames [n, 2, FRAME_LEN]."""
-    frames = np.empty((windows.shape[0], 2, FRAME_LEN), dtype=np.float64)
-    frames[:, 0] = windows.real
-    frames[:, 1] = windows.imag
+    """``to_iq`` of each window: complex windows [..., FRAME_LEN] (a strided view will do)
+    -> float64 frames [..., 2, FRAME_LEN]."""
+    frames = np.empty((*windows.shape[:-1], 2, FRAME_LEN), dtype=np.float64)
+    frames[..., 0, :] = windows.real
+    frames[..., 1, :] = windows.imag
     if normalize:
-        flat = frames.reshape(frames.shape[0], 2 * FRAME_LEN)
+        flat = frames.reshape(-1, 2 * FRAME_LEN)
         power = np.sum(flat * flat, axis=1) / FRAME_LEN
         if (power == 0.0).any():
             raise ParameterError("cannot normalize a zero-power frame")
-        frames /= np.sqrt(power)[:, np.newaxis, np.newaxis]
+        flat /= np.sqrt(power)[:, np.newaxis]
     return frames
 
 
@@ -202,7 +203,7 @@ def _cell_frames(scheme: CodingScheme, snr_db: float, words: np.ndarray,
     burst-major: [len(words) * frames_per_burst, 2, FRAME_LEN]."""
     samples = synth_from_words(scheme, snr_db, cfg.burst_len, words)[1]
     windows = np.lib.stride_tricks.sliding_window_view(samples, FRAME_LEN, axis=1)[:, :: cfg.shift]
-    return _iq_frames(windows.reshape(-1, FRAME_LEN), cfg.normalize)
+    return _iq_frames(windows, cfg.normalize).reshape(-1, 2, FRAME_LEN)
 
 
 def generate_dataset(cfg: DatasetConfig) -> FrameSet:

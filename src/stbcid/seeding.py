@@ -15,9 +15,12 @@ the same seed +- 2**64 draw the same bytes. The streams, each from a user seed:
 - ``derive(seed, scheme, trial)``: ``baseline_corr.calibrate_threshold``'s seed
   of each trial sequence.
 
-A derived seed s synthesizes its burst or trial sequence from
-``generator(rng_words(...)[i])``, the generator ``np.random.default_rng(s)`` gives.
-A new stream gets its own tag or entropy columns here and in this list.
+A derived seed s synthesizes its burst or trial sequence from the generator
+``np.random.default_rng(s)`` gives, without hashing s again: ``rng_words`` hashes a
+whole block of seeds into the four words each seed's PCG64 is seeded with, and
+``generators`` checks that block once, then builds each row's PCG64 from its row,
+handed over as it is. A new stream gets its own tag or entropy columns here and in
+this list.
 
 Row i of every hash result equals what ``np.random.SeedSequence(entropy_i)``
 gives, where entropy_i is ``[column[i] for column in columns]``, so seeds derived
@@ -28,6 +31,8 @@ wrap on overflow without warning.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -148,22 +153,31 @@ def rng_words(seeds) -> np.ndarray:
 
 
 class _Words(ISeedSequence):
-    """Hands PCG64 one row of ``rng_words``; any other request raises."""
+    """Hands PCG64 one row of ``rng_words``; any request but PCG64's
+    ``generate_state(4, np.uint64)`` raises."""
 
     def __init__(self, words: np.ndarray):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        if n_words != 4 or dtype is not np.uint64:
             raise ParameterError(f"these seed words serve PCG64 only, not "
-                                 f"generate_state({n_words}, {np.dtype(dtype)})")
+                                 f"generate_state({n_words}, {dtype})")
         return self.words
 
 
-def generator(words: np.ndarray) -> np.random.Generator:
-    """The generator ``np.random.default_rng(seed)`` gives, from ``rng_words(...)[i]``
-    for that seed: same state, same draws, without hashing the seed again."""
+def generators(words) -> Iterator[np.random.Generator]:
+    """For each row of ``rng_words(seeds)``, the generator ``np.random.default_rng(seed)``
+    gives: same state, same draws, without hashing the seed again. The [n, 4] block is
+    checked once, before any generator is built: anything but integer words in
+    [0, 2**64) raises, so nothing wraps. Each row's PCG64 then takes its row of the
+    block, as C-contiguous uint64, as it is."""
+    words = np.asarray(words)
+    if words.ndim != 2 or words.shape[1] != 4:
+        raise ParameterError(f"need [n, 4] PCG64 seed words, got shape {words.shape}")
+    if words.dtype.kind not in "iu":
+        raise ParameterError(f"PCG64 seed words must be integers, got {words.dtype} words")
+    if words.dtype.kind == "i" and (words < 0).any():
+        raise ParameterError(f"PCG64 seed words must be in [0, 2**64), got {words.min()}")
     words = np.ascontiguousarray(words, dtype=np.uint64)
-    if words.shape != (4,):
-        raise ParameterError(f"need 4 PCG64 seed words, got shape {words.shape}")
-    return np.random.Generator(np.random.PCG64(_Words(words)))
+    return (np.random.Generator(np.random.PCG64(_Words(row))) for row in words)

@@ -134,6 +134,68 @@ class TestSynthFromWords:
         assert peak < trials * seq_len * 16
 
 
+class TestSeedWordBlock:
+    """synth_from_words checks its [n, 4] seed words once per block: any integer array of
+    words in [0, 2**64) gives the rows uint64 words give, and anything else raises."""
+
+    SEEDS = TestSynthFromWords.SEEDS
+
+    @pytest.fixture(params=[CodingScheme.SM, CodingScheme.AL], ids=SCHEME_IDS)
+    def scheme(self, request):
+        return request.param
+
+    def rows(self, scheme, words):
+        h, r = synth_from_words(scheme, 3.0, 37, words)
+        return h.tobytes() + r.tobytes()
+
+    def test_strided_views_equal_contiguous_words(self, scheme):
+        words = seeding.rng_words(self.SEEDS)
+        assert self.rows(scheme, words[::2]) == self.rows(scheme, words[::2].copy())
+        wide = np.zeros((len(self.SEEDS), 7), dtype=np.uint64)
+        wide[:, 2:6] = words
+        assert self.rows(scheme, wide[:, 2:6]) == self.rows(scheme, words)
+        assert self.rows(scheme, np.asfortranarray(words)) == self.rows(scheme, words)
+
+    def test_int64_words_equal_uint64_words(self, scheme):
+        words = seeding.rng_words(self.SEEDS) >> np.uint64(1)  # every word fits an int64
+        assert self.rows(scheme, words.astype(np.int64)) == self.rows(scheme, words)
+        assert self.rows(scheme, words.tolist()) == self.rows(scheme, words)
+
+    def test_largest_words_pass(self, scheme):
+        words = np.full((2, 4), 2**64 - 1, dtype=np.uint64)
+        words[1] = [0, 2**63, 1, 2**64 - 1]
+        for row, rng in zip(words, seeding.generators(words), strict=True):
+            reference = np.random.PCG64(seeding._Words(row.copy()))
+            assert rng.bit_generator.state == reference.state
+        assert len(self.rows(scheme, words)) == 2 * 16 * (2 + 37)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 1), (2, 5)])
+    def test_block_of_another_shape_rejected(self, scheme, shape):
+        with pytest.raises(ParameterError, match=rf"shape \({shape[0]},"):
+            synth_from_words(scheme, 3.0, 16, np.zeros(shape, dtype=np.uint64))
+
+    @pytest.mark.parametrize("words, match", [
+        (np.array([[-5, 1, 2, 3]]), "got -5"),
+        (np.array([[1, 2, 3, 4], [0, 0, -(2**63), 0]]), r"got -9223372036854775808"),
+        (np.array([[1.7, 0, 0, 0]]), "float64"),
+        (np.array([[2.0**64 - 1, 0, 0, 0]]), "float64"),  # was four zero words
+        (np.ones((1, 4), dtype=bool), "bool"),
+        (np.array([[2**64, 0, 0, 0]], dtype=object), "object"),
+    ], ids=["negative", "int64-min", "fraction", "float-max", "bool", "object"])
+    def test_words_that_would_wrap_rejected(self, scheme, words, match):
+        with pytest.raises(ParameterError, match=match):
+            synth_from_words(scheme, 3.0, 16, words)
+        with pytest.raises(ParameterError, match=match):
+            seeding.generators(words)
+
+    def test_zero_rows_give_empty_arrays(self, scheme):
+        for words in (seeding.rng_words(np.array([], dtype=np.uint64)),
+                      np.empty((0, 4), dtype=np.int64)):
+            h, r = synth_from_words(scheme, 3.0, 16, words)
+            assert (h.shape, h.dtype, r.shape, r.dtype) == ((0, 2), np.complex128, (0, 16),
+                                                            np.complex128)
+
+
 class TestCorrelationFeature:
     def test_alternating_sequence(self):
         r = np.array([1, 1j, -1, -1j])

@@ -383,6 +383,17 @@ class TestCheckpoint:
         peak = self._traced_peak(load_checkpoint, path) / (4 * sum(TABLE_COUNTS))
         assert peak < 1.5, f"load_checkpoint peaked at {peak:.2f}x the parameter bytes"
 
+    def test_save_peak_memory(self, tmp_path):
+        # a whole copy of each transposed conv kernel peaked at 0.50 MB (conv2's is 491 KB);
+        # written one filter at a time (6 KB for conv2), a save peaked at 12.7 KB
+        model = initialize(build_cnn2(), seed=4)
+        path = tmp_path / "m.stbcnn"
+        save_checkpoint(model, path)  # first-call allocations
+        peak = self._traced_peak(save_checkpoint, model, path)
+        assert peak < 64 * 1024, f"save_checkpoint peaked at {peak} bytes"
+        assert load_checkpoint(path).net.parameters()[2].tobytes() == \
+            model.net.parameters()[2].tobytes()
+
     def test_initialize_peak_memory(self):
         # drawing each weight tensor in float64 and casting it peaked at 2.96x the parameter
         # bytes (with the zeroed gradients); drawn in blocks straight into the parameters, 1.05x

@@ -60,18 +60,19 @@ class TestOracle:
         seeds = [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1, 2**64, 2**70 + 3]
         words = seeding.rng_words(seeds)
         assert words.shape == (len(seeds), 4)
-        for seed, row in zip(seeds, words):
-            rng, reference = seeding.generator(row), np.random.default_rng(seed)
+        for seed, rng in zip(seeds, seeding.generators(words), strict=True):
+            reference = np.random.default_rng(seed)
             assert rng.bit_generator.state == reference.bit_generator.state
             assert rng.integers(0, 2, 5).tolist() == reference.integers(0, 2, 5).tolist()
             assert rng.normal(size=3).tobytes() == reference.normal(size=3).tobytes()
 
     def test_words_serve_pcg64_only(self):
-        seed_seq = seeding.generator(seeding.rng_words([3])[0]).bit_generator.seed_seq
-        with pytest.raises(ParameterError):
-            seed_seq.generate_state(8, np.uint32)
+        seed_seq = next(seeding.generators(seeding.rng_words([3]))).bit_generator.seed_seq
+        for n_words, dtype in [(8, np.uint32), (4, np.uint32), (8, np.uint64)]:
+            with pytest.raises(ParameterError):
+                seed_seq.generate_state(n_words, dtype)
         with pytest.raises(ParameterError, match="shape"):
-            seeding.generator(np.zeros(3, np.uint64))
+            seeding.generators(np.zeros(3, np.uint64))
 
 
 class TestRejection:
