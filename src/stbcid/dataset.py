@@ -25,13 +25,14 @@ from itertools import zip_longest
 import numpy as np
 
 from . import seeding
-from .baseline_corr import _MAX_ARRAY_BYTES, _SAMPLE_BYTES, synth_from_words
+from .errors import ParameterError, ShapeError
 from .signal_model import (
+    _MAX_ARRAY_BYTES,
+    _SAMPLE_BYTES,
     CodingScheme,
-    ParameterError,
-    ShapeError,
     encode,  # noqa: F401 -- not called here; perfbench/spans.py patches it by name
     receive,  # noqa: F401 -- likewise
+    synth_from_words,
 )
 
 FRAME_LEN = 128
@@ -148,7 +149,7 @@ def _burst_seeds(master_seed: int, schemes, snr_keys, burst_indices) -> np.ndarr
 def synthesize_burst(scheme: CodingScheme, snr_db: float, burst_len: int, seed: int) -> np.ndarray:
     """The complex samples of one burst: one channel, one block offset, fresh random bits.
 
-    They are row 0 of ``baseline_corr.synth_from_words`` for the seed: one
+    They are row 0 of ``signal_model.synth_from_words`` for the seed: one
     generator serves the dataset and the baseline's calibration.
     """
     if burst_len < FRAME_LEN:

@@ -98,7 +98,8 @@ def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
                              f"non-finite score {scores[i]}")
     preds = (scores > 0).astype(np.int64)
     confusions = {}
-    for snr in sorted(set(float(s) for s in frames.snrs_db)):
+    labels = np.sort(frames.snrs_db) + 0.0  # a -0.0 joins 0.0 under the label 0.0
+    for snr in labels[np.r_[True, labels[1:] != labels[:-1]]].tolist():
         mask = frames.snrs_db == snr
         confusions[snr] = confusion_matrix(preds[mask], frames.schemes[mask])
     points = tuple((snr, float(np.trace(cm) / cm.sum()), int(cm.sum()))

@@ -421,14 +421,13 @@ class _Masked(Layer):
 
 
 def _slabs(x, packed):
-    """(slab, its bytes of ``packed`` or None) for each slab of whole batch elements of x."""
+    """(slab, its bytes of ``packed``) for each slab of whole batch elements of x."""
     per = math.prod(x.shape[1:])
     step = 8 // math.gcd(per, 8)  # elements whose bits fill whole bytes
     n = max(1, SLAB_UNITS // (per * step)) * step
     for start in range(0, x.shape[0], n):
         slab = x[start:start + n]
-        yield slab, None if packed is None else packed[
-            start * per // 8:-(-(start * per + slab.size) // 8)]
+        yield slab, packed[start * per // 8:-(-(start * per + slab.size) // 8)]
 
 
 class ReLU(_Masked):

@@ -14,13 +14,12 @@ from stbcid.baseline_corr import (
     classify_corr,
     correlation_feature,
     correlation_features,
-    synth_from_words,
     synth_sequence,
 )
-from stbcid import baseline_corr, seeding
+from stbcid import baseline_corr, seeding, signal_model
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.seeding import _MASK64
-from stbcid.signal_model import CodingScheme, pair_signals, slot_pairs
+from stbcid.signal_model import CodingScheme, pair_signals, slot_pairs, synth_from_words
 
 
 def scalar_feature(seq) -> float:
@@ -276,7 +275,7 @@ class TestPopulationStatistic:
     def _noiseless(self, scheme, length, seed):
         """A sequence through H without noise, looked up as the synthesis looks it up from
         the bits of ``default_rng(seed)``, its pairs starting at r(0)."""
-        bits = np.random.default_rng(seed).integers(0, 2, size=baseline_corr._n_bits(scheme, length))
+        bits = np.random.default_rng(seed).integers(0, 2, size=signal_model._n_bits(scheme, length))
         return pair_signals(np.array(self.H))[slot_pairs(scheme, bits)[:length]]
 
     def test_al_population_value_is_zero(self):

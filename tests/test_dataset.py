@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbcid import seeding
-from stbcid.baseline_corr import synth_from_words, synth_sequence
+from stbcid.baseline_corr import synth_sequence
 from stbcid.dataset import (
     BadMagicError,
     DatasetConfig,
@@ -33,7 +33,7 @@ from stbcid.dataset import (
     write_manifest,
 )
 from stbcid.errors import ParameterError, ShapeError
-from stbcid.signal_model import CodingScheme
+from stbcid.signal_model import CodingScheme, synth_from_words
 
 
 def scalar_to_iq(window, normalize):

@@ -112,6 +112,18 @@ class TestAccuracyVsSnr:
         with pytest.raises(ParameterError):
             accuracy_vs_snr(lambda a: np.full(len(a), SM), _frames([], []))
 
+    @pytest.mark.parametrize("snrs", [[-0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0]],
+                             ids=["minus-zero-first", "zero-first"])
+    def test_minus_zero_joins_zero(self, tmp_path, snrs):
+        """A -0.0 SNR counts under the label 0.0 whatever the frame order, as it
+        does after a serialize/deserialize round trip."""
+        frames = _frames([SM, AL, AL, SM], snrs)
+        dataset.serialize_frames(frames, tmp_path / "d.bin")
+        for fs in (frames, dataset.deserialize_frames(tmp_path / "d.bin")):
+            curve, confusions = accuracy_vs_snr(lambda a: fs.schemes, fs)
+            assert [repr(snr) for snr, _, _ in curve.points] == ["0.0"]
+            assert [repr(snr) for snr in confusions] == ["0.0"] and curve.points[0][2] == 4
+
 
     def test_zero_is_sm_and_the_tiniest_scores_keep_their_side(self):
         frames = _frames([SM, SM, AL, SM], [0.0] * 4)

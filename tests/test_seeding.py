@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbcid import seeding
-from stbcid.baseline_corr import calibrate_threshold, synth_from_words
+from stbcid.baseline_corr import calibrate_threshold
 from stbcid.dataset import DatasetConfig, generate_dataset
 from stbcid.errors import ParameterError
-from stbcid.signal_model import CodingScheme
+from stbcid.signal_model import CodingScheme, synth_from_words
 
 EDGES = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5]
 VALUES = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**32), st.integers(0, 2**130))
@@ -186,3 +186,25 @@ def test_only_seeding_builds_a_stream():
                     or isinstance(node, ast.Constant) and node.value in SALTS.values()):
                 offences.append(f"{path.name}:{node.lineno}")
     assert offences == []
+
+
+SYNTHESIS_PARTS = {"slot_pairs", "pair_signals", "fading_law", "channel_gains", "block_slots",
+                   "QPSK_PAIRS", "NAKAGAMI_M"}
+
+
+def test_one_module_synthesizes():
+    """The package calls ``seeding.generators`` once, in ``signal_model.synth_from_words``;
+    no other module imports the parts a burst is made of, and ``dataset`` makes its
+    bursts without the baseline module."""
+    calls, imports = [], []
+    for path in sorted(pathlib.Path(seeding.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _name(node.func) == "generators":
+                    calls.append((path.stem, getattr(top, "name", None)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and path.stem != "signal_model":
+                    names = [getattr(node, "module", None) or "", *map(_name, node.names)]
+                    imports += [(path.stem, name.rpartition(".")[2]) for name in names]
+    assert calls == [("signal_model", "synth_from_words")]
+    assert not {name for _, name in imports} & SYNTHESIS_PARTS
+    assert ("dataset", "baseline_corr") not in imports and ("dataset", "signal_model") in imports

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stbcid import seeding
-from stbcid.baseline_corr import synth_from_words
 from stbcid.errors import ParameterError, ShapeError
 from stbcid.signal_model import (
     QPSK_PAIRS,
@@ -22,6 +21,7 @@ from stbcid.signal_model import (
     pair_signals,
     receive,
     slot_pairs,
+    synth_from_words,
 )
 
 R2 = 1.0 / np.sqrt(2.0)
