@@ -65,14 +65,11 @@ def _common_flags(p: argparse.ArgumentParser, seed_help: str | None = "master se
         p.add_argument("--seed", type=int, default=7, help=f"{seed_help} (default 7)")
     p.add_argument("--threads", type=int, default=1, choices=(1,),
                    help="only 1 is accepted; set OPENBLAS_NUM_THREADS to parallelize BLAS")
-    p.add_argument("--config", metavar="FILE",
-                   help="one key=value per line: the key is a long flag without its --, and "
-                        "a switch takes 1/true/0/false; explicit flags win")
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subparsers by name, built once per process: parsing only reads them.
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all five subcommands, built once per process: parsing only reads it.
 
     ``main`` looks up ``cmd_<command>`` when it runs one, so no function is bound here.
     """
@@ -80,7 +77,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         prog="stbcid", description="SM vs Alamouti space-time code recognition toolkit"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    by_name = {}
 
     g = subs.add_parser("generate", help="synthesize a labeled IQ frame dataset")
     g.add_argument("--snr-min", type=_finite_float, default=-20.0)
@@ -92,7 +88,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="keep absolute frame power instead of unit mean power")
     g.add_argument("-o", "--out", required=True, help="output dataset path")
     _common_flags(g)
-    by_name["generate"] = g
 
     t = subs.add_parser("train", help="train the CNN on a generated dataset")
     t.add_argument("--dataset", required=True)
@@ -103,7 +98,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     t.add_argument("--dropout", type=_finite_float, default=0.5)
     t.add_argument("--patience", type=int, default=5, help="early-stop patience (0 disables)")
     _common_flags(t, "seeds weight init, shuffling and dropout, not the split")
-    by_name["train"] = t
 
     e = subs.add_parser("eval", help="accuracy-vs-SNR and confusion matrices")
     e.add_argument("--dataset", required=True)
@@ -116,7 +110,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     e.add_argument("--calibrate-trials", type=int,
                    help="--baseline corr only: sequences per class at 10 dB (default 2000)")
     _common_flags(e, "seeds the --baseline corr calibration")
-    by_name["eval"] = e
 
     c = subs.add_parser("classify", help="per-frame probabilities for a dataset or CSV")
     c.add_argument("--checkpoint", required=True)
@@ -124,51 +117,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="binary dataset, or a CSV exactly as export_frames_csv writes it "
                         "(IQ values at full float32 precision)")
     _common_flags(c, seed_help=None)
-    by_name["classify"] = c
 
     about = (f"finite-difference check of backpropagation: central differences of step "
              f"{tensor_nn.GRAD_STEP:g} agree within relative error {tensor_nn.GRAD_TOLERANCE:g}")
     gc = subs.add_parser("gradcheck", help=about, description=about)
     gc.add_argument("--nets", type=int, default=20, help="number of random micro-networks")
     _common_flags(gc)
-    by_name["gradcheck"] = gc
 
-    for sub in by_name.values():
+    for sub in subs.choices.values():
         sub._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser, by_name
-
-
-def _config_words(path: str, sub: argparse.ArgumentParser) -> list[str]:
-    """The command-line words that a ``--config`` file of ``sub``'s flags stands for.
-
-    A line ``key=value`` becomes ``--key=value``; for a switch, ``1``/``true``
-    becomes ``--key`` and ``0``/``false`` nothing, while any other value stays
-    ``--key=value`` for argparse to reject. The key must be one of ``sub``'s long
-    flags exactly, not ``help`` or ``config``; a later line overrides an earlier one.
-    A file that cannot be read is a usage error, like any other bad flag value.
-    """
-    switch_of = {opt[2:]: action.nargs == 0 for action in sub._actions
-                 for opt in action.option_strings
-                 if opt.startswith("--") and action.dest not in ("help", "config")}
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except (OSError, UnicodeDecodeError) as e:
-        raise UsageError(f"--config: {e}") from None
-    values = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in switch_of:
-            raise UsageError(f"{path}:{lineno}: unknown config key --{key}")
-        values[key] = value
-    return [f"--{key}" if switch_of[key] and value in ("1", "true") else f"--{key}={value}"
-            for key, value in values.items()
-            if not (switch_of[key] and value in ("0", "false"))]
+    return parser
 
 
 def _snr_grid(args) -> tuple[float, ...]:
@@ -298,7 +256,7 @@ def cmd_eval(args) -> int:
         train_side, val_side = dataset.split_train_val(frames, seed=data_cfg.seed)
         frames = val_side if args.split == "val" else train_side
     score_fn = _baseline_scorer(args, data_cfg.normalize) if args.baseline else _cnn_scorer(args)
-    curve, confusions = evaluation.accuracy_vs_snr(score_fn, frames, vectorized=True)
+    curve, confusions = evaluation.accuracy_vs_snr(score_fn, frames)
     os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
@@ -367,25 +325,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _with_config(argv: list[str], by_name: dict[str, argparse.ArgumentParser]) -> list[str]:
-    """argv with the words of its ``--config`` file right after the subcommand, so explicit flags win."""
-    sub = by_name.get(argv[0]) if argv else None
-    if sub is None:
-        return argv
-    finder = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    finder.add_argument("--config")  # abbreviations too, as the full parse reads them
-    try:
-        path = finder.parse_known_args(argv[1:])[0].config
-    except argparse.ArgumentError:  # --config without a file: the full parse reports it
-        return argv
-    return [argv[0], *_config_words(path, sub), *argv[1:]] if path else argv
-
-
 def main(argv=None) -> int:
-    parser, by_name = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_with_config(argv, by_name))
+        args = build_parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as e:  # argparse: 2 on a usage error, 0 after --help
         return int(e.code or 0)

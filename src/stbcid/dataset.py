@@ -259,15 +259,11 @@ def split_train_val(frames: FrameSet, fraction: float = 0.5, seed: int = 0) -> t
         raise ParameterError("cannot split an empty frame set")
     rng = seeding.stream(seed, b"spli")
 
-    # Bursts in order of first appearance, grouped into (scheme, snr) cells in
-    # sorted cell order; the stable sort keeps first-appearance order inside a cell.
-    ids, first = np.unique(frames.burst_ids, return_index=True)
-    by_appearance = np.argsort(first)
-    ids, first = ids[by_appearance], first[by_appearance]
-    schemes = frames.schemes[first].astype(np.int64)
-    snrs = frames.snrs_db[first]
-    order = np.lexsort((snrs, schemes))
-    ids, schemes, snrs = ids[order], schemes[order], snrs[order]
+    # Each burst's first frame, in order of appearance, grouped into (scheme, snr)
+    # cells in sorted cell order; the stable sort keeps appearance order inside a cell.
+    first = np.sort(np.unique(frames.burst_ids, return_index=True)[1])
+    first = first[np.lexsort((frames.snrs_db[first], frames.schemes[first]))]
+    ids, schemes, snrs = frames.burst_ids[first], frames.schemes[first], frames.snrs_db[first]
     starts = np.flatnonzero(np.r_[True, (schemes[1:] != schemes[:-1]) | (snrs[1:] != snrs[:-1])])
     train_bursts = []
     for start, stop in zip(starts, np.r_[starts[1:], ids.size]):

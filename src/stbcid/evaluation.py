@@ -80,8 +80,8 @@ def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
     the first such frame by its index, its burst id (when ``frames`` carries
     them; ``cli`` attaches file-order ids) and its SNR. Returns (AccuracyCurve,
     {snr_db: confusion matrix}). ``vectorized`` selects nothing: it remains
-    only because callers in ``cli`` and ``perfbench/`` pass ``vectorized=True``,
-    and ``False`` raises ``ParameterError``.
+    only because the two ``accuracy_vs_snr`` calls in ``perfbench/workloads.py``
+    pass ``vectorized=True``, and ``False`` raises ``ParameterError``.
     """
     if not vectorized:
         raise ParameterError("score_fn is called once on all frames; vectorized must be True")

@@ -631,10 +631,6 @@ class Network:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads()]
 
-    def loss(self, x, onehot, sign_trace=None) -> float:
-        probs = self.forward(x, train=False, sign_trace=sign_trace)
-        return batch_cross_entropy(probs, np.asarray(onehot, dtype=self.dtype))
-
     def loss_and_grads(self, x, onehot, rng=None):
         """Mean cross-entropy over the batch and its exact parameter gradients.
 
@@ -712,8 +708,8 @@ def adam_init(params, lr: float) -> OptimizerState:
                           v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(params, grads, state: OptimizerState):
-    """One bias-corrected Adam update, in place; returns (params, state).
+def adam_step(params, grads, state: OptimizerState) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
     Bit-identical to ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     ``p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, where b1, b2 and eps are
@@ -761,7 +757,6 @@ def adam_step(params, grads, state: OptimizerState):
             denom += ADAM_EPS
             step /= denom
             pb -= step
-    return params, state
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +792,7 @@ def grad_check(network: Network, x, onehot) -> GradCheckReport:
     reported separately.
     """
     x = np.asarray(x)
-    onehot = np.asarray(onehot)
+    onehot = np.asarray(onehot, dtype=network.dtype)
     if x.shape[1:] != network.input_shape:
         x = x[None]
         onehot = onehot[None]
@@ -817,9 +812,9 @@ def grad_check(network: Network, x, onehot) -> GradCheckReport:
             signs_hi: list = []
             signs_lo: list = []
             flat[k] = orig + GRAD_STEP
-            hi = network.loss(x, onehot, sign_trace=signs_hi)
+            hi = batch_cross_entropy(network.forward(x, sign_trace=signs_hi), onehot)
             flat[k] = orig - GRAD_STEP
-            lo = network.loss(x, onehot, sign_trace=signs_lo)
+            lo = batch_cross_entropy(network.forward(x, sign_trace=signs_lo), onehot)
             flat[k] = orig
             if _signs_differ(signs_hi, signs_lo):
                 kinks.append((pi, k))

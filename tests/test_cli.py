@@ -167,7 +167,7 @@ def test_eval_cnn_matches_predict_batch(tmp_path):
     checkpoint = str(tmp_path / "m.stbcnn")
     classifier.save_checkpoint(model, checkpoint)
 
-    curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames, vectorized=True)
+    curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames)
     evaluation.write_accuracy_csv(curve, tmp_path / "expected.csv")
     out = tmp_path / "eval"
     assert cli.main(["eval", "--dataset", data, "--checkpoint", checkpoint, "-o", str(out),
@@ -186,7 +186,7 @@ def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):
 
     def expected_csv(rule):
         preds = np.array([int(baseline_corr.classify_corr(f, rule)) for f in feats])
-        curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames, vectorized=True)
+        curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames)
         evaluation.write_accuracy_csv(curve, tmp_path / "expected.csv")
         return (tmp_path / "expected.csv").read_bytes()
 
@@ -241,7 +241,13 @@ DATA, OUT = "<dataset>", "<out>"
     ["eval", "--dataset", DATA, "-o", OUT, "--checkpoint", "missing.stbcnn",
      "--calibrate-trials", "5"],
     ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--checkpoint", "missing.stbcnn"],
-], ids=[f"argv{i}" for i in (*range(11), *range(13, 20))])  # stable ids: 11, 12, 20 went with their flags
+    # the default value, still not read by a CNN eval
+    ["eval", "--dataset", DATA, "-o", OUT, "--checkpoint", "missing.stbcnn",
+     "--calibrate-trials", "2000"],
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "corr", "--split", "bogus"],
+    ["eval", "--dataset", DATA, "-o", OUT, "--baseline", "nonsense"],
+    # stable ids: 11, 12 and 20 went with their flags
+], ids=[f"argv{i}" for i in (*range(11), *range(13, 20), *range(21, 24))])
 def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
     out = tmp_path / "out"
     argv = [tiny_dataset if a == DATA else str(out) if a == OUT else a for a in argv]
@@ -249,21 +255,6 @@ def test_bad_flags_exit_two(argv, tiny_dataset, tmp_path, capsys):
     flag = [a for a in argv if a.startswith("--")][-1]
     assert flag in capsys.readouterr().err
     assert not out.exists()  # nothing written, no output directory made
-
-
-@pytest.mark.parametrize("key, value, path", [
-    ("calibrate-trials", "2000", []),  # the default value, still not read by a CNN eval
-    ("checkpoint", "missing.stbcnn", ["--baseline", "corr"]),
-], ids=["calibrate-trials-2000-path1", "checkpoint-missing.stbcnn-path2"])  # stable ids
-def test_unread_config_values_exit_two(tiny_dataset, tmp_path, capsys, key, value, path):
-    config = tmp_path / "eval.cfg"
-    config.write_text(f"{key}={value}\n")
-    flags = [] if path else ["--checkpoint", "missing.stbcnn"]
-    out = tmp_path / "out"
-    assert cli.main(["eval", "--dataset", tiny_dataset, "-o", str(out), *flags, *path,
-                     "--config", str(config)]) == 2
-    assert f"--{key}" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _small_model(units=2, width=dataset.FRAME_LEN) -> classifier.Model:
@@ -566,30 +557,31 @@ def _required_flags(sub: argparse.ArgumentParser) -> list[str]:
             for flag in (action.option_strings[0], "x")]
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    subs, = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
 def _float_actions():
-    _, by_name = cli.build_parser()
-    for command, sub in by_name.items():
+    for command, sub in _subparsers().items():
         for action in sub._actions:
             if action.type in (float, cli._finite_float):
                 yield command, sub, action
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_non_finite_float_flags_exit_two(tmp_path, capsys, bad):
+def test_non_finite_float_flags_exit_two(capsys, bad):
     found = list(_float_actions())
     assert len(found) >= 5
     for command, sub, action in found:
-        flag, key = action.option_strings[-1], action.option_strings[-1][2:]
+        flag = action.option_strings[-1]
         assert action.type is cli._finite_float, f"{command} {flag}"
         argv = [command, *_required_flags(sub)]
         sub.parse_args(argv[1:] + [flag, "1"])  # a finite value parses
         assert cli.main(argv + [f"{flag}={bad}"]) == 2, f"{command} {flag}"
         err = capsys.readouterr().err
         assert flag in err and "finite" in err
-        config = tmp_path / "bad.cfg"
-        config.write_text(f"{key}={bad}\n")
-        assert cli.main(argv + ["--config", str(config)]) == 2, f"{command} {key}"
-        assert f"--{key}" in capsys.readouterr().err
 
 
 def test_negative_numbers_in_exponent_form_parse(tmp_path):
@@ -615,99 +607,35 @@ def test_non_finite_negative_word_gets_the_finite_message(capsys, bad):
 
 
 @pytest.mark.parametrize("command", ["generate", "train", "eval", "classify", "gradcheck"])
-def test_threads_other_than_one_exit_two(tmp_path, capsys, command):
-    _, by_name = cli.build_parser()
-    argv = [command, *_required_flags(by_name[command])]
-    by_name[command].parse_args(argv[1:] + ["--threads", "1"])
+def test_threads_other_than_one_exit_two(capsys, command):
+    sub = _subparsers()[command]
+    argv = [command, *_required_flags(sub)]
+    sub.parse_args(argv[1:] + ["--threads", "1"])
     assert cli.main(argv + ["--threads", "2"]) == 2
     assert "--threads" in capsys.readouterr().err
-    config = tmp_path / "threads.cfg"
-    config.write_text("threads=2\n")
-    assert cli.main(argv + ["--config", str(config)]) == 2
-    assert "--threads" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("split", "bogus"), ("baseline", "nonsense")])
-def test_config_values_obey_choices(tmp_path, capsys, key, value):
-    config = tmp_path / "eval.cfg"
-    config.write_text(f"{key}={value}\n")
-    argv = ["eval", "--dataset", str(tmp_path / "missing.bin"), "-o", str(tmp_path / "out"),
-            "--config", str(config)]
-    assert cli.main(argv) == 2
-    assert f"--{key}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+LONG_OPTIONS = {
+    "generate": {"--snr-min", "--snr-max", "--snr-step", "--bursts", "--burst-len",
+                 "--no-normalize", "--out", "--seed"},
+    "train": {"--dataset", "--out-dir", "--epochs", "--batch-size", "--lr", "--dropout",
+              "--patience", "--seed"},
+    "eval": {"--dataset", "--checkpoint", "--out-dir", "--split", "--baseline",
+             "--calibrate-trials", "--seed"},
+    "classify": {"--checkpoint", "--input"},
+    "gradcheck": {"--nets", "--seed"},
+}
 
 
-def _generate_with_config(tmp_path, lines, *flags) -> int:
-    """Exit code of generate on a small grid with a --config file of ``lines``."""
-    config = tmp_path / "gen.cfg"
-    config.write_text("".join(f"{line}\n" for line in lines))
-    return cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
-                     "--bursts", "1", "--burst-len", "256", *flags, "--config", str(config)])
-
-
-def test_config_supplies_a_required_flag(tmp_path):
-    data = tmp_path / "grid.bin"
-    assert _generate_with_config(tmp_path, [f"out={data}"]) == 0
-    assert data.exists() and pathlib.Path(f"{data}.manifest").exists()
-
-
-@pytest.mark.parametrize("value, normalize", [("1", "0"), ("true", "0"), ("0", "1"),
-                                              ("false", "1")])
-def test_config_switch_lines(tmp_path, value, normalize):
-    data = tmp_path / "grid.bin"
-    assert _generate_with_config(tmp_path, [f"no-normalize={value}"], "-o", str(data)) == 0
-    assert f"normalize={normalize}" in pathlib.Path(f"{data}.manifest").read_text().split()
-
-
-def test_explicit_flag_beats_config(tmp_path):
-    data = tmp_path / "grid.bin"
-    assert _generate_with_config(tmp_path, ["seed=3"], "--seed", "5", "-o", str(data)) == 0
-    assert "seed=5" in pathlib.Path(f"{data}.manifest").read_text().split()
-
-
-# help would print the usage and exit 0, and argparse would read see as --seed
-@pytest.mark.parametrize("key", ["help", "see", "config", "o", "--seed"])
-def test_config_key_must_name_a_long_flag_exactly(tmp_path, capsys, key):
-    data = tmp_path / "grid.bin"
-    assert _generate_with_config(tmp_path, [f"{key}=5"], "-o", str(data)) == 2
-    assert f"unknown config key --{key}" in capsys.readouterr().err
-    assert not data.exists()
-
-
-# --c is ambiguous in eval: an argv that is a usage error either way still exits 2
-@pytest.mark.parametrize("words", [["--config"], ["--bogus", "--config"], ["--c"]])
-def test_unreadable_config_file_exits_two(tmp_path, capsys, words):
-    missing, binary = tmp_path / "missing.cfg", tmp_path / "binary.cfg"
-    binary.write_bytes(b"seed=\xff\n")
-    for path in (missing, binary):
-        assert cli.main(["eval", "--dataset", "d", "-o", "o", *words, str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "usage error: --config:" in err and "Traceback" not in err
-
-
-def _valued_flags(sub: argparse.ArgumentParser) -> dict[str, str]:
-    """A value that parses for each of a subcommand's long flags that takes one, by flag name."""
-    values = {}
-    for action in sub._actions:
-        if action.nargs == 0 or action.dest == "config":
-            continue
-        value = {int: "3", cli._finite_float: "-0.5", None: "x"}[action.type]
-        values[action.option_strings[-1][2:]] = str(action.choices[-1]) if action.choices else value
-    return values
-
-
-@pytest.mark.parametrize("command", ["generate", "train", "eval", "classify", "gradcheck"])
-def test_config_parses_like_the_command_line(tmp_path, monkeypatch, command):
-    _, by_name = cli.build_parser()
-    flags = _valued_flags(by_name[command])
-    assert len(flags) >= 3
-    parsed = []
-    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: parsed.append(vars(args)) or 0)
-    config = tmp_path / "all.cfg"
-    config.write_text("".join(f"{key}={value}\n" for key, value in flags.items()))
-    assert cli.main([command, "--config", str(config)]) == 0
-    assert cli.main([command, *(f"--{key}={value}" for key, value in flags.items())]) == 0
-    from_file, from_argv = parsed
-    assert from_file.pop("config") == str(config) and from_argv.pop("config") is None
-    assert from_file == from_argv
+def test_each_subcommand_takes_exactly_its_long_options(tmp_path, capsys):
+    # a new option is an edit here; a flag can be given only on the command line
+    subs = _subparsers()
+    assert subs.keys() == LONG_OPTIONS.keys()
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed=3\n")
+    for command, sub in subs.items():
+        options = {opt for action in sub._actions for opt in action.option_strings
+                   if opt.startswith("--")}
+        assert options == LONG_OPTIONS[command] | {"--help", "--threads"}, command
+        assert cli.main([command, *_required_flags(sub), "--config", str(config)]) == 2, command
+        assert "unrecognized arguments: --config" in capsys.readouterr().err, command

@@ -87,7 +87,7 @@ class TestAccuracyVsSnr:
         schemes = rng.integers(0, 2, 40)
         frames = _frames(schemes, [3.0] * 40)
         preds = rng.integers(0, 2, 40)
-        curve, confusions = accuracy_vs_snr(lambda a: preds, frames, vectorized=True)
+        curve, confusions = accuracy_vs_snr(lambda a: preds, frames)
         cm = confusions[3.0]
         assert curve.points[0][1] == pytest.approx(np.trace(cm) / cm.sum())
         assert cm.sum() == 40
