@@ -376,9 +376,10 @@ class _Masked(Layer):
     A training forward and its backward work one slab of whole batch elements
     at a time, while it is in cache: about ``SLAB_UNITS`` units, and a whole
     number of bytes of bits in every slab but the last, so the held bytes
-    equal the whole batch's ``np.packbits`` and ``keep_mask`` draws each slab
-    in turn on one stream. An eval forward makes no mask and applies the max
-    in one pass.
+    equal the whole batch's ``np.packbits``. ``keep_mask`` draws each slab in
+    turn on one stream, and reads whole words per batch element, so the masks
+    equal one whole-batch draw. An eval forward makes no mask and applies the
+    max in one pass.
     """
 
     def __init__(self, spec: LayerSpec):
@@ -449,20 +450,29 @@ class Dropout(_Masked):
 def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Bool keep-mask of ``shape``, drawn in the array's own (width-major) order.
 
-    Each batch element of n units reads ceil(n/2) PCG64 ``random_raw`` words as
-    uint32 pairs, low half first, and keeps a unit iff its ``u >= ceil(rate *
-    2**32)``: P(keep) = 1 - rate to within 2**-32. An odd n leaves the last high
-    half unused. All elements' words come from one ``random_raw`` call. Other bit
-    generators are rejected (MT19937's raw words hold only 32 bits).
+    Each unit reads a b-bit field, b the smallest of 1 and 8 for which rate * 2**b
+    is an integer, else 32, and is kept iff its field is >= ceil(rate * 2**b): so
+    P(keep) = 1 - rate exactly for b < 32 (the default 0.5 reads one bit per unit)
+    and to within 2**-32 otherwise. Each batch element of n units reads ceil(n*b/64)
+    PCG64 ``random_raw`` words; unit i takes the i-th b-bit field of its element's
+    words in little-endian order (b = 32: uint32 pairs, low half first), and the
+    tail of an element's last word goes unused. All elements' words come from one
+    ``random_raw`` call. Other bit generators are rejected (MT19937's raw words
+    hold only 32 bits).
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ParameterError(f"dropout needs a PCG64 generator, got {type(bitgen).__name__}")
-    threshold = math.ceil(rate * 2 ** 32)
+    b = next((b for b in (1, 8) if rate * 2 ** b % 1 == 0), 32)
+    threshold = math.ceil(rate * 2 ** b)
     n = math.prod(shape[1:])
-    u = bitgen.random_raw(shape[0] * ((n + 1) // 2)).astype("<u8", copy=False).view("<u4")
-    # each element's 2 ceil(n/2) halves, cut to its n
-    return (u.reshape(-1, n + n % 2)[:, :n] >= threshold).reshape(shape)
+    words = bitgen.random_raw(shape[0] * -(-n * b // 64)).astype("<u8", copy=False)
+    words = words.reshape(shape[0], -1)
+    if b == 1:
+        fields = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    else:
+        fields = words.view(f"<u{b // 8}")[:, :n]
+    return (fields >= threshold).reshape(shape)
 
 
 class ZeroPad(Layer):

@@ -118,9 +118,9 @@ def test_train_bytes(tmp_path):
     assert cli.main(["train", "--dataset", str(data), "-o", str(out), "--epochs", "2",
                      "--batch-size", "16", "--patience", "0", "--seed", "5"]) == 0
     assert (_sha256(out / "checkpoint.stbcnn")
-            == "8779166f80d5ee825ab942a15323df4da19797aaf4bad49a129995e23ed7d4de")
+            == "74222ca3157090d8de15fb8a3b9114c7944281c6c6d4ae6e29506d155e22de5b")
     assert _sha256(out / "loss.csv") == (
-        "8157383992f24b0c95810e47b8fc4c8de296ac64914ebae538d36f903445567e")
+        "69e106c62a17aeff3167182f4dcdfc3f20ea47be34ac72664c07079da83be4ca")
 
 
 def test_train_bytes_without_dropout(tmp_path):
