@@ -7,8 +7,9 @@ the same seed +- 2**64 draw the same bytes. The streams, each from a user seed:
 - ``stream(seed, b"init")``: ``classifier.initialize``'s weights;
 - ``stream(seed, b"shuf")``: ``classifier.train``'s per-epoch batch order;
 - ``stream(seed, b"drop")``: ``classifier.train``'s dropout keep masks; each
-  batch element of n units, per Dropout, reads ceil(n*b/64) raw words, one b-bit
-  field per unit with b = 1 at the default rate 0.5 (``tensor_nn.keep_mask``);
+  batch element of n units, per Dropout, reads ceil(n/64) raw words, one bit per
+  unit, at the default rate 0.5, else ceil(n/2), a uint32 per unit
+  (``tensor_nn.keep_mask``);
 - ``stream(seed, b"spli")``: ``dataset.split_train_val``'s training bursts per cell;
 - ``stream(seed)``: ``tensor_nn.random_micro_network``'s shape, weights, input
   and target, for the gradient check;

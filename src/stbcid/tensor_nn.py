@@ -450,29 +450,26 @@ class Dropout(_Masked):
 def keep_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
     """Bool keep-mask of ``shape``, drawn in the array's own (width-major) order.
 
-    Each unit reads a b-bit field, b the smallest of 1 and 8 for which rate * 2**b
-    is an integer, else 32, and is kept iff its field is >= ceil(rate * 2**b): so
-    P(keep) = 1 - rate exactly for b < 32 (the default 0.5 reads one bit per unit)
-    and to within 2**-32 otherwise. Each batch element of n units reads ceil(n*b/64)
-    PCG64 ``random_raw`` words; unit i takes the i-th b-bit field of its element's
-    words in little-endian order (b = 32: uint32 pairs, low half first), and the
-    tail of an element's last word goes unused. All elements' words come from one
+    At the default rate 0.5 each batch element of n units reads ceil(n/64) PCG64
+    ``random_raw`` words and keeps unit i iff bit i of them, little-endian, is 1:
+    P(keep) = 1/2 exactly. At any other rate an element reads ceil(n/2) words as
+    uint32 pairs, low half first, and keeps a unit iff its ``u >= ceil(rate *
+    2**32)``: P(keep) = 1 - rate to within 2**-32. Either way the tail of an
+    element's last word goes unused. All elements' words come from one
     ``random_raw`` call. Other bit generators are rejected (MT19937's raw words
     hold only 32 bits).
     """
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise ParameterError(f"dropout needs a PCG64 generator, got {type(bitgen).__name__}")
-    b = next((b for b in (1, 8) if rate * 2 ** b % 1 == 0), 32)
-    threshold = math.ceil(rate * 2 ** b)
     n = math.prod(shape[1:])
-    words = bitgen.random_raw(shape[0] * -(-n * b // 64)).astype("<u8", copy=False)
-    words = words.reshape(shape[0], -1)
-    if b == 1:
-        fields = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
+    per_element = -(-n // 64) if rate == 0.5 else (n + 1) // 2
+    words = bitgen.random_raw((shape[0], per_element)).astype("<u8", copy=False)
+    if rate == 0.5:  # the unpacked 0/1 bytes are the mask
+        keep = np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little").view(bool)
     else:
-        fields = words.view(f"<u{b // 8}")[:, :n]
-    return (fields >= threshold).reshape(shape)
+        keep = words.view("<u4")[:, :n] >= math.ceil(rate * 2 ** 32)
+    return keep.reshape(shape)
 
 
 class ZeroPad(Layer):

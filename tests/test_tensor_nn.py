@@ -711,16 +711,17 @@ class TestKernelLayout:
 
 
 class TestKeepMask:
-    """keep_mask: per batch element of n units, ceil(n*b/64) PCG64 words read as b-bit fields,
-    b = 1, 8 or 32 by the rate; kept iff the field >= ceil(rate * 2**b)."""
+    """keep_mask: per batch element of n units, at rate 0.5 ceil(n/64) PCG64 words, kept iff bit i
+    is 1; else ceil(n/2) words as uint32, kept iff u >= ceil(rate * 2**32)."""
 
-    @pytest.mark.parametrize("rate", [0.5, 0.3, 0.25])
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
     @pytest.mark.parametrize("shape", [
-        (3, 5, 2, 4),  # 40 units per element: whole words at b = 8 and 32
-        (3, 5, 1, 3),  # 15 per element: the last high half of each element's words unused at b = 32
+        (3, 5, 2, 4),  # 40 units per element: whole words at rate 0.3
+        (3, 5, 1, 3),  # 15 per element: the last high half of each element's words unused at 0.3
         (4, 7),  # a dense layer's [B, units], odd
         (1, 1, 1, 1),  # one unit: one word drawn
-        (2, 10, 2, 7),  # 140 per element: three words at b = 1, the third in part
+        (2, 10, 2, 7),  # 140 per element: three words at rate 0.5, the third in part
+        (0, 5, 2, 3),  # no batch elements: nothing drawn
     ])
     def test_seed_fixes_mask_and_generator_state(self, rate, shape):
         rng, again = np.random.default_rng(17), np.random.default_rng(17)
@@ -732,35 +733,16 @@ class TestKeepMask:
         n = int(np.prod(shape[1:]))
         i = np.arange(n, dtype=np.uint64)
         for element in keep:
-            if rate == 0.5:  # b = 1: bit i of the element's words, little-endian; kept iff 1
+            if rate == 0.5:  # bit i of the element's words, little-endian; kept iff 1
                 words = reference.random_raw(-(-n // 64))
                 want = (words[i // 64] >> i % 64) & 1 == 1
-            elif rate == 0.25:  # b = 8: byte i, little-endian; kept iff >= 64
-                words = reference.random_raw(-(-n // 8))
-                want = (words[i // 8] >> 8 * (i % 8)) & 0xFF >= 64
-            else:  # b = 32
+            else:
                 u = reference.random_raw((n + 1) // 2).astype("<u8").view("<u4")[:n]
                 want = u >= np.ceil(rate * 2**32)
             np.testing.assert_array_equal(element, want.reshape(element.shape))
         assert rng.bit_generator.state == reference.state
-        b = {0.5: 1, 0.25: 8, 0.3: 32}[rate]
-        exact = np.random.default_rng(17).bit_generator
-        exact.random_raw(shape[0] * -(-n * b // 64))
-        assert rng.bit_generator.state == exact.state
 
-    def test_threshold_is_exact_at_narrow_widths(self):
-        # b = 1 at 0.5: a 1 bit keeps, a 0 bit drops; b = 8 at 0.25: byte 64 keeps, byte 63 drops
-        words = np.random.default_rng(9).bit_generator.random_raw(4096).astype("<u8")
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        keep = keep_mask(np.random.default_rng(9), (1, bits.size), 0.5)[0]
-        np.testing.assert_array_equal(keep, bits == 1)
-        fields = words.view(np.uint8)
-        keep = keep_mask(np.random.default_rng(9), (1, fields.size), 0.25)[0]
-        assert (fields == 63).any() and (fields == 64).any()
-        assert not keep[fields == 63].any() and keep[fields == 64].all()
-        np.testing.assert_array_equal(keep, fields >= 64)
-
-    @pytest.mark.parametrize("rate", [0.3, 0.5, 0.25])
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
     def test_keep_share_at_drop1_shape(self, rate):
         keep = keep_mask(np.random.default_rng(5), (128, 129, 2, 256), rate)
         p = 1.0 - rate
@@ -862,16 +844,14 @@ class TestMaskedSlabs:
 
     @pytest.mark.parametrize("kinds, rate", [
         (("relu",), None),
-        (("dropout",), 0.3), (("relu", "dropout"), 0.3),  # b = 32
-        (("dropout",), 0.5), (("relu", "dropout"), 0.5),  # b = 1
-        (("dropout",), 0.25), (("relu", "dropout"), 0.25),  # b = 8
-    ], ids=["relu", "dropout", "relu-dropout", "dropout-0.5", "relu-dropout-0.5",
-            "dropout-0.25", "relu-dropout-0.25"])
+        (("dropout",), 0.3), (("relu", "dropout"), 0.3),  # a uint32 per unit
+        (("dropout",), 0.5), (("relu", "dropout"), 0.5),  # a bit per unit
+    ], ids=["relu", "dropout", "relu-dropout", "dropout-0.5", "relu-dropout-0.5"])
     @pytest.mark.parametrize("shape, slab", [
         ((21, 7), 8),  # odd units per element: 8 elements fill whole bytes
         ((11, 9, 2, 1), 4),  # 18 units, even but not a multiple of 8
         ((5, 8, 2, 1), 2),  # 16 units, whole bytes per element
-        ((11, 35, 2, 1), 4),  # 70 units: two words per element at b = 1, the second in part
+        ((11, 35, 2, 1), 4),  # 70 units: two words per element at rate 0.5, the second in part
     ], ids=["7-units", "18-units", "16-units", "70-units"])
     def test_equal_to_the_whole_batch(self, monkeypatch, kinds, rate, shape, slab):
         monkeypatch.setattr(tensor_nn, "SLAB_UNITS", 40)
