@@ -26,7 +26,7 @@ from .classifier import (
     train,
 )
 from .baseline_corr import ThresholdRule, calibrate_threshold
-from .evaluation import AccuracyCurve, LossCurve, accuracy_vs_snr, confusion_matrix
+from .evaluation import AccuracyCurve, LossCurve, accuracy_vs_snr
 from .errors import ParameterError, ShapeError
 
 __version__ = "0.1.0"

@@ -256,21 +256,19 @@ def cmd_eval(args) -> int:
         train_side, val_side = dataset.split_train_val(frames, seed=data_cfg.seed)
         frames = val_side if args.split == "val" else train_side
     score_fn = _baseline_scorer(args, data_cfg.normalize) if args.baseline else _cnn_scorer(args)
-    curve, confusions = evaluation.accuracy_vs_snr(score_fn, frames)
+    curve, counts = evaluation.accuracy_vs_snr(score_fn, frames)
     os.makedirs(args.out_dir, exist_ok=True)
     evaluation.write_accuracy_csv(curve, os.path.join(args.out_dir, "accuracy.csv"))
     evaluation.render_accuracy_svg(curve, os.path.join(args.out_dir, "accuracy.svg"))
-    for snr, cm in confusions.items():
+    print(f"{'snr_db':>8}  {'accuracy':>8}  {'n':>6}")
+    for (snr, acc, n), cm in zip(curve.points, counts):
         stem = os.path.join(args.out_dir, f"confusion_{snr:g}dB")
         evaluation.write_confusion_csv(cm, stem + ".csv", snr_db=snr)
         evaluation.render_confusion_svg(cm, stem + ".svg", snr_db=snr)
-    print(f"{'snr_db':>8}  {'accuracy':>8}  {'n':>6}")
-    for snr, acc, n in curve.points:
         print(f"{snr:>8g}  {acc:>8.4f}  {n:>6d}")
-    total = sum(n for _, _, n in curve.points)
-    overall = sum(acc * n for _, acc, n in curve.points) / total
-    print(f"{'overall':>8}  {overall:>8.4f}  {total:>6d}")
-    print(f"wrote accuracy.csv/.svg and {len(confusions)} confusion CSV/SVG pairs "
+    correct, total = int(np.trace(counts, axis1=1, axis2=2).sum()), int(counts.sum())
+    print(f"{'overall':>8}  {correct / total:>8.4f}  {total:>6d}")
+    print(f"wrote accuracy.csv/.svg and {len(counts)} confusion CSV/SVG pairs "
           f"to {args.out_dir}")
     return 0
 

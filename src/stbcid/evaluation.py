@@ -1,4 +1,7 @@
-"""Per-SNR accuracy curves, confusion matrices, loss curves; CSV and SVG export.
+"""Per-SNR accuracy and confusion counts, loss curves; CSV and SVG export.
+
+``accuracy_vs_snr`` counts each frame once by (SNR, true class, called class);
+``eval`` writes and prints every per-SNR number from those [S, 2, 2] counts.
 
 SVG output is hand-rolled rather than delegated to a plotting stack: the files
 are self-contained, deterministic, and cheap to assert on in tests (one
@@ -55,56 +58,51 @@ class LossCurve:
         return range(1, len(self.train_loss) + 1)
 
 
-def confusion_matrix(preds, truths) -> np.ndarray:
-    """2x2 counts, rows = true class (SM, AL), columns = predicted; any class but 0 or 1 raises."""
-    preds, truths = np.asarray(preds), np.asarray(truths)
-    if preds.ndim != 1 or preds.size == 0 or preds.shape != truths.shape:
-        raise ShapeError(
-            f"need equal-length non-empty prediction/truth lists, "
-            f"got {preds.shape} and {truths.shape}"
-        )
-    if not (np.isin(preds, (0, 1)).all() and np.isin(truths, (0, 1)).all()):
-        raise ParameterError("classes must be 0 (SM) or 1 (AL)")
-    cm = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(cm, (truths.astype(np.int64), preds.astype(np.int64)), 1)
-    return cm
+def _reject_first(frames: FrameSet, bad: np.ndarray, problem: str, values) -> None:
+    """Raise ``ParameterError`` naming the first ``bad`` frame by index, burst id (when
+    ``frames`` carries them; ``cli`` attaches file-order ids) and SNR, then its value."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        burst = "" if frames.burst_ids is None else f"burst {frames.burst_ids[i]}, "
+        raise ParameterError(f"frame {i} of {len(frames)} ({burst}{frames.snrs_db[i]:g} dB): "
+                             f"{problem} {values[i]}")
 
 
 def accuracy_vs_snr(score_fn, frames: FrameSet, vectorized: bool = True):
-    """Call each frame from its score and count the calls per exact SNR label.
+    """Call each frame from its score and count the calls per exact SNR label in one pass.
 
     ``score_fn`` maps the whole [N, 2, window] array to N scores in one call.
     This is the one place where eval turns a method's output into a class: AL iff
-    the score is > 0, so a tie at 0 goes to SM and 0/1 labels are scores too. Any
-    count but N raises ``ShapeError``, a non-finite score ``ParameterError`` naming
-    the first such frame by its index, its burst id (when ``frames`` carries
-    them; ``cli`` attaches file-order ids) and its SNR. Returns (AccuracyCurve,
-    {snr_db: confusion matrix}). ``vectorized`` selects nothing: it remains
-    only because the two ``accuracy_vs_snr`` calls in ``perfbench/workloads.py``
-    pass ``vectorized=True``, and ``False`` raises ``ParameterError``.
+    the score is > 0, so a tie at 0 goes to SM and 0/1 labels are scores too.
+    Returns (AccuracyCurve, counts): row i of the int64 [S, 2, 2] counts holds the
+    confusion counts of ``curve.points[i]``, rows the true class (SM, AL) and
+    columns the called one; a -0.0 SNR counts under 0.0. Before anything is
+    counted, a non-finite SNR, a class but 0 or 1 (it would land in another SNR's
+    cells) or a non-finite score raises ``ParameterError`` naming the first such
+    frame by index, burst id and SNR; any score count but N raises ``ShapeError``.
+    ``vectorized`` selects nothing: it remains only because the two
+    ``accuracy_vs_snr`` calls in ``perfbench/workloads.py`` pass
+    ``vectorized=True``, and ``False`` raises ``ParameterError``.
     """
     if not vectorized:
         raise ParameterError("score_fn is called once on all frames; vectorized must be True")
     if len(frames) == 0:
         raise ParameterError("cannot evaluate an empty frame set")
+    snrs, classes = frames.snrs_db, frames.schemes
+    _reject_first(frames, ~np.isfinite(snrs), "non-finite SNR", snrs)
+    _reject_first(frames, (classes != 0) & (classes != 1),
+                  "class must be 0 (SM) or 1 (AL), got", classes)
     scores = np.asarray(score_fn(frames.frames), dtype=np.float64)
     if scores.shape != (len(frames),):
         raise ShapeError(f"need {len(frames)} scores, one per frame, got shape {scores.shape}")
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        i = bad[0]
-        burst = "" if frames.burst_ids is None else f"burst {frames.burst_ids[i]}, "
-        raise ParameterError(f"frame {i} of {len(frames)} ({burst}{frames.snrs_db[i]:g} dB): "
-                             f"non-finite score {scores[i]}")
-    preds = (scores > 0).astype(np.int64)
-    confusions = {}
-    labels = np.sort(frames.snrs_db) + 0.0  # a -0.0 joins 0.0 under the label 0.0
-    for snr in labels[np.r_[True, labels[1:] != labels[:-1]]].tolist():
-        mask = frames.snrs_db == snr
-        confusions[snr] = confusion_matrix(preds[mask], frames.schemes[mask])
-    points = tuple((snr, float(np.trace(cm) / cm.sum()), int(cm.sum()))
-                   for snr, cm in confusions.items())
-    return AccuracyCurve(points=points), confusions
+    _reject_first(frames, ~np.isfinite(scores), "non-finite score", scores)
+    labels, rows = np.unique(snrs + 0.0, return_inverse=True)  # a -0.0 joins the label 0.0
+    cells = 4 * rows + 2 * classes.astype(np.intp) + (scores > 0)
+    counts = np.bincount(cells, minlength=4 * len(labels)).astype(np.int64).reshape(-1, 2, 2)
+    n = counts.sum(axis=(1, 2))
+    accs = np.trace(counts, axis1=1, axis2=2) / n
+    points = tuple(zip(labels.tolist(), accs.tolist(), n.tolist()))
+    return AccuracyCurve(points=points), counts
 
 
 # ---------------------------------------------------------------------------

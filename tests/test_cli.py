@@ -121,10 +121,28 @@ def test_generate_train_eval(tmp_path, monkeypatch, capsys):
     assert loads == [data]  # train reads and splits the dataset once
     assert (out / "checkpoint.stbcnn").exists()
 
+    capsys.readouterr()
+    ev = tmp_path / "eval"
     assert cli.main(["eval", "--dataset", data, "--checkpoint", str(out / "checkpoint.stbcnn"),
-                     "-o", str(tmp_path / "eval"), "--split", "val"]) == 0
-    assert (tmp_path / "eval" / "accuracy.csv").exists()
-    assert "overall" in capsys.readouterr().out
+                     "-o", str(ev), "--split", "val"]) == 0
+    _assert_table_matches_files(capsys.readouterr().out, ev)
+
+
+def _assert_table_matches_files(out: str, ev: pathlib.Path) -> None:
+    """eval's printed table has one row per accuracy.csv row, then an overall line of
+    (sum of the diagonals) / (sum of the counts) of the confusion CSVs."""
+    lines = out.splitlines()
+    points = evaluation.read_accuracy_csv(ev / "accuracy.csv").points
+    assert lines[0].split() == ["snr_db", "accuracy", "n"]
+    assert ([line.split() for line in lines[1:len(points) + 1]]
+            == [[f"{snr:g}", f"{acc:.4f}", str(n)] for snr, acc, n in points])
+    correct = total = 0
+    for snr, _, _ in points:
+        for row in (ev / f"confusion_{snr:g}dB.csv").read_text().splitlines()[1:]:
+            _, true, pred, count = row.split(",")
+            total += int(count)
+            correct += int(count) * (true == pred)
+    assert lines[len(points) + 1].split() == ["overall", f"{correct / total:.4f}", str(total)]
 
 
 def test_train_and_eval_share_the_split(tmp_path, monkeypatch, capsys):
@@ -153,7 +171,7 @@ def test_train_and_eval_share_the_split(tmp_path, monkeypatch, capsys):
     assert len(seen) == 3 and seen[0] == seen[1] == seen[2]
 
 
-def test_eval_cnn_matches_predict_batch(tmp_path):
+def test_eval_cnn_matches_predict_batch(tmp_path, capsys):
     data = str(tmp_path / "tiny.bin")
     assert cli.main(["generate", "--snr-min", "0", "--snr-max", "10", "--snr-step", "10",
                      "--bursts", "4", "--burst-len", "256", "-o", data]) == 0
@@ -170,9 +188,11 @@ def test_eval_cnn_matches_predict_batch(tmp_path):
     curve, _ = evaluation.accuracy_vs_snr(lambda a: preds, frames)
     evaluation.write_accuracy_csv(curve, tmp_path / "expected.csv")
     out = tmp_path / "eval"
+    capsys.readouterr()
     assert cli.main(["eval", "--dataset", data, "--checkpoint", checkpoint, "-o", str(out),
                      "--split", "all"]) == 0
     assert (out / "accuracy.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    _assert_table_matches_files(capsys.readouterr().out, out)
 
 
 def test_eval_corr_matches_rule_per_frame(tmp_path, monkeypatch):

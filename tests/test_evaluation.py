@@ -21,7 +21,6 @@ from stbcid.evaluation import (
     AccuracyCurve,
     LossCurve,
     accuracy_vs_snr,
-    confusion_matrix,
     read_accuracy_csv,
     read_loss_csv,
     render_accuracy_svg,
@@ -44,38 +43,12 @@ def _frames(schemes, snrs):
     )
 
 
-class TestConfusionMatrix:
-    def test_all_correct(self):
-        cm = confusion_matrix([SM, AL, SM], [SM, AL, SM])
-        np.testing.assert_array_equal(cm, [[2, 0], [0, 1]])
-
-    def test_one_error(self):
-        cm = confusion_matrix([AL, AL], [SM, AL])
-        np.testing.assert_array_equal(cm, [[0, 1], [0, 1]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix([], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix([SM], [SM, AL])
-
-    @pytest.mark.parametrize("bad", [2, 0.7, float("nan")])
-    def test_non_class_values_rejected(self, bad):
-        # counted as neither class, not truncated to one
-        with pytest.raises(ParameterError):
-            confusion_matrix([bad, AL], [AL, AL])
-        with pytest.raises(ParameterError):
-            confusion_matrix([AL, AL], [AL, bad])
-
-
 class TestAccuracyVsSnr:
     def test_perfect_classifier(self):
         frames = _frames([SM, AL] * 10, [0.0] * 10 + [10.0] * 10)
-        curve, confusions = accuracy_vs_snr(lambda a: frames.schemes, frames)
-        assert all(acc == 1.0 for _, acc, _ in curve.points)
-        assert set(confusions) == {0.0, 10.0}
+        curve, counts = accuracy_vs_snr(lambda a: frames.schemes, frames)
+        assert curve.points == ((0.0, 1.0, 10), (10.0, 1.0, 10))
+        np.testing.assert_array_equal(counts, [[[5, 0], [0, 5]]] * 2)
 
     def test_constant_sm_classifier_on_balanced_data(self):
         frames = _frames([SM, AL] * 10, [5.0] * 20)
@@ -87,10 +60,32 @@ class TestAccuracyVsSnr:
         schemes = rng.integers(0, 2, 40)
         frames = _frames(schemes, [3.0] * 40)
         preds = rng.integers(0, 2, 40)
-        curve, confusions = accuracy_vs_snr(lambda a: preds, frames)
-        cm = confusions[3.0]
-        assert curve.points[0][1] == pytest.approx(np.trace(cm) / cm.sum())
-        assert cm.sum() == 40
+        curve, counts = accuracy_vs_snr(lambda a: preds, frames)
+        assert counts.shape == (1, 2, 2) and counts.dtype == np.int64
+        assert curve.points[0][1] == np.trace(counts[0]) / 40
+        assert counts.sum() == curve.points[0][2] == 40
+
+    def test_counts_match_a_plain_count_per_frame(self):
+        rng = np.random.default_rng(3)
+        n = 400
+        snrs = rng.choice([-7.5, -0.0, 0.0, 2.0, 11.25], n)
+        frames = _frames(rng.integers(0, 2, n), snrs)
+        scores = rng.standard_normal(n)
+        order = rng.permutation(n)
+        frames, scores = frames.subset(order), scores[order]
+        curve, counts = accuracy_vs_snr(lambda a: scores, frames)
+        expected = {}
+        for snr, truth, score in zip(frames.snrs_db.tolist(), frames.schemes.tolist(),
+                                     scores.tolist()):
+            cells = expected.setdefault(snr + 0.0, [[0, 0], [0, 0]])
+            cells[truth][1 if score > 0 else 0] += 1
+        assert [repr(snr) for snr, _, _ in curve.points] == ["-7.5", "0.0", "2.0", "11.25"]
+        assert counts.shape == (4, 2, 2)
+        for (snr, acc, count), row in zip(curve.points, counts):
+            cells = expected[snr]
+            total = sum(map(sum, cells))
+            assert row.tolist() == cells
+            assert (acc, count) == ((cells[0][0] + cells[1][1]) / total, total)
 
     def test_one_call_on_all_frames(self):
         frames = _frames([SM, AL] * 3, [0.0, 5.0] * 3)
@@ -120,25 +115,24 @@ class TestAccuracyVsSnr:
         frames = _frames([SM, AL, AL, SM], snrs)
         dataset.serialize_frames(frames, tmp_path / "d.bin")
         for fs in (frames, dataset.deserialize_frames(tmp_path / "d.bin")):
-            curve, confusions = accuracy_vs_snr(lambda a: fs.schemes, fs)
+            curve, counts = accuracy_vs_snr(lambda a: fs.schemes, fs)
             assert [repr(snr) for snr, _, _ in curve.points] == ["0.0"]
-            assert [repr(snr) for snr in confusions] == ["0.0"] and curve.points[0][2] == 4
-
+            assert curve.points[0][2] == 4
+            np.testing.assert_array_equal(counts, [[[2, 0], [0, 2]]])
 
     def test_zero_is_sm_and_the_tiniest_scores_keep_their_side(self):
         frames = _frames([SM, SM, AL, SM], [0.0] * 4)
-        curve, confusions = accuracy_vs_snr(lambda a: np.array([0.0, -0.0, 1e-300, -1e-300]),
-                                            frames)
+        curve, counts = accuracy_vs_snr(lambda a: np.array([0.0, -0.0, 1e-300, -1e-300]),
+                                        frames)
         assert curve.points == ((0.0, 1.0, 4),)
-        np.testing.assert_array_equal(confusions[0.0], [[3, 0], [0, 1]])
+        np.testing.assert_array_equal(counts, [[[3, 0], [0, 1]]])
 
     def test_class_labels_are_scores(self):
         frames = _frames([SM, AL, SM, AL, AL], [0.0, 0.0, 5.0, 5.0, 5.0])
         labels = np.array([SM, AL, AL, AL, SM], np.int64)
-        curve, confusions = accuracy_vs_snr(lambda a: labels, frames)
+        curve, counts = accuracy_vs_snr(lambda a: labels, frames)
         assert curve.points == ((0.0, 1.0, 2), (5.0, 1 / 3, 3))
-        np.testing.assert_array_equal(confusions[0.0], [[1, 0], [0, 1]])
-        np.testing.assert_array_equal(confusions[5.0], [[0, 1], [1, 1]])
+        np.testing.assert_array_equal(counts, [[[1, 0], [0, 1]], [[0, 1], [1, 1]]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_names_the_first_such_frame(self, bad):
@@ -151,6 +145,27 @@ class TestAccuracyVsSnr:
                            match=rf"^frame 1 of 3 \(burst 9, 2.5 dB\): non-finite score {bad}$"):
             accuracy_vs_snr(lambda a: np.array([0.5, bad, bad]), frames)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_snr_names_the_first_such_frame(self, bad):
+        frames = _frames([SM, AL, SM], [0.0, bad, bad])
+        with pytest.raises(ParameterError,
+                           match=rf"^frame 1 of 3 \({bad} dB\): non-finite SNR {bad}$"):
+            accuracy_vs_snr(lambda a: np.zeros(len(a)), frames)
+        frames = dataclasses.replace(frames, burst_ids=np.array([4, 9, 9]))
+        with pytest.raises(ParameterError,
+                           match=rf"^frame 1 of 3 \(burst 9, {bad} dB\): non-finite SNR {bad}$"):
+            accuracy_vs_snr(lambda a: np.zeros(len(a)), frames)
+
+    @pytest.mark.parametrize("bad", [2, 0.7, float("nan"), 200])
+    def test_non_class_values_rejected(self, bad):
+        # counted as neither class, nor truncated to one, nor wrapped into the next SNR's cells
+        schemes = np.array([AL, bad, AL], np.uint8 if bad in (2, 200) else np.float64)
+        frames = dataclasses.replace(_frames([AL] * 3, [0.0, 0.0, 5.0]), schemes=schemes)
+        with pytest.raises(ParameterError,
+                           match=rf"^frame 1 of 3 \(0 dB\): class must be 0 \(SM\) or 1 "
+                                 rf"\(AL\), got {bad}$"):
+            accuracy_vs_snr(lambda a: np.ones(len(a)), frames)
+
     @pytest.mark.parametrize("count", [2, 4])
     def test_one_score_per_frame(self, count):
         with pytest.raises(ShapeError, match="need 3 scores"):
@@ -161,15 +176,16 @@ def test_corr_feature_at_the_threshold_is_sm_in_any_block():
     n = CORR_BLOCK + 5  # a ragged last block of 5 frames
     frames = np.random.default_rng(0).standard_normal((n, 2, FRAME_LEN)).astype(np.float32)
     feats = [correlation_feature(f[0] + 1j * f[1]) for f in frames]
-    # every frame truly AL, in a bucket of its own, so each confusion matrix shows one call
+    # every frame truly AL, in an SNR row of its own, so each row of counts shows one call
     frame_set = FrameSet(frames=frames, schemes=np.full(n, AL, np.uint8),
                          snrs_db=np.arange(n, dtype=np.float64))
     for k in (3, n - 2):  # the first block, the ragged last one
         rule = ThresholdRule(threshold=feats[k], snr_db=10.0, seq_len=FRAME_LEN, trials=100,
                              achieved_error=0.5)
         assert frame_scores(frames, rule)[k] == 0.0
-        _, confusions = accuracy_vs_snr(lambda a: frame_scores(a, rule), frame_set)
-        calls = [int(confusions[float(i)][AL, AL]) for i in range(n)]
+        curve, counts = accuracy_vs_snr(lambda a: frame_scores(a, rule), frame_set)
+        assert [snr for snr, _, _ in curve.points] == list(range(n))
+        calls = counts[:, AL, AL].tolist()
         assert calls == [int(classify_corr(f, rule)) for f in feats]
         assert calls[k] == SM and 0 < sum(calls) < n
 
