@@ -43,6 +43,22 @@ def _frames(schemes, snrs):
     )
 
 
+def _confusion(called, truth):
+    """The [2, 2] counts accuracy_vs_snr gives for frames at one SNR, rows the
+    true class and columns the called class."""
+    _, counts = accuracy_vs_snr(lambda a: np.array(called), _frames(truth, [0.0] * len(truth)))
+    assert counts.shape == (1, 2, 2)
+    return counts[0]
+
+
+class TestConfusionMatrix:
+    def test_all_correct(self):
+        np.testing.assert_array_equal(_confusion([SM, AL, SM], [SM, AL, SM]), [[2, 0], [0, 1]])
+
+    def test_one_error(self):
+        np.testing.assert_array_equal(_confusion([AL, AL], [SM, AL]), [[0, 1], [0, 1]])
+
+
 class TestAccuracyVsSnr:
     def test_perfect_classifier(self):
         frames = _frames([SM, AL] * 10, [0.0] * 10 + [10.0] * 10)
